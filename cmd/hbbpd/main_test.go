@@ -108,7 +108,7 @@ func TestDaemonIngestAndGracefulExit(t *testing.T) {
 	}
 
 	out := stdout.String()
-	if !strings.Contains(out, "tenant acme: merged=4 batches=0 duplicates=0 shed=0 rejected=0 corrupt=0 epochs=1") {
+	if !strings.Contains(out, "tenant acme: merged=4 batches=4 duplicates=0 shed=0 rejected=0 corrupt=0 epochs=1") {
 		t.Errorf("final summary wrong:\n%s", out)
 	}
 	if !strings.Contains(stderr.String(), "draining in-flight ingests") {

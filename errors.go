@@ -56,7 +56,8 @@ var (
 	// match — line noise caught before it could reach merged state.
 	ErrFrameCorrupt = fleetwire.ErrFrameCorrupt
 	// ErrFrameTooLarge reports a fleet-wire frame whose declared size
-	// exceeds the connection's limit.
+	// exceeds the connection's limit, or a profile a client refused to
+	// send because it cannot fit a frame even alone.
 	ErrFrameTooLarge = fleetwire.ErrFrameTooLarge
 	// ErrWireVersion reports a fleet-wire peer speaking a protocol
 	// version this library cannot.

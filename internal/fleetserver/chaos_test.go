@@ -408,8 +408,8 @@ func TestChaosSlowLoris(t *testing.T) {
 	}
 
 	// Trickle half a profile frame, then go silent.
-	full := fleetwire.AppendFrame(nil, fleetwire.FrameProfile,
-		fleetwire.AppendProfile(nil, fleetwire.ProfileHeader{Seq: 1, Epoch: 1}, []byte("xxxx")))
+	full := fleetwire.AppendFrame(nil, fleetwire.FrameProfileBatch,
+		fleetwire.AppendProfileBatch(nil, []fleetwire.BatchEntry{{Seq: 1, Epoch: 1, Profile: []byte("xxxx")}}))
 	if _, err := conn.Write(full[:len(full)/2]); err != nil {
 		t.Fatal(err)
 	}
@@ -443,6 +443,8 @@ func TestChaosGracefulShutdownDrains(t *testing.T) {
 		delivered []*profstore.Profile
 	)
 	start := make(chan struct{})
+	confirmed := make(chan struct{})
+	var confirmOnce sync.Once
 	var wg sync.WaitGroup
 	for a := 0; a < agents; a++ {
 		wg.Add(1)
@@ -469,12 +471,18 @@ func TestChaosGracefulShutdownDrains(t *testing.T) {
 				mu.Lock()
 				delivered = append(delivered, p)
 				mu.Unlock()
+				confirmOnce.Do(func() { close(confirmed) })
 			}
 		}(a)
 	}
 
 	close(start)
-	time.Sleep(20 * time.Millisecond) // let the stream build up
+	// Shut down mid-stream: as soon as one Send is confirmed, while the
+	// other agents are still sending.
+	select {
+	case <-confirmed:
+	case <-time.After(10 * time.Second):
+	}
 	sctx, scancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer scancel()
 	if err := s.Shutdown(sctx); err != nil {
@@ -529,9 +537,9 @@ func TestChaosCorruptFramesAreCountedNotMerged(t *testing.T) {
 		t.Fatalf("welcome = %v, %v", typ, err)
 	}
 	rng := rand.New(rand.NewSource(10))
-	frame := fleetwire.AppendFrame(nil, fleetwire.FrameProfile,
-		fleetwire.AppendProfile(nil, fleetwire.ProfileHeader{Seq: 1, Epoch: 1},
-			saveBytes(t, testProfile(rng, "gcc"))))
+	frame := fleetwire.AppendFrame(nil, fleetwire.FrameProfileBatch,
+		fleetwire.AppendProfileBatch(nil, []fleetwire.BatchEntry{{Seq: 1, Epoch: 1,
+			Profile: saveBytes(t, testProfile(rng, "gcc"))}}))
 	frame[len(frame)/2] ^= 0x10
 	if _, err := conn.Write(frame); err != nil {
 		t.Fatal(err)

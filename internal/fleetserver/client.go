@@ -1,7 +1,6 @@
 package fleetserver
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -30,8 +29,9 @@ type ClientConfig struct {
 	// Dialer opens transport connections; defaults to a net.Dialer
 	// with a 10s timeout. Chaos tests inject faults here.
 	Dialer func(ctx context.Context, addr string) (net.Conn, error)
-	// MaxFrame bounds incoming frames; defaults to
-	// fleetwire.DefaultMaxFrame.
+	// MaxFrame bounds frame payloads both ways: incoming frames, and
+	// the outgoing frames a batch is split into. It should not exceed
+	// the server's limit. Defaults to fleetwire.DefaultMaxFrame.
 	MaxFrame int
 	// ReadTimeout bounds each ack/nack wait; defaults to 10s.
 	ReadTimeout time.Duration
@@ -99,8 +99,8 @@ func (c ClientConfig) withDefaults() (ClientConfig, error) {
 type ClientStats struct {
 	// Dials counts completed handshakes (first dial and re-dials).
 	Dials uint64
-	// Sent counts profile frames written to the wire, including
-	// re-sends of the same profile.
+	// Sent counts profiles written to the wire (every entry of every
+	// batch frame), including re-sends of the same profile.
 	Sent uint64
 	// Acked counts profiles the server confirmed merged. This is the
 	// number an offline Merge of this agent's acked profiles must
@@ -196,41 +196,15 @@ func Dial(ctx context.Context, addr string, cfg ClientConfig) (*Client, error) {
 // Send delivers one profile for one epoch, retrying across resets,
 // overload nacks and redials until the server confirms it merged
 // exactly once, the server rejects it permanently (ErrRejected), the
-// retry budget runs out, or ctx cancels.
+// retry budget runs out, or ctx cancels. It is SendBatch of one.
 func (c *Client) Send(ctx context.Context, epoch uint64, p *profstore.Profile) error {
-	var buf bytes.Buffer
-	if err := profstore.Save(&buf, p); err != nil {
-		return err
-	}
-	return c.SendBytes(ctx, epoch, buf.Bytes())
+	return c.SendBatch(ctx, epoch, []*profstore.Profile{p})
 }
 
 // SendBytes is Send for an already-serialized stored profile (the
 // bytes profstore.Save produces). The payload is delivered verbatim.
 func (c *Client) SendBytes(ctx context.Context, epoch uint64, payload []byte) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return ErrClientClosed
-	}
-	c.seq++
-	seq := c.seq
-	c.frameBuf = fleetwire.AppendProfile(c.frameBuf[:0], fleetwire.ProfileHeader{Seq: seq, Epoch: epoch}, payload)
-	frame := c.frameBuf
-
-	for attempt := 1; ; attempt++ {
-		err := c.trySend(ctx, seq, frame)
-		if err == nil {
-			return nil
-		}
-		if errors.Is(err, ErrRejected) || errors.Is(err, context.Canceled) ||
-			errors.Is(err, context.DeadlineExceeded) {
-			return err
-		}
-		if giveUp := c.retryBudget(ctx, attempt, err); giveUp != nil {
-			return giveUp
-		}
-	}
+	return c.SendBatchBytes(ctx, []BatchItem{{Epoch: epoch, Payload: payload}})
 }
 
 // BatchItem is one profile for SendBatchBytes: a serialized stored
@@ -241,12 +215,13 @@ type BatchItem struct {
 }
 
 // SendBatch delivers several profiles for one epoch in batch frames —
-// one round trip per batch instead of one per profile. Each profile
+// one round trip per frame instead of one per profile. Each profile
 // still merges exactly once under the same retry semantics as Send.
 // Returns nil when every profile merged; ErrRejected (wrapped) when
 // the server permanently refused at least one entry (the others still
-// merged); any other error means the retry budget ran out with
-// profiles undelivered.
+// merged); fleetwire.ErrFrameTooLarge (wrapped), before anything is
+// sent, when a profile cannot fit a frame even alone; any other error
+// means the retry budget ran out with profiles undelivered.
 func (c *Client) SendBatch(ctx context.Context, epoch uint64, profiles []*profstore.Profile) error {
 	items := make([]BatchItem, 0, len(profiles))
 	for _, p := range profiles {
@@ -261,9 +236,10 @@ func (c *Client) SendBatch(ctx context.Context, epoch uint64, profiles []*profst
 
 // SendBatchBytes is SendBatch for already-serialized profiles, each
 // with its own epoch. Entries are assigned consecutive sequence
-// numbers and sent as one batch frame; on resets or overload the
-// still-unconfirmed suffix retries as a smaller batch, with the
-// handshake resume point confirming anything merged before a lost ack.
+// numbers and sent in as few frames as MaxFrame and
+// fleetwire.MaxBatchEntries allow; on resets or overload the
+// still-unconfirmed entries retry, with the handshake resume point
+// confirming anything merged before a lost ack.
 func (c *Client) SendBatchBytes(ctx context.Context, items []BatchItem) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -273,22 +249,29 @@ func (c *Client) SendBatchBytes(ctx context.Context, items []BatchItem) error {
 	if len(items) == 0 {
 		return nil
 	}
+	// A profile no frame can carry is refused before any sequence
+	// number is spent: re-sending it could never succeed, so it must
+	// not cost a retry or the healthy connection.
 	entries := make([]fleetwire.BatchEntry, len(items))
 	for i, it := range items {
-		c.seq++
-		entries[i] = fleetwire.BatchEntry{Seq: c.seq, Epoch: it.Epoch, Profile: it.Payload}
+		entries[i] = fleetwire.BatchEntry{Seq: c.seq + 1 + uint64(i), Epoch: it.Epoch, Profile: it.Payload}
+		if fleetwire.SplitBatch(entries[i:i+1], c.cfg.MaxFrame) == 0 {
+			return fmt.Errorf("fleetserver: profile %d of %d is %d bytes, too large for a %d-byte frame: %w",
+				i, len(items), len(it.Payload), c.cfg.MaxFrame, fleetwire.ErrFrameTooLarge)
+		}
 	}
-	// done tracks entries confirmed merged (ack or resume point);
-	// rejection remembers permanent refusals so they are not re-sent.
+	c.seq += uint64(len(entries))
+	// done tracks entries confirmed merged (ack or resume point) or
+	// permanently refused, so neither is re-sent; rej remembers the
+	// refusals.
 	done := make([]bool, len(entries))
-	var firstRejection error
-	rejections := 0
+	var rej rejections
 	for attempt := 1; ; attempt++ {
-		err := c.trySendBatch(ctx, entries, done, &firstRejection, &rejections)
+		err := c.trySendBatch(ctx, entries, done, &rej)
 		if err == nil {
-			if firstRejection != nil {
+			if rej.first != nil {
 				return fmt.Errorf("fleetserver: batch of %d: %d rejected (first: %v): %w",
-					len(entries), rejections, firstRejection, ErrRejected)
+					len(entries), rej.n, rej.first, ErrRejected)
 			}
 			return nil
 		}
@@ -301,42 +284,65 @@ func (c *Client) SendBatchBytes(ctx context.Context, items []BatchItem) error {
 	}
 }
 
+// rejections counts one batch's permanent refusals (NackBadProfile)
+// and keeps the first one's reason.
+type rejections struct {
+	n     int
+	first error
+}
+
 // trySendBatch makes one delivery attempt for the batch's unresolved
-// entries. nil means every entry is resolved (merged, duplicate,
-// resume-skipped, or permanently rejected — recorded via firstRejection
-// rather than returned, so one bad entry cannot abort its batchmates).
-func (c *Client) trySendBatch(ctx context.Context, entries []fleetwire.BatchEntry,
-	done []bool, firstRejection *error, rejections *int) error {
+// entries, frame after frame on one connection. nil means every entry
+// is resolved (merged, duplicate, resume-skipped, or permanently
+// rejected — recorded in rej rather than returned, so one bad entry
+// cannot abort its batchmates).
+func (c *Client) trySendBatch(ctx context.Context, entries []fleetwire.BatchEntry, done []bool, rej *rejections) error {
 	if err := c.ensureConn(ctx); err != nil {
 		return err
 	}
-	// Resolve what the resume point already confirms, then collect the
-	// still-pending suffix. Indexes into entries ride along so verdicts
-	// map back.
-	var pending []fleetwire.BatchEntry
-	var idx []int
-	for i := range entries {
-		if done[i] {
-			continue
+	for from := 0; ; {
+		// Seqs ascend, so what the resume point confirms is a prefix
+		// of the unresolved entries: a reset between the server's
+		// merge and our ack read means the re-dial, not a re-send,
+		// confirms delivery.
+		for from < len(entries) && (done[from] || entries[from].Seq <= c.serverSeq) {
+			if !done[from] {
+				done[from] = true
+				c.stats.ResumeSkipped++
+			}
+			from++
 		}
-		if entries[i].Seq <= c.serverSeq {
-			done[i] = true
-			c.stats.ResumeSkipped++
-			continue
+		if from == len(entries) {
+			return nil
 		}
-		pending = append(pending, entries[i])
-		idx = append(idx, i)
+		// The next frame is the longest run of unresolved entries that
+		// fits; SendBatchBytes guaranteed the first one fits alone.
+		n := fleetwire.SplitBatch(entries[from:], c.cfg.MaxFrame)
+		for k := 1; k < n; k++ {
+			if done[from+k] {
+				n = k
+				break
+			}
+		}
+		if err := c.exchange(entries[from:from+n], done[from:from+n], rej); err != nil {
+			return err
+		}
 	}
-	if len(pending) == 0 {
-		return nil
-	}
-	c.frameBuf = fleetwire.AppendProfileBatch(c.frameBuf[:0], pending)
+}
+
+// exchange sends one batch frame and applies the server's verdicts to
+// done and rej. Any failure that might have left entries merged but
+// unconfirmed drops the connection, so the next attempt re-handshakes
+// and learns the truth from the server's resume point or duplicate
+// verdicts.
+func (c *Client) exchange(frame []fleetwire.BatchEntry, done []bool, rej *rejections) error {
+	c.frameBuf = fleetwire.AppendProfileBatch(c.frameBuf[:0], frame)
 	if err := c.wc.WriteFrame(fleetwire.FrameProfileBatch, c.frameBuf); err != nil {
 		c.dropConn()
 		c.stats.ConnErrors++
 		return err
 	}
-	c.stats.Sent += uint64(len(pending))
+	c.stats.Sent += uint64(len(frame))
 	typ, payload, err := c.wc.ReadFrame()
 	if err != nil {
 		c.dropConn()
@@ -349,21 +355,20 @@ func (c *Client) trySendBatch(ctx context.Context, entries []fleetwire.BatchEntr
 		return fmt.Errorf("fleetserver: unexpected %v frame awaiting batch verdicts: %w", typ, fleetwire.ErrProtocol)
 	}
 	verdicts, err := fleetwire.ParseAckBatch(payload)
-	if err != nil || len(verdicts) != len(pending) {
+	if err != nil || len(verdicts) != len(frame) {
 		c.dropConn()
 		c.stats.ConnErrors++
 		return fmt.Errorf("fleetserver: bad batch ack (%d verdicts for %d entries): %w",
-			len(verdicts), len(pending), fleetwire.ErrProtocol)
+			len(verdicts), len(frame), fleetwire.ErrProtocol)
 	}
 	var retryable error
-	for vi, v := range verdicts {
-		if v.Seq != pending[vi].Seq {
+	for i, v := range verdicts {
+		if v.Seq != frame[i].Seq {
 			c.dropConn()
 			c.stats.ConnErrors++
 			return fmt.Errorf("fleetserver: batch verdict %d echoes seq %d, want %d: %w",
-				vi, v.Seq, pending[vi].Seq, fleetwire.ErrProtocol)
+				i, v.Seq, frame[i].Seq, fleetwire.ErrProtocol)
 		}
-		i := idx[vi]
 		switch v.Status {
 		case fleetwire.BatchMerged, fleetwire.BatchDuplicate:
 			done[i] = true
@@ -380,9 +385,9 @@ func (c *Client) trySendBatch(ctx context.Context, entries []fleetwire.BatchEntr
 				// Permanent: resolve the entry, remember the refusal.
 				done[i] = true
 				c.stats.RejectedNacks++
-				*rejections++
-				if *firstRejection == nil {
-					*firstRejection = fmt.Errorf("seq %d: %s", v.Seq, v.Msg)
+				rej.n++
+				if rej.first == nil {
+					rej.first = fmt.Errorf("seq %d: %s", v.Seq, v.Msg)
 				}
 			case fleetwire.NackOverloaded:
 				c.stats.OverloadNacks++
@@ -401,78 +406,6 @@ func (c *Client) trySendBatch(ctx context.Context, entries []fleetwire.BatchEntr
 		return retryable
 	}
 	return nil
-}
-
-// trySend makes one delivery attempt: connect if needed, check the
-// resume point, write the frame, wait for the verdict. Any failure
-// that might have left the profile merged but unconfirmed drops the
-// connection, so the next attempt re-handshakes and learns the truth
-// from the server's resume point or a duplicate ack.
-func (c *Client) trySend(ctx context.Context, seq uint64, frame []byte) error {
-	if err := c.ensureConn(ctx); err != nil {
-		return err
-	}
-	// The handshake resume point may already cover this profile: a
-	// reset between the server's merge and our ack read means the
-	// re-dial, not a re-send, confirms delivery.
-	if c.serverSeq >= seq {
-		c.stats.ResumeSkipped++
-		return nil
-	}
-	if err := c.wc.WriteFrame(fleetwire.FrameProfile, frame); err != nil {
-		c.dropConn()
-		c.stats.ConnErrors++
-		return err
-	}
-	c.stats.Sent++
-	typ, payload, err := c.wc.ReadFrame()
-	if err != nil {
-		c.dropConn()
-		c.stats.ConnErrors++
-		return err
-	}
-	switch typ {
-	case fleetwire.FrameAck:
-		ack, err := fleetwire.ParseAck(payload)
-		if err != nil || ack.Seq != seq {
-			c.dropConn()
-			c.stats.ConnErrors++
-			return fmt.Errorf("fleetserver: bad ack for seq %d: %w", seq, fleetwire.ErrProtocol)
-		}
-		if ack.Seq > c.serverSeq {
-			c.serverSeq = ack.Seq
-		}
-		c.stats.Acked++
-		if ack.Duplicate {
-			c.stats.DuplicateAcks++
-		}
-		return nil
-	case fleetwire.FrameNack:
-		nack, err := fleetwire.ParseNack(payload)
-		if err != nil || nack.Seq != seq {
-			c.dropConn()
-			c.stats.ConnErrors++
-			return fmt.Errorf("fleetserver: bad nack for seq %d: %w", seq, fleetwire.ErrProtocol)
-		}
-		switch nack.Code {
-		case fleetwire.NackOverloaded:
-			// Retryable on the same connection after backoff.
-			c.stats.OverloadNacks++
-			return fmt.Errorf("fleetserver: seq %d: %w", seq, ErrOverloaded)
-		case fleetwire.NackBadProfile:
-			c.stats.RejectedNacks++
-			return fmt.Errorf("fleetserver: seq %d: %s: %w", seq, nack.Msg, ErrRejected)
-		default:
-			// Shutting down (or future codes): retry via a fresh
-			// connection after backoff.
-			c.dropConn()
-			return fmt.Errorf("fleetserver: seq %d refused: %s (code %d)", seq, nack.Msg, nack.Code)
-		}
-	default:
-		c.dropConn()
-		c.stats.ConnErrors++
-		return fmt.Errorf("fleetserver: unexpected %v frame awaiting verdict: %w", typ, fleetwire.ErrProtocol)
-	}
 }
 
 // ensureConn dials and handshakes if no connection is live, adopting

@@ -8,17 +8,17 @@
 // with exact drop accounting, never by corrupting or silently losing
 // merged state. Concretely:
 //
-//   - A profile is merged if and only if its sender was told so (an
-//     Ack). Refusals are explicit Nacks, each counted in the owning
-//     tenant's drop counters — the ingest-tier analogue of
-//     LostEBS/LostLBR.
+//   - A profile is merged if and only if its sender was told so (a
+//     merged or duplicate verdict in the batch ack). Refusals are
+//     explicit nacked verdicts, each counted in the owning tenant's
+//     drop counters — the ingest-tier analogue of LostEBS/LostLBR.
 //   - Overload is bounded and explicit. Ingest flows through a bounded
 //     queue; a full queue exerts backpressure up to a deadline, then
 //     the profile is shed with NackOverloaded and counted. Memory
 //     stays bounded no matter how many agents push.
 //   - Duplicates merge exactly once. Each agent numbers its profiles;
 //     the server remembers the last merged sequence per agent and
-//     answers re-sends (acks lost to resets) with a duplicate Ack
+//     answers re-sends (acks lost to resets) with a duplicate verdict
 //     instead of a second merge, so a retrying client achieves
 //     exactly-once aggregation.
 //   - Shutdown drains. Profiles already handed to the ingest queue are
@@ -226,38 +226,18 @@ func (t *tenant) agent(name string) *agentState {
 	return ag
 }
 
-// job is one admitted unit of ingest on its way to a merge: a single
-// profile (entries nil) or a whole batch. A batch is deliberately ONE
-// job, not one per entry: the agent's watermark demands the entries
-// apply in sequence order as an atomic run under the agent lock, and a
-// single queue slot keeps the backpressure accounting whole-batch.
+// job is one admitted batch frame on its way to a merge. A batch is
+// deliberately ONE job, not one per entry: the agent's watermark
+// demands the entries apply in sequence order as an atomic run under
+// the agent lock, and a single queue slot keeps the backpressure
+// accounting whole-batch. The worker replies with one verdict per
+// entry, in entry order.
 type job struct {
-	t     *tenant
-	agent *agentState
-	seq   uint64
-	epoch uint64
-	body  []byte
-	// entries, when non-nil, makes this a batch job; seq/epoch/body are
-	// unused and the reply carries per-entry verdicts.
+	t       *tenant
+	agent   *agentState
 	entries []fleetwire.BatchEntry
-	reply   chan jobReply
+	reply   chan []fleetwire.BatchVerdict
 }
-
-// jobReply is a worker's verdict on one job.
-type jobReply struct {
-	status ingestStatus
-	msg    string
-	// verdicts answers a batch job, one per entry in entry order.
-	verdicts []fleetwire.BatchVerdict
-}
-
-type ingestStatus uint8
-
-const (
-	ingestMerged ingestStatus = iota
-	ingestDuplicate
-	ingestRejected
-)
 
 // Server ingests profiles over fleetwire connections. Construct with
 // [Serve]; the zero value is not usable.
@@ -282,7 +262,6 @@ type Server struct {
 	// pays only atomic updates.
 	accepted        *telemetry.Counter
 	handshakeFailed *telemetry.Counter
-	profileLat      *telemetry.Histogram // FrameProfile read-to-reply
 	batchLat        *telemetry.Histogram // FrameProfileBatch read-to-reply
 	batchEntries    *telemetry.Histogram // entries per batch frame
 	slow            *telemetry.SlowLog
@@ -306,9 +285,6 @@ func Serve(ln net.Listener, cfg Config) *Server {
 		"Connections admitted since start.")
 	s.handshakeFailed = tel.Counter("hbbp_fleetserver_handshake_failures_total",
 		"Connections that never completed a valid hello.")
-	s.profileLat = tel.Histogram("hbbp_fleetserver_ingest_seconds",
-		"Frame read-to-reply latency by frame type.",
-		telemetry.NanosToSeconds, telemetry.DurationBuckets(), "frame", "profile")
 	s.batchLat = tel.Histogram("hbbp_fleetserver_ingest_seconds",
 		"Frame read-to-reply latency by frame type.",
 		telemetry.NanosToSeconds, telemetry.DurationBuckets(), "frame", "batch")
@@ -436,7 +412,7 @@ func (s *Server) handle(conn net.Conn) {
 	// ack buffer serve the connection's whole life — the reply is
 	// always awaited before the next frame, so the worker is done with
 	// the job before it is refilled.
-	reply := make(chan jobReply, 1)
+	reply := make(chan []fleetwire.BatchVerdict, 1)
 	connJob := &job{}
 	var ackBuf []byte
 
@@ -454,136 +430,79 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			return
 		}
+		if typ != fleetwire.FrameProfileBatch {
+			tn.corrupt.Add(1)
+			return
+		}
 		// The latency clock starts after the frame is in hand — it
 		// measures the server's parse/queue/merge/reply work, not how
 		// long the agent took to send the next frame.
 		t0 := time.Now()
-		if typ == fleetwire.FrameProfileBatch {
-			ok := s.handleBatch(wc, tn, ag, payload, connJob, reply)
-			s.observeFrame(s.batchLat, "batch", tn, t0)
-			if !ok {
-				return
+		verdicts, keep := s.handleBatch(tn, ag, payload, connJob, reply)
+		if verdicts != nil {
+			ackBuf = fleetwire.AppendAckBatch(ackBuf[:0], verdicts)
+			if err := wc.WriteFrame(fleetwire.FrameAckBatch, ackBuf); err != nil {
+				keep = false
 			}
-			continue
 		}
-		if typ != fleetwire.FrameProfile {
-			tn.corrupt.Add(1)
+		s.observeFrame(tn, t0)
+		if !keep {
 			return
 		}
-		hdr, body, err := fleetwire.ParseProfile(payload)
-		if err != nil {
-			tn.corrupt.Add(1)
-			return
-		}
-
-		// Fast duplicate path: a re-send of an already-merged profile
-		// (its ack was lost) is answered without a queue trip.
-		ag.mu.Lock()
-		dup := hdr.Seq <= ag.lastSeq
-		ag.mu.Unlock()
-		if dup {
-			tn.duplicates.Add(1)
-			ackBuf = fleetwire.AppendAck(ackBuf[:0], fleetwire.Ack{Seq: hdr.Seq, Duplicate: true})
-			if err := wc.WriteFrame(fleetwire.FrameAck, ackBuf); err != nil {
-				return
-			}
-			s.observeFrame(s.profileLat, "profile", tn, t0)
-			continue
-		}
-
-		*connJob = job{t: tn, agent: ag, seq: hdr.Seq, epoch: hdr.Epoch, body: body, reply: reply}
-		if !s.enqueue(connJob) {
-			if s.isClosing() {
-				// Refused because the server is draining: explicit,
-				// retryable elsewhere, never merged.
-				wc.WriteFrame(fleetwire.FrameNack,
-					fleetwire.AppendNack(nil, fleetwire.Nack{Seq: hdr.Seq,
-						Code: fleetwire.NackShuttingDown, Msg: "server draining"}))
-				return
-			}
-			// Shed: the bounded queue stayed full past the
-			// backpressure deadline. The drop is counted before the
-			// nack is attempted, so the ledger can only over-report
-			// refusals, never under-report them.
-			tn.shed.Add(1)
-			if err := wc.WriteFrame(fleetwire.FrameNack,
-				fleetwire.AppendNack(nil, fleetwire.Nack{Seq: hdr.Seq,
-					Code: fleetwire.NackOverloaded, Msg: "ingest queue full"})); err != nil {
-				return
-			}
-			s.observeFrame(s.profileLat, "profile", tn, t0)
-			continue
-		}
-
-		// The worker always replies — shutdown drains the queue before
-		// the workers exit — so a merged profile is always answered.
-		r := <-reply
-		switch r.status {
-		case ingestMerged, ingestDuplicate:
-			ackBuf = fleetwire.AppendAck(ackBuf[:0], fleetwire.Ack{Seq: hdr.Seq,
-				Duplicate: r.status == ingestDuplicate})
-			if err := wc.WriteFrame(fleetwire.FrameAck, ackBuf); err != nil {
-				return
-			}
-		case ingestRejected:
-			if err := wc.WriteFrame(fleetwire.FrameNack,
-				fleetwire.AppendNack(nil, fleetwire.Nack{Seq: hdr.Seq,
-					Code: fleetwire.NackBadProfile, Msg: r.msg})); err != nil {
-				return
-			}
-		}
-		s.observeFrame(s.profileLat, "profile", tn, t0)
 	}
 }
 
 // observeFrame records one answered frame's latency, feeding the slow
 // log when it crossed the threshold. The threshold pre-check keeps the
 // fast path free of the detail closure's allocation.
-func (s *Server) observeFrame(h *telemetry.Histogram, frame string, tn *tenant, t0 time.Time) {
+func (s *Server) observeFrame(tn *tenant, t0 time.Time) {
 	d := time.Since(t0)
-	h.Observe(int64(d))
+	s.batchLat.Observe(int64(d))
 	if d >= s.slow.Threshold() {
-		s.slow.Observe("ingest/"+frame, d, func() string { return "tenant=" + tn.name })
+		s.slow.Observe("ingest/batch", d, func() string { return "tenant=" + tn.name })
 	}
 }
 
-// handleBatch answers one batch frame: parse, admit as ONE queue job
-// (whole-batch backpressure), reply with per-entry verdicts. Returns
-// false when the connection should close. The entries alias the
-// connection's read buffer; that is safe because the reply is awaited
-// — and the bytes fully consumed — before the next ReadFrame.
-func (s *Server) handleBatch(wc *fleetwire.Conn, tn *tenant, ag *agentState, payload []byte, j *job, reply chan jobReply) bool {
+// handleBatch decides one batch frame: parse, admit as ONE queue job
+// (whole-batch backpressure), and return the per-entry verdicts to
+// send back. keep is false when the connection should close after the
+// reply; nil verdicts mean the frame was unparseable and there is
+// nothing to answer. The entries alias the connection's read buffer;
+// that is safe because the reply is awaited — and the bytes fully
+// consumed — before the next ReadFrame.
+func (s *Server) handleBatch(tn *tenant, ag *agentState, payload []byte,
+	j *job, reply chan []fleetwire.BatchVerdict) (verdicts []fleetwire.BatchVerdict, keep bool) {
 	entries, err := fleetwire.ParseProfileBatch(payload)
 	if err != nil {
 		tn.corrupt.Add(1)
-		return false
+		return nil, false
 	}
 	tn.batches.Add(1)
 	s.batchEntries.Observe(int64(len(entries)))
 	*j = job{t: tn, agent: ag, entries: entries, reply: reply}
-	if !s.enqueue(j) {
-		code, msg := fleetwire.NackOverloaded, "ingest queue full"
-		if s.isClosing() {
-			code, msg = fleetwire.NackShuttingDown, "server draining"
-		} else {
-			// Whole-batch shed: the queue refused the unit, so every
-			// entry is counted dropped before the nack is attempted.
-			tn.shed.Add(uint64(len(entries)))
-		}
-		verdicts := make([]fleetwire.BatchVerdict, len(entries))
-		for i := range entries {
-			verdicts[i] = fleetwire.BatchVerdict{Seq: entries[i].Seq,
-				Status: fleetwire.BatchNacked, Code: code, Msg: msg}
-		}
-		if err := wc.WriteFrame(fleetwire.FrameAckBatch,
-			fleetwire.AppendAckBatch(nil, verdicts)); err != nil {
-			return false
-		}
-		return !s.isClosing()
+	if s.enqueue(j) {
+		// The worker always replies — shutdown drains the queue before
+		// the workers exit — so an admitted batch is always answered.
+		return <-reply, true
 	}
-	r := <-reply
-	return wc.WriteFrame(fleetwire.FrameAckBatch,
-		fleetwire.AppendAckBatch(nil, r.verdicts)) == nil
+	code, msg := fleetwire.NackOverloaded, "ingest queue full"
+	if s.isClosing() {
+		// Refused because the server is draining: explicit, retryable
+		// elsewhere, never merged.
+		code, msg = fleetwire.NackShuttingDown, "server draining"
+	} else {
+		// Whole-batch shed: the queue stayed full past the backpressure
+		// deadline, so every entry is counted dropped before the nack
+		// is attempted — the ledger can only over-report refusals,
+		// never under-report them.
+		tn.shed.Add(uint64(len(entries)))
+	}
+	verdicts = make([]fleetwire.BatchVerdict, len(entries))
+	for i := range entries {
+		verdicts[i] = fleetwire.BatchVerdict{Seq: entries[i].Seq,
+			Status: fleetwire.BatchNacked, Code: code, Msg: msg}
+	}
+	return verdicts, !s.isClosing()
 }
 
 // handshake validates the preamble and hello and answers with the
@@ -652,61 +571,27 @@ func (s *Server) enqueue(j *job) bool {
 	}
 }
 
-// worker merges admitted profiles. The dedup check, the merge and the
-// ledger commit are one atomic step under the agent's lock, so a
-// profile can never merge twice no matter how it was re-sent. Profiles
-// decode straight into interned form (profstore.LoadInterned) and feed
-// the aggregator as integer rows — the wire path never materializes a
-// string-keyed profile.
+// worker merges admitted batches. Each runs through processBatch,
+// where the dedup check, the merge and the ledger commit are one
+// atomic step under the agent's lock, so a profile can never merge
+// twice no matter how it was re-sent.
 func (s *Server) worker() {
 	defer s.workerWG.Done()
 	for j := range s.queue {
-		if j.entries != nil {
-			j.reply <- s.processBatch(j)
-			continue
-		}
-		if s.cfg.testIngestDelay > 0 {
-			time.Sleep(s.cfg.testIngestDelay)
-		}
-		j.agent.mu.Lock()
-		var r jobReply
-		switch {
-		case j.seq <= j.agent.lastSeq:
-			r = jobReply{status: ingestDuplicate}
-		default:
-			in, err := profstore.LoadInterned(j.body)
-			if err != nil {
-				r = jobReply{status: ingestRejected, msg: err.Error()}
-			} else {
-				ent := j.t.acquireEpoch(j.epoch)
-				ent.agg.IngestInterned(in)
-				j.t.releaseEpoch(ent)
-				j.agent.lastSeq = j.seq
-				r = jobReply{status: ingestMerged}
-			}
-		}
-		j.agent.mu.Unlock()
-		switch r.status {
-		case ingestMerged:
-			j.t.merged.Add(1)
-			s.roll(j.t, j.epoch)
-		case ingestDuplicate:
-			j.t.duplicates.Add(1)
-		case ingestRejected:
-			j.t.rejected.Add(1)
-		}
-		j.reply <- r
+		j.reply <- s.processBatch(j)
 	}
 }
 
 // processBatch applies one batch job: every entry in sequence order
-// under the agent lock, each with the same dedup/merge/reject
-// semantics a single-profile job has. A bad entry is refused and
-// skipped without advancing the watermark for it — later entries still
-// merge (their higher seqs then advance the ledger past the refused
-// one, which is sound: BadProfile is permanent, re-sending the same
-// bytes could never succeed).
-func (s *Server) processBatch(j *job) jobReply {
+// under the agent lock. An entry at or below the agent's watermark is
+// a duplicate; otherwise it decodes straight into interned form
+// (profstore.LoadInterned) and feeds the aggregator as integer rows —
+// the wire path never materializes a string-keyed profile. A bad entry
+// is refused and skipped without advancing the watermark for it —
+// later entries still merge (their higher seqs then advance the ledger
+// past the refused one, which is sound: BadProfile is permanent,
+// re-sending the same bytes could never succeed).
+func (s *Server) processBatch(j *job) []fleetwire.BatchVerdict {
 	verdicts := make([]fleetwire.BatchVerdict, 0, len(j.entries))
 	var merged, dups, rejected uint64
 	var maxMergedEpoch uint64
@@ -745,7 +630,7 @@ func (s *Server) processBatch(j *job) jobReply {
 	if merged > 0 {
 		s.roll(j.t, maxMergedEpoch)
 	}
-	return jobReply{verdicts: verdicts}
+	return verdicts
 }
 
 // Snapshot returns the merged profile for one tenant and epoch — a

@@ -93,7 +93,7 @@ func TestFlakyCutAfterWrites(t *testing.T) {
 func TestFlakyCorruptionIsDetectedByFrames(t *testing.T) {
 	fc, peer := pipeWithFaults(Faults{Seed: 42, MaxWriteChunk: 5, CorruptProb: 0.3})
 	payload := []byte("profile payload that must arrive bit-exact or not at all")
-	enc := AppendFrame(nil, FrameProfile, payload)
+	enc := AppendFrame(nil, FrameProfileBatch, payload)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

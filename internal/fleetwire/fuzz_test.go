@@ -13,22 +13,32 @@ import (
 // frame it accepts must re-encode to exactly the bytes it consumed
 // (the codec is its own inverse).
 func FuzzReadFrame(f *testing.F) {
-	// Seed corpus: valid frames of each type, the interesting failure
-	// shapes, and a back-to-back pair.
+	// Seed corpus: valid frames of each type, the batch codecs'
+	// structural rejections, the interesting framing failure shapes,
+	// and a back-to-back pair.
 	f.Add(AppendFrame(nil, FrameHello, AppendHello(nil, Hello{Tenant: "t", Agent: "a"})))
 	f.Add(AppendFrame(nil, FrameWelcome, AppendWelcome(nil, Welcome{LastSeq: 12})))
-	f.Add(AppendFrame(nil, FrameProfile, AppendProfile(nil, ProfileHeader{Seq: 1, Epoch: 2}, []byte("HBBPROF1"))))
-	f.Add(AppendFrame(nil, FrameAck, AppendAck(nil, Ack{Seq: 1})))
-	f.Add(AppendFrame(nil, FrameNack, AppendNack(nil, Nack{Seq: 1, Code: NackOverloaded, Msg: "q"})))
+	batch := AppendProfileBatch(nil, []BatchEntry{
+		{Seq: 1, Epoch: 2, Profile: []byte("HBBPROF1")},
+		{Seq: 2, Epoch: 2, Profile: []byte("HBBPROF1")},
+	})
+	f.Add(AppendFrame(nil, FrameProfileBatch, batch))
+	f.Add(AppendFrame(nil, FrameAckBatch, AppendAckBatch(nil, []BatchVerdict{
+		{Seq: 1, Status: BatchMerged},
+		{Seq: 2, Status: BatchNacked, Code: NackOverloaded, Msg: "q"},
+	})))
+	f.Add(AppendFrame(nil, FrameProfileBatch, AppendProfileBatch(nil, nil)))
+	f.Add(AppendFrame(nil, FrameProfileBatch, AppendProfileBatch(nil, []BatchEntry{{Seq: 5}, {Seq: 3}})))
+	f.Add(AppendFrame(nil, FrameProfileBatch, batch[:len(batch)-3]))
 	f.Add([]byte{})
-	f.Add([]byte{byte(FrameAck)})
-	f.Add([]byte{byte(FrameProfile), 0xFF, 0xFF, 0xFF, 0xFF})
-	valid := AppendFrame(nil, FrameAck, AppendAck(nil, Ack{Seq: 3}))
+	f.Add([]byte{byte(FrameAckBatch)})
+	f.Add([]byte{byte(FrameProfileBatch), 0xFF, 0xFF, 0xFF, 0xFF})
+	valid := AppendFrame(nil, FrameAckBatch, AppendAckBatch(nil, []BatchVerdict{{Seq: 3}}))
 	f.Add(valid[:len(valid)-1])
 	corrupt := append([]byte(nil), valid...)
 	corrupt[2] ^= 0x40
 	f.Add(corrupt)
-	f.Add(append(AppendFrame(nil, FrameHello, nil), AppendFrame(nil, FrameAck, nil)...))
+	f.Add(append(AppendFrame(nil, FrameHello, nil), AppendFrame(nil, FrameAckBatch, nil)...))
 
 	const limit = 1 << 16
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -57,12 +67,10 @@ func FuzzReadFrame(f *testing.F) {
 			_, perr = ParseHello(payload)
 		case FrameWelcome:
 			_, perr = ParseWelcome(payload)
-		case FrameProfile:
-			_, _, perr = ParseProfile(payload)
-		case FrameAck:
-			_, perr = ParseAck(payload)
-		case FrameNack:
-			_, perr = ParseNack(payload)
+		case FrameProfileBatch:
+			_, perr = ParseProfileBatch(payload)
+		case FrameAckBatch:
+			_, perr = ParseAckBatch(payload)
 		}
 		if perr != nil && !errors.Is(perr, ErrProtocol) {
 			t.Fatalf("unclassified payload error for %v: %v", typ, perr)

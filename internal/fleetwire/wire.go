@@ -6,6 +6,10 @@
 // The protocol is deliberately small, because every feature is a
 // robustness obligation:
 //
+//   - There is one data exchange. After a Hello/Welcome handshake the
+//     agent sends ProfileBatch frames, each carrying one or more
+//     profiles, and the server answers each with one AckBatch holding
+//     a verdict per profile. A single profile is a batch of one.
 //   - A fixed preamble ("HBBPWIR1" + a little-endian uint32 version)
 //     opens each direction of a connection, so version skew and
 //     wrong-protocol peers fail fast with a classified error instead
@@ -46,8 +50,10 @@ import (
 // Magic opens each direction of a connection.
 const Magic = "HBBPWIR1"
 
-// Version is the current wire protocol version.
-const Version uint32 = 1
+// Version is the current wire protocol version. Version 1 also had a
+// single-profile exchange (frame types 3-5); version 2 dropped it, so
+// a version-1 peer fails the handshake with ErrUnsupportedVersion.
+const Version uint32 = 2
 
 // DefaultMaxFrame bounds a frame's payload when the caller does not
 // choose a limit: generous for merged fleet profiles (~11 B/block in
@@ -62,9 +68,10 @@ const frameOverhead = 1 + 4 + 4
 // FrameType identifies a frame's message kind.
 type FrameType uint8
 
-// The protocol's frame types. Hello, Profile and ProfileBatch flow
-// agent to server; Welcome, Ack, Nack and AckBatch flow server to
-// agent.
+// The protocol's frame types. Hello and ProfileBatch flow agent to
+// server; Welcome and AckBatch flow server to agent. Types 3, 4 and 5
+// carried version 1's single-profile exchange; they are reserved and
+// never reused, so a stray one reads as a protocol violation.
 const (
 	// FrameHello identifies the agent: tenant and agent ID.
 	FrameHello FrameType = 1
@@ -72,17 +79,8 @@ const (
 	// number the server has durably merged for this agent — the resume
 	// point after a reconnect.
 	FrameWelcome FrameType = 2
-	// FrameProfile carries one stored profile with its per-agent
-	// sequence number and epoch.
-	FrameProfile FrameType = 3
-	// FrameAck confirms a profile was merged (or was already merged —
-	// a duplicate re-send).
-	FrameAck FrameType = 4
-	// FrameNack refuses a profile with a reason code; the profile was
-	// NOT merged.
-	FrameNack FrameType = 5
-	// FrameProfileBatch carries several profiles in one frame, each
-	// with its own sequence number and epoch; answered by one
+	// FrameProfileBatch carries one or more profiles, each with its
+	// own per-agent sequence number and epoch; answered by one
 	// FrameAckBatch with a verdict per entry.
 	FrameProfileBatch FrameType = 6
 	// FrameAckBatch answers a FrameProfileBatch: one per-entry verdict
@@ -97,12 +95,6 @@ func (t FrameType) String() string {
 		return "hello"
 	case FrameWelcome:
 		return "welcome"
-	case FrameProfile:
-		return "profile"
-	case FrameAck:
-		return "ack"
-	case FrameNack:
-		return "nack"
 	case FrameProfileBatch:
 		return "profile-batch"
 	case FrameAckBatch:
@@ -420,78 +412,6 @@ func ParseWelcome(p []byte) (Welcome, error) {
 	return Welcome{LastSeq: v}, nil
 }
 
-// ProfileHeader prefixes a profile payload on the wire.
-type ProfileHeader struct {
-	// Seq is the agent's sequence number for this profile: starts at 1
-	// and increases by 1 per profile for the life of the agent ID.
-	Seq uint64
-	// Epoch selects the aggregation window the profile belongs to.
-	Epoch uint64
-}
-
-// AppendProfile encodes a profile frame payload: header then the
-// opaque stored-profile bytes.
-func AppendProfile(dst []byte, h ProfileHeader, profile []byte) []byte {
-	dst = binary.AppendUvarint(dst, h.Seq)
-	dst = binary.AppendUvarint(dst, h.Epoch)
-	return append(dst, profile...)
-}
-
-// ParseProfile decodes a profile frame payload, returning the header
-// and the profile bytes (aliasing p).
-func ParseProfile(p []byte) (ProfileHeader, []byte, error) {
-	var h ProfileHeader
-	var err error
-	if h.Seq, p, err = parseUvarint(p, "profile seq"); err != nil {
-		return ProfileHeader{}, nil, err
-	}
-	if h.Epoch, p, err = parseUvarint(p, "profile epoch"); err != nil {
-		return ProfileHeader{}, nil, err
-	}
-	if h.Seq == 0 {
-		return ProfileHeader{}, nil, fmt.Errorf("%w: profile seq 0 (sequence numbers start at 1)", ErrProtocol)
-	}
-	return h, p, nil
-}
-
-// Ack confirms a profile is merged.
-type Ack struct {
-	// Seq echoes the profile's sequence number.
-	Seq uint64
-	// Duplicate reports the profile was already merged by an earlier
-	// send (the ack the original never received) — merged exactly
-	// once either way.
-	Duplicate bool
-}
-
-// AppendAck encodes a.
-func AppendAck(dst []byte, a Ack) []byte {
-	dst = binary.AppendUvarint(dst, a.Seq)
-	dup := uint64(0)
-	if a.Duplicate {
-		dup = 1
-	}
-	return binary.AppendUvarint(dst, dup)
-}
-
-// ParseAck decodes an Ack payload.
-func ParseAck(p []byte) (Ack, error) {
-	var a Ack
-	var err error
-	var dup uint64
-	if a.Seq, p, err = parseUvarint(p, "ack seq"); err != nil {
-		return Ack{}, err
-	}
-	if dup, p, err = parseUvarint(p, "ack duplicate"); err != nil {
-		return Ack{}, err
-	}
-	if err := expectEnd(p, "ack"); err != nil {
-		return Ack{}, err
-	}
-	a.Duplicate = dup != 0
-	return a, nil
-}
-
 // NackCode classifies a refusal.
 type NackCode uint8
 
@@ -521,52 +441,11 @@ func (c NackCode) String() string {
 	return fmt.Sprintf("nack(%d)", uint8(c))
 }
 
-// Nack refuses one profile. The profile was not merged and is not in
-// any aggregate; retryability depends on the code.
-type Nack struct {
-	// Seq echoes the refused profile's sequence number.
-	Seq uint64
-	// Code classifies the refusal.
-	Code NackCode
-	// Msg carries optional human-readable detail.
-	Msg string
-}
-
-// AppendNack encodes n.
-func AppendNack(dst []byte, n Nack) []byte {
-	dst = binary.AppendUvarint(dst, n.Seq)
-	dst = binary.AppendUvarint(dst, uint64(n.Code))
-	return appendString(dst, n.Msg)
-}
-
-// ParseNack decodes a Nack payload.
-func ParseNack(p []byte) (Nack, error) {
-	var n Nack
-	var err error
-	var code uint64
-	if n.Seq, p, err = parseUvarint(p, "nack seq"); err != nil {
-		return Nack{}, err
-	}
-	if code, p, err = parseUvarint(p, "nack code"); err != nil {
-		return Nack{}, err
-	}
-	if code == 0 || code > 255 {
-		return Nack{}, fmt.Errorf("%w: nack code %d", ErrProtocol, code)
-	}
-	n.Code = NackCode(code)
-	if n.Msg, p, err = parseString(p, "nack message"); err != nil {
-		return Nack{}, err
-	}
-	if err := expectEnd(p, "nack"); err != nil {
-		return Nack{}, err
-	}
-	return n, nil
-}
-
-// maxBatchEntries bounds the profiles in one batch frame: far above
-// any sane sender (the frame size limit binds first), low enough that
-// a lying count cannot buy an implausible allocation.
-const maxBatchEntries = 1 << 16
+// MaxBatchEntries bounds the profiles in one batch frame: far above
+// what the frame size limit usually admits, low enough that a lying
+// count cannot buy an implausible allocation. Senders split larger
+// batches (see SplitBatch).
+const MaxBatchEntries = 1 << 16
 
 // batchPrealloc caps the entry prealloc so a corrupt count fails on
 // parse, not on make.
@@ -574,9 +453,10 @@ const batchPrealloc = 1 << 10
 
 // BatchEntry is one profile inside a batch frame.
 type BatchEntry struct {
-	// Seq and Epoch are the entry's ProfileHeader fields; seqs in one
+	// Seq is the agent's sequence number for this profile: it starts
+	// at 1 and increases for the life of the agent ID, so seqs in one
 	// batch are strictly ascending (the watermark protocol depends on
-	// in-order application).
+	// in-order application). Epoch selects the aggregation window.
 	Seq, Epoch uint64
 	// Profile is the opaque stored-profile bytes. On parse it aliases
 	// the frame payload.
@@ -597,6 +477,34 @@ func AppendProfileBatch(dst []byte, entries []BatchEntry) []byte {
 	return dst
 }
 
+// SplitBatch returns how many entries, from the front of entries, fit
+// in one batch frame whose payload is at most maxFrame bytes and which
+// holds at most MaxBatchEntries entries. Zero means the first entry
+// cannot travel even alone.
+func SplitBatch(entries []BatchEntry, maxFrame int) int {
+	size := 0
+	for i := range entries {
+		if i == MaxBatchEntries {
+			return i
+		}
+		e := &entries[i]
+		size += uvarintLen(e.Seq) + uvarintLen(e.Epoch) + uvarintLen(uint64(len(e.Profile))) + len(e.Profile)
+		if uvarintLen(uint64(i+1))+size > maxFrame {
+			return i
+		}
+	}
+	return len(entries)
+}
+
+// uvarintLen is the encoded length of v as a uvarint.
+func uvarintLen(v uint64) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
+	}
+	return n
+}
+
 // ParseProfileBatch decodes a batch frame payload. Entry profile bytes
 // alias p. Zero-entry batches, non-ascending sequence numbers and
 // zero seqs are protocol violations: the server applies a batch as one
@@ -610,8 +518,8 @@ func ParseProfileBatch(p []byte) ([]BatchEntry, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("%w: empty profile batch", ErrProtocol)
 	}
-	if n > maxBatchEntries {
-		return nil, fmt.Errorf("%w: batch of %d profiles (limit %d)", ErrProtocol, n, maxBatchEntries)
+	if n > MaxBatchEntries {
+		return nil, fmt.Errorf("%w: batch of %d profiles (limit %d)", ErrProtocol, n, MaxBatchEntries)
 	}
 	pre := n
 	if pre > batchPrealloc {
@@ -712,8 +620,8 @@ func ParseAckBatch(p []byte) ([]BatchVerdict, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("%w: empty batch ack", ErrProtocol)
 	}
-	if n > maxBatchEntries {
-		return nil, fmt.Errorf("%w: batch ack of %d verdicts (limit %d)", ErrProtocol, n, maxBatchEntries)
+	if n > MaxBatchEntries {
+		return nil, fmt.Errorf("%w: batch ack of %d verdicts (limit %d)", ErrProtocol, n, MaxBatchEntries)
 	}
 	pre := n
 	if pre > batchPrealloc {

@@ -21,12 +21,12 @@ func frameBytes(t FrameType, payload []byte) []byte {
 func TestFrameRoundTrip(t *testing.T) {
 	payloads := [][]byte{nil, {0x42}, bytes.Repeat([]byte{0xAB}, 1024), make([]byte, 4096)}
 	for _, want := range payloads {
-		enc := frameBytes(FrameProfile, want)
+		enc := frameBytes(FrameProfileBatch, want)
 		typ, got, err := ReadFrame(bytes.NewReader(enc), 4096)
 		if err != nil {
 			t.Fatalf("len %d: %v", len(want), err)
 		}
-		if typ != FrameProfile {
+		if typ != FrameProfileBatch {
 			t.Errorf("len %d: type %v", len(want), typ)
 		}
 		if !bytes.Equal(got, want) {
@@ -40,9 +40,9 @@ func TestFrameRoundTrip(t *testing.T) {
 func TestFrameBackToBack(t *testing.T) {
 	var stream []byte
 	stream = AppendFrame(stream, FrameHello, []byte("a"))
-	stream = AppendFrame(stream, FrameAck, []byte("bb"))
+	stream = AppendFrame(stream, FrameAckBatch, []byte("bb"))
 	r := bytes.NewReader(stream)
-	for i, want := range []FrameType{FrameHello, FrameAck} {
+	for i, want := range []FrameType{FrameHello, FrameAckBatch} {
 		typ, _, err := ReadFrame(r, 0)
 		if err != nil || typ != want {
 			t.Fatalf("frame %d: type %v err %v", i, typ, err)
@@ -57,7 +57,7 @@ func TestFrameBackToBack(t *testing.T) {
 // every byte offset: every cut but offset 0 (a clean close) must
 // classify as ErrFrameTruncated.
 func TestFrameTruncationClassifiesAtEveryOffset(t *testing.T) {
-	enc := frameBytes(FrameProfile, []byte("stored profile bytes"))
+	enc := frameBytes(FrameProfileBatch, []byte("stored profile bytes"))
 	for cut := 0; cut < len(enc); cut++ {
 		_, _, err := ReadFrame(bytes.NewReader(enc[:cut]), 0)
 		if cut == 0 {
@@ -77,7 +77,7 @@ func TestFrameTruncationClassifiesAtEveryOffset(t *testing.T) {
 // length word, corruption/size/truncation — never silent acceptance).
 func TestFrameCorruptionDetectedAtEveryByte(t *testing.T) {
 	payload := []byte("the CRC must catch every single-bit flip")
-	enc := frameBytes(FrameAck, payload)
+	enc := frameBytes(FrameAckBatch, payload)
 	for i := range enc {
 		bad := append([]byte(nil), enc...)
 		bad[i] ^= 0x10
@@ -96,13 +96,13 @@ func TestFrameCorruptionDetectedAtEveryByte(t *testing.T) {
 // TestFrameSizeLimit pins that a lying length prefix fails fast as
 // ErrFrameTooLarge without allocating the claim.
 func TestFrameSizeLimit(t *testing.T) {
-	enc := frameBytes(FrameProfile, make([]byte, 100))
+	enc := frameBytes(FrameProfileBatch, make([]byte, 100))
 	if _, _, err := ReadFrame(bytes.NewReader(enc), 99); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversize frame = %v", err)
 	}
 	// A 4 GiB claim on a 9-byte stream must be rejected by the limit,
 	// not attempted.
-	huge := []byte{byte(FrameProfile), 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0}
+	huge := []byte{byte(FrameProfileBatch), 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0}
 	if _, _, err := ReadFrame(bytes.NewReader(huge), 1<<20); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("huge claim = %v", err)
 	}
@@ -119,7 +119,7 @@ func TestPreambleClassification(t *testing.T) {
 		}()
 		return NewConn(server, ConnConfig{})
 	}
-	good := append([]byte(Magic), 1, 0, 0, 0)
+	good := append([]byte(Magic), byte(Version), 0, 0, 0)
 
 	if err := mk(good).ReadPreamble(); err != nil {
 		t.Fatalf("valid preamble: %v", err)
@@ -141,6 +141,12 @@ func TestPreambleClassification(t *testing.T) {
 	future := append([]byte(Magic), 9, 0, 0, 0)
 	if err := mk(future).ReadPreamble(); !errors.Is(err, ErrUnsupportedVersion) {
 		t.Errorf("future version = %v", err)
+	}
+	// Version 1 had the single-profile exchange; a peer still speaking
+	// it must fail the handshake as version skew, not as corruption.
+	v1 := append([]byte(Magic), 1, 0, 0, 0)
+	if err := mk(v1).ReadPreamble(); !errors.Is(err, ErrUnsupportedVersion) {
+		t.Errorf("version 1 = %v", err)
 	}
 }
 
@@ -170,7 +176,7 @@ func TestReadDeadlineFiresOnStall(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	c.Write([]byte{byte(FrameProfile), 0xFF, 0x00}) // half a header, then silence
+	c.Write([]byte{byte(FrameProfileBatch), 0xFF, 0x00}) // half a header, then silence
 	select {
 	case err := <-done:
 		if !IsTimeout(err) {
@@ -222,26 +228,6 @@ func TestMessageRoundTrips(t *testing.T) {
 		t.Fatalf("welcome = %+v, %v", w, err)
 	}
 
-	hdr, body, err := ParseProfile(AppendProfile(nil, ProfileHeader{Seq: 7, Epoch: 3}, []byte("HBBPROF1...")))
-	if err != nil || hdr.Seq != 7 || hdr.Epoch != 3 || string(body) != "HBBPROF1..." {
-		t.Fatalf("profile = %+v %q, %v", hdr, body, err)
-	}
-	if _, _, err := ParseProfile(AppendProfile(nil, ProfileHeader{Seq: 0}, nil)); !errors.Is(err, ErrProtocol) {
-		t.Errorf("seq 0 = %v", err)
-	}
-
-	a, err := ParseAck(AppendAck(nil, Ack{Seq: 9, Duplicate: true}))
-	if err != nil || a.Seq != 9 || !a.Duplicate {
-		t.Fatalf("ack = %+v, %v", a, err)
-	}
-
-	n, err := ParseNack(AppendNack(nil, Nack{Seq: 5, Code: NackOverloaded, Msg: "queue full"}))
-	if err != nil || n.Seq != 5 || n.Code != NackOverloaded || n.Msg != "queue full" {
-		t.Fatalf("nack = %+v, %v", n, err)
-	}
-	if _, err := ParseNack(AppendNack(nil, Nack{Seq: 1, Code: 0})); !errors.Is(err, ErrProtocol) {
-		t.Errorf("code 0 = %v", err)
-	}
 	long := Hello{Tenant: strings.Repeat("x", maxNameLen+1), Agent: "a"}
 	if _, err := ParseHello(AppendHello(nil, long)); !errors.Is(err, ErrProtocol) {
 		t.Errorf("oversized name = %v", err)
@@ -310,6 +296,43 @@ func TestBatchRoundTrips(t *testing.T) {
 	}
 }
 
+// TestSplitBatch pins the sender's frame split: the prefix it picks
+// encodes to at most the limit, one more entry would not fit, the
+// entry-count cap binds on its own, and an entry that cannot travel
+// alone yields zero.
+func TestSplitBatch(t *testing.T) {
+	var entries []BatchEntry
+	for i := 0; i < 40; i++ {
+		entries = append(entries, BatchEntry{Seq: uint64(1 + i*50), Epoch: 3, Profile: bytes.Repeat([]byte{'p'}, 10+i)})
+	}
+	for _, limit := range []int{30, 64, 200, 500, 1000, 1 << 20} {
+		n := SplitBatch(entries, limit)
+		if n == 0 || len(AppendProfileBatch(nil, entries[:n])) > limit {
+			t.Fatalf("limit %d: split %d does not fit", limit, n)
+		}
+		if n < len(entries) && len(AppendProfileBatch(nil, entries[:n+1])) <= limit {
+			t.Errorf("limit %d: split %d stops short; %d entries still fit", limit, n, n+1)
+		}
+	}
+	if n := SplitBatch(entries, 1<<20); n != len(entries) {
+		t.Errorf("roomy frame split %d of %d", n, len(entries))
+	}
+	if n := SplitBatch(entries[:1], 12); n != 0 {
+		t.Errorf("oversized lone entry split %d, want 0", n)
+	}
+	many := make([]BatchEntry, MaxBatchEntries+5)
+	for i := range many {
+		many[i] = BatchEntry{Seq: uint64(i + 1)}
+	}
+	n := SplitBatch(many, DefaultMaxFrame)
+	if n != MaxBatchEntries {
+		t.Fatalf("count cap: split %d, want %d", n, MaxBatchEntries)
+	}
+	if _, err := ParseProfileBatch(AppendProfileBatch(nil, many[:n])); err != nil {
+		t.Fatalf("a full-count batch must parse: %v", err)
+	}
+}
+
 // TestConnReadFrameReusesBuffer pins the connection read buffer's
 // contract: back-to-back frames decode correctly, and the payload of
 // an earlier read is NOT stable across the next one — callers must
@@ -322,8 +345,8 @@ func TestConnReadFrameReusesBuffer(t *testing.T) {
 	defer sc.Close()
 
 	go func() {
-		cc.WriteFrame(FrameProfile, []byte("payload-one"))
-		cc.WriteFrame(FrameProfile, []byte("payload-two"))
+		cc.WriteFrame(FrameProfileBatch, []byte("payload-one"))
+		cc.WriteFrame(FrameProfileBatch, []byte("payload-two"))
 	}()
 	_, p1, err := sc.ReadFrame()
 	if err != nil || string(p1) != "payload-one" {
@@ -345,8 +368,8 @@ func TestConnReadFrameReusesBuffer(t *testing.T) {
 }
 
 // TestConnHandshakeAndExchange runs the full protocol over a real
-// socket pair: preamble both ways, hello/welcome, one profile, one
-// ack.
+// socket pair: preamble both ways, hello/welcome, one batch of one
+// profile, one batch ack.
 func TestConnHandshakeAndExchange(t *testing.T) {
 	client, server := net.Pipe()
 	cfg := ConnConfig{ReadTimeout: 2 * time.Second, WriteTimeout: 2 * time.Second}
@@ -378,14 +401,14 @@ func TestConnHandshakeAndExchange(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if typ != FrameProfile {
-				return errors.New("second frame is not a profile")
+			if typ != FrameProfileBatch {
+				return errors.New("second frame is not a profile batch")
 			}
-			hdr, _, err := ParseProfile(p)
+			entries, err := ParseProfileBatch(p)
 			if err != nil {
 				return err
 			}
-			return sc.WriteFrame(FrameAck, AppendAck(nil, Ack{Seq: hdr.Seq}))
+			return sc.WriteFrame(FrameAckBatch, AppendAckBatch(nil, []BatchVerdict{{Seq: entries[0].Seq}}))
 		}()
 	}()
 
@@ -405,15 +428,15 @@ func TestConnHandshakeAndExchange(t *testing.T) {
 	if _, err := ParseWelcome(p); err != nil {
 		t.Fatal(err)
 	}
-	if err := cc.WriteFrame(FrameProfile, AppendProfile(nil, ProfileHeader{Seq: 1, Epoch: 0}, []byte("bytes"))); err != nil {
+	if err := cc.WriteFrame(FrameProfileBatch, AppendProfileBatch(nil, []BatchEntry{{Seq: 1, Epoch: 0, Profile: []byte("bytes")}})); err != nil {
 		t.Fatal(err)
 	}
 	typ, p, err = cc.ReadFrame()
-	if err != nil || typ != FrameAck {
+	if err != nil || typ != FrameAckBatch {
 		t.Fatalf("ack: %v %v", typ, err)
 	}
-	if a, err := ParseAck(p); err != nil || a.Seq != 1 {
-		t.Fatalf("ack = %+v, %v", a, err)
+	if v, err := ParseAckBatch(p); err != nil || len(v) != 1 || v[0].Seq != 1 || v[0].Status != BatchMerged {
+		t.Fatalf("ack = %+v, %v", v, err)
 	}
 	if err := <-errc; err != nil {
 		t.Fatalf("server side: %v", err)

@@ -39,9 +39,14 @@ type FleetServerStats = fleetserver.Stats
 type FleetTenantStats = fleetserver.TenantStats
 
 // FleetClient delivers stored profiles to a [FleetServer] with
-// retries, reconnection and exactly-once delivery — one per round
-// trip ([fleetserver.Client.Send]) or many
-// ([fleetserver.Client.SendBatch]). Construct with [Dial].
+// retries, reconnection and exactly-once delivery. Every send is one
+// batch exchange on the wire (protocol version 2): a batch frame of
+// profiles answered by one verdict per profile.
+// [fleetserver.Client.Send] is a batch of one;
+// [fleetserver.Client.SendBatch] splits a batch into as many frames as
+// the frame size limit needs, and refuses a profile too large for any
+// frame with [ErrFrameTooLarge] without retrying. Construct with
+// [Dial].
 type FleetClient = fleetserver.Client
 
 // FleetBatchItem is one profile in a [FleetClient.SendBatchBytes]
