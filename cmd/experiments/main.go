@@ -128,7 +128,7 @@ func main() {
 		report.RunsCollected, report.RunsReused, report.CollectWall.Round(time.Millisecond))
 	fmt.Fprintf(os.Stderr, "done in %v\n", time.Since(start).Round(time.Millisecond))
 	// The run's telemetry: every non-zero counter and histogram the
-	// instrumented layers (planner, merge kernel, series store)
+	// instrumented layers (planner, series store)
 	// accumulated, in stable order.
 	if snap := hbbp.RenderTelemetry(hbbp.TelemetrySnapshot()); snap != "" {
 		fmt.Fprintf(os.Stderr, "telemetry:\n%s", snap)

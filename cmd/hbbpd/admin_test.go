@@ -73,7 +73,7 @@ func TestAdminEndpoint(t *testing.T) {
 		"# TYPE hbbp_fleetserver_ingest_seconds histogram",
 		"# TYPE hbbp_fleetserver_queue_depth gauge",
 		"# TYPE hbbp_fleetserver_connections_total counter",
-		"# TYPE hbbp_profstore_merge_total counter", // process-wide section
+		"# TYPE hbbp_tsstore_epoch_appends_total counter", // process-wide section
 	} {
 		if !strings.Contains(body, family) {
 			t.Errorf("/metrics missing %q", family)

@@ -142,8 +142,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		// any other server in the process (the in-process tests run
 		// several); /metrics serves this registry plus the
 		// process-wide one, so the exposition still covers the
-		// package-level instrumentation (merge kernels, series
-		// queries) the daemon's ingestion drives.
+		// package-level instrumentation (series appends, folds
+		// and queries) the daemon's ingestion drives.
 		Telemetry: reg,
 		Logf: func(format string, a ...any) {
 			fmt.Fprintf(stderr, format+"\n", a...)

@@ -58,7 +58,7 @@
 // captures into a mergeable [StoredProfile] ([CaptureProfile]) that
 // persists in a versioned binary format ([SaveProfile], [LoadProfile]),
 // merges exactly in any order or sharding ([MergeProfiles], or the
-// concurrent lock-striped [Aggregator] with consistent snapshots), and
+// concurrent [Aggregator] with consistent snapshots), and
 // compares across fleet mixes with [DiffProfiles], which flags per-op
 // share regressions. [StoredPivot], [StoredBlockPivot] and [StoredMix]
 // bring the standard views and metrics to merged fleet profiles.

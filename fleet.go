@@ -73,8 +73,7 @@ func LoadProfile(r io.Reader) (*StoredProfile, error) {
 // LoadProfileBytes decodes one stored profile from an in-memory
 // buffer — [LoadProfile] without the reader indirection. When the
 // whole file is already in memory (os.ReadFile, a wire frame), this
-// path decodes through the interned kernel without an intermediate
-// copy.
+// path decodes without an intermediate copy.
 func LoadProfileBytes(data []byte) (*StoredProfile, error) {
 	return profstore.LoadBytes(data)
 }
@@ -99,10 +98,10 @@ func DiffProfiles(before, after *StoredProfile, threshold float64) *ProfileDiff 
 
 // Aggregator merges profiles online: any number of goroutines —
 // typically concurrent [Session.Profile] runs — ingest results while
-// readers take consistent snapshots. Internally the mass lives in
-// lock-striped shards, so ingestion scales with cores; a snapshot
-// reflects every ingest that returned before the call and never a
-// partial one, and is bit-identical to [MergeProfiles] over the same
+// readers take consistent snapshots. Each ingest interns its profile
+// outside the aggregator's one lock and then adds integers under it; a
+// snapshot reflects every ingest that returned before the call and
+// never a partial one, and is bit-identical to [MergeProfiles] over the same
 // profiles at any ingestion parallelism. Construct with
 // [NewAggregator]; the zero value is not usable.
 type Aggregator struct {

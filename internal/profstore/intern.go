@@ -1,30 +1,18 @@
 package profstore
 
-import (
-	"runtime"
-	"sort"
-	"sync"
-	"sync/atomic"
-)
+import "sort"
 
-// Interned is a profile in index-keyed form: every unit, module,
-// function and mnemonic string lives once in a dense, sorted symbol
-// table, and rows carry fixed-width uint32 symbol IDs instead of
-// string headers. It is the merge kernel's working representation.
+// Interned is a canonical profile in index-keyed form: every unit,
+// module, function and mnemonic string lives once in a sorted, unique
+// symbol table, and rows carry uint32 table indexes instead of
+// strings. It is the stored format's shape in memory — [LoadInterned]
+// decodes into it and the encoder dumps it — so a profile can travel
+// from wire bytes into an [Aggregator] without materializing a
+// string-keyed row.
 //
-// Two invariants make the form fast without giving anything up:
-//
-//   - The table is sorted and unique, so symbol-ID order *is* string
-//     order: comparing two row keys degenerates to a handful of
-//     integer compares, yet yields exactly the canonical order the
-//     string keys define. Rows are therefore kept sorted by integer
-//     key and are canonical in the [Profile] sense by construction.
-//   - Merging two interned profiles unions their symbol tables first —
-//     a linear merge of two small sorted string slices, the only place
-//     strings are ever compared — and then sums rows with pure integer
-//     passes. When the tables are equal (the hot case: every snapshot
-//     of one fleet names the same symbols) the union is free and no
-//     row is rewritten.
+// Because the table is sorted before indexes are assigned, index order
+// is string order, and the rows of a canonical profile are in
+// ascending index order too.
 //
 // An Interned is immutable once built; it is safe to share across
 // goroutines. Materialize with [Interned.Profile].
@@ -112,345 +100,6 @@ func iOpCmp(a, b *iOp) int {
 	return 0
 }
 
-// Intern converts a profile to interned form. Canonical profiles (the
-// common case — everything this package hands out) intern in one
-// linear pass; anything else is canonicalized on the way in, so
-// Intern(p).Profile() always equals Canonical(p).
-func Intern(p *Profile) *Interned {
-	if p == nil {
-		return &Interned{}
-	}
-	return mergeProfilesInterned([]*Profile{p})
-}
-
-// mergeProfilesInterned is the merge kernel's front door: it merges a
-// fan-in of profiles into one interned profile against one shared
-// symbol table.
-//
-// The shape is chosen by what fleets actually merge — many snapshots
-// of the same program, whose key sets overlap almost entirely. A
-// scan-collect prepass builds the shared sorted table (a handful of
-// map hits per profile: canonical sections keep equal strings in
-// runs) and notes which inputs are canonical. Canonical profiles are
-// then *folded in place* into a mutable interned accumulator: a
-// two-pointer walk that translates each source row's key to symbol
-// IDs on the fly and adds its mass straight into the matching
-// accumulator row — zero allocation while the accumulator already
-// knows the keys, one merging rebuild (into a recycled scratch slice)
-// when it does not. If the accumulator outgrows its inputs — the
-// disjoint-key regime where sequential folding would go quadratic —
-// it is sealed into a chunk and a fresh one starts; the sealed chunks
-// meet in the pairwise tournament, which handles disjoint key sets in
-// O(N log k). Non-canonical inputs (rare) are translated, normalized
-// and fed to the tournament as their own chunks.
-func mergeProfilesInterned(profiles []*Profile) *Interned {
-	if len(profiles) == 0 {
-		return &Interned{}
-	}
-	tab := &symLookup{ids: make(map[string]uint32, 64)}
-	canonical := make([]bool, len(profiles))
-	maxRows := 0
-	for i, p := range profiles {
-		canonical[i] = scanCollect(p, tab)
-		if r := len(p.Workloads) + len(p.Blocks) + len(p.Ops); r > maxRows {
-			maxRows = r
-		}
-	}
-	sort.Strings(tab.syms)
-	for i, s := range tab.syms {
-		tab.ids[s] = uint32(i)
-	}
-	growthCap := 4 * maxRows
-	if growthCap < 2048 {
-		growthCap = 2048
-	}
-	f := &folder{tab: tab}
-	var chunks []*Interned
-	for i, p := range profiles {
-		switch {
-		case !canonical[i]:
-			in := internRows(p, tab, true)
-			in.normalize()
-			chunks = append(chunks, in)
-		case f.acc == nil:
-			f.acc = internRows(p, tab, false)
-		case len(f.acc.workloads)+len(f.acc.blocks)+len(f.acc.ops) > growthCap:
-			chunks = append(chunks, f.acc)
-			f.acc = internRows(p, tab, false)
-		default:
-			f.fold(p)
-		}
-	}
-	if f.acc != nil {
-		chunks = append(chunks, f.acc)
-	}
-	return mergeInterned(chunks)
-}
-
-// scanCollect walks p once, folding its strings into the shared table
-// (run-cached — equal strings sit in runs in canonical sections, and
-// rows from one decode share backing arrays, so the map is consulted
-// at run boundaries only) and reporting whether p is canonical: every
-// section strictly ascending in key order with no zero-mass entries.
-func scanCollect(p *Profile, tab *symLookup) bool {
-	canonical := true
-	var prev string
-	first := true
-	for i := range p.Workloads {
-		w := &p.Workloads[i]
-		if w.Runs == 0 {
-			canonical = false
-		}
-		if i > 0 && p.Workloads[i-1].Name >= w.Name {
-			canonical = false
-		}
-		if first || w.Name != prev {
-			prev, first = w.Name, false
-			tab.id(prev)
-		}
-	}
-	var pu, pm, pf string
-	firstB := true
-	for i := range p.Blocks {
-		b := &p.Blocks[i]
-		if b.Count == 0 {
-			canonical = false
-		}
-		if !firstB && b.Unit == pu && b.Module == pm && b.Function == pf {
-			// Inside a run the string keys are equal, so the canonical
-			// order check reduces to the integer tail of the key.
-			prev := &p.Blocks[i-1]
-			if prev.Addr > b.Addr ||
-				(prev.Addr == b.Addr && (prev.Ring > b.Ring ||
-					(prev.Ring == b.Ring && prev.Len >= b.Len))) {
-				canonical = false
-			}
-			continue
-		}
-		if i > 0 && !blockKeyLess(&p.Blocks[i-1], b) {
-			canonical = false
-		}
-		if firstB || b.Unit != pu {
-			pu = b.Unit
-			tab.id(pu)
-		}
-		if firstB || b.Module != pm {
-			pm = b.Module
-			tab.id(pm)
-		}
-		if firstB || b.Function != pf {
-			pf = b.Function
-			tab.id(pf)
-		}
-		firstB = false
-	}
-	var prevMn string
-	firstMn := true
-	for i := range p.Ops {
-		o := &p.Ops[i]
-		if o.Mass == 0 {
-			canonical = false
-		}
-		if i > 0 && !opKeyLess(&p.Ops[i-1], o) {
-			canonical = false
-		}
-		if firstMn || o.Mnemonic != prevMn {
-			prevMn, firstMn = o.Mnemonic, false
-			tab.id(prevMn)
-		}
-	}
-	return canonical
-}
-
-// folder folds canonical profiles into a mutable interned accumulator,
-// recycling scratch slices across merging rebuilds.
-type folder struct {
-	tab *symLookup
-	acc *Interned
-
-	scratchW []iWorkload
-	scratchB []iBlock
-	scratchO []iOp
-}
-
-func (f *folder) fold(p *Profile) {
-	f.acc.workloads = f.foldWorkloads(f.acc.workloads, p.Workloads)
-	f.acc.blocks = f.foldBlocks(f.acc.blocks, p.Blocks)
-	f.acc.ops = f.foldOps(f.acc.ops, p.Ops)
-}
-
-// foldWorkloads adds a sorted source section into the sorted
-// accumulator section a, in place while every source key is already
-// present, by merging rebuild once one is not. Returns the (possibly
-// swapped) accumulator slice.
-func (f *folder) foldWorkloads(a []iWorkload, src []WorkloadWeight) []iWorkload {
-	ai := 0
-	var prev string
-	var prevID uint32
-	first := true
-	for i := range src {
-		w := &src[i]
-		if first || w.Name != prev {
-			prevID, prev, first = f.tab.ids[w.Name], w.Name, false
-		}
-		for ai < len(a) && a[ai].name < prevID {
-			ai++
-		}
-		if ai < len(a) && a[ai].name == prevID {
-			a[ai].runs += w.Runs
-			ai++
-			continue
-		}
-		// New key: merge the tail into scratch and swap.
-		out := append(f.scratchW[:0], a[:ai]...)
-		out = append(out, iWorkload{name: prevID, runs: w.Runs})
-		for _, w2 := range src[i+1:] {
-			if w2.Name != prev {
-				prevID, prev = f.tab.ids[w2.Name], w2.Name
-			}
-			for ai < len(a) && a[ai].name < prevID {
-				out = append(out, a[ai])
-				ai++
-			}
-			row := iWorkload{name: prevID, runs: w2.Runs}
-			if ai < len(a) && a[ai].name == prevID {
-				row.runs += a[ai].runs
-				ai++
-			}
-			out = append(out, row)
-		}
-		out = append(out, a[ai:]...)
-		f.scratchW = a[:0]
-		return out
-	}
-	return a
-}
-
-// foldBlocks is foldWorkloads for the block section.
-func (f *folder) foldBlocks(a []iBlock, src []Block) []iBlock {
-	ai := 0
-	var pu, pm, pf string
-	var puID, pmID, pfID uint32
-	first := true
-	for i := range src {
-		b := &src[i]
-		if first || b.Unit != pu {
-			puID, pu = f.tab.ids[b.Unit], b.Unit
-		}
-		if first || b.Module != pm {
-			pmID, pm = f.tab.ids[b.Module], b.Module
-		}
-		if first || b.Function != pf {
-			pfID, pf = f.tab.ids[b.Function], b.Function
-		}
-		first = false
-		k := iBlock{unit: puID, module: pmID, function: pfID, addr: b.Addr, ring: b.Ring, blen: b.Len, count: b.Count}
-		// One compare per row when the key sequences line up — the
-		// aligned-fleet case this fold exists for.
-		matched := false
-		for ai < len(a) {
-			c := iBlockCmp(&a[ai], &k)
-			if c == 0 {
-				a[ai].count += k.count
-				ai++
-				matched = true
-				break
-			}
-			if c > 0 {
-				break
-			}
-			ai++
-		}
-		if matched {
-			continue
-		}
-		// New key: merge the tail into scratch and swap.
-		out := append(f.scratchB[:0], a[:ai]...)
-		out = append(out, k)
-		for i2 := i + 1; i2 < len(src); i2++ {
-			b2 := &src[i2]
-			if b2.Unit != pu {
-				puID, pu = f.tab.ids[b2.Unit], b2.Unit
-			}
-			if b2.Module != pm {
-				pmID, pm = f.tab.ids[b2.Module], b2.Module
-			}
-			if b2.Function != pf {
-				pfID, pf = f.tab.ids[b2.Function], b2.Function
-			}
-			k2 := iBlock{unit: puID, module: pmID, function: pfID, addr: b2.Addr, ring: b2.Ring, blen: b2.Len, count: b2.Count}
-			for ai < len(a) && iBlockCmp(&a[ai], &k2) < 0 {
-				out = append(out, a[ai])
-				ai++
-			}
-			if ai < len(a) && iBlockCmp(&a[ai], &k2) == 0 {
-				k2.count += a[ai].count
-				ai++
-			}
-			out = append(out, k2)
-		}
-		out = append(out, a[ai:]...)
-		f.scratchB = a[:0]
-		return out
-	}
-	return a
-}
-
-// foldOps is foldWorkloads for the op section.
-func (f *folder) foldOps(a []iOp, src []OpMass) []iOp {
-	ai := 0
-	var prev string
-	var prevID uint32
-	first := true
-	for i := range src {
-		o := &src[i]
-		if first || o.Mnemonic != prev {
-			prevID, prev, first = f.tab.ids[o.Mnemonic], o.Mnemonic, false
-		}
-		k := iOp{mnemonic: prevID, ring: o.Ring, mass: o.Mass}
-		matched := false
-		for ai < len(a) {
-			c := iOpCmp(&a[ai], &k)
-			if c == 0 {
-				a[ai].mass += k.mass
-				ai++
-				matched = true
-				break
-			}
-			if c > 0 {
-				break
-			}
-			ai++
-		}
-		if matched {
-			continue
-		}
-		// New key: merge the tail into scratch and swap.
-		out := append(f.scratchO[:0], a[:ai]...)
-		out = append(out, k)
-		for i2 := i + 1; i2 < len(src); i2++ {
-			o2 := &src[i2]
-			if o2.Mnemonic != prev {
-				prevID, prev = f.tab.ids[o2.Mnemonic], o2.Mnemonic
-			}
-			k2 := iOp{mnemonic: prevID, ring: o2.Ring, mass: o2.Mass}
-			for ai < len(a) && iOpCmp(&a[ai], &k2) < 0 {
-				out = append(out, a[ai])
-				ai++
-			}
-			if ai < len(a) && iOpCmp(&a[ai], &k2) == 0 {
-				k2.mass += a[ai].mass
-				ai++
-			}
-			out = append(out, k2)
-		}
-		out = append(out, a[ai:]...)
-		f.scratchO = a[:0]
-		return out
-	}
-	return a
-}
-
 // symLookup interns strings into a growing table, caching the last hit
 // per call site: canonical sections keep equal strings in runs (and
 // rows decoded from one file share backing arrays), so the map is
@@ -470,71 +119,53 @@ func (t *symLookup) id(s string) uint32 {
 	return id
 }
 
-// internRows translates p's rows to integer tuples against tab (fully
-// populated and sorted by internAll, so every lookup hits and IDs are
-// final). dropZero mirrors the canonicalization rule: zero-mass inputs
-// carry no information and are dropped before any summing.
-func internRows(p *Profile, tab *symLookup, dropZero bool) *Interned {
-	in := &Interned{}
-	if len(p.Workloads) > 0 {
-		in.workloads = make([]iWorkload, 0, len(p.Workloads))
-		var prev string
-		var prevID uint32
-		first := true
-		for i := range p.Workloads {
-			w := &p.Workloads[i]
-			if dropZero && w.Runs == 0 {
-				continue
-			}
-			if first || w.Name != prev {
-				prevID, prev, first = tab.id(w.Name), w.Name, false
-			}
-			in.workloads = append(in.workloads, iWorkload{name: prevID, runs: w.Runs})
+// symRun is that per-call-site cache: one row field's last string and
+// its ID.
+type symRun struct {
+	s   string
+	sym uint32
+	ok  bool
+}
+
+func (r *symRun) id(t *symLookup, s string) uint32 {
+	if !r.ok || s != r.s {
+		r.s, r.sym, r.ok = s, t.id(s), true
+	}
+	return r.sym
+}
+
+// Intern converts a profile to interned form: canonicalize it if
+// needed, collect its strings, and sort them into the table.
+// Intern(p).Profile() equals Canonical(p).
+func Intern(p *Profile) *Interned {
+	if p == nil {
+		return &Interned{}
+	}
+	if !isCanonical(p) {
+		p = canonicalize(p)
+	}
+	t := &symLookup{ids: make(map[string]uint32)}
+	var name, unit, module, function, mnemonic symRun
+	in := &Interned{
+		workloads: make([]iWorkload, len(p.Workloads)),
+		blocks:    make([]iBlock, len(p.Blocks)),
+		ops:       make([]iOp, len(p.Ops)),
+	}
+	for i, w := range p.Workloads {
+		in.workloads[i] = iWorkload{name: name.id(t, w.Name), runs: w.Runs}
+	}
+	for i := range p.Blocks {
+		b := &p.Blocks[i]
+		in.blocks[i] = iBlock{
+			unit: unit.id(t, b.Unit), module: module.id(t, b.Module), function: function.id(t, b.Function),
+			addr: b.Addr, ring: b.Ring, blen: b.Len, count: b.Count,
 		}
 	}
-	if len(p.Blocks) > 0 {
-		in.blocks = make([]iBlock, 0, len(p.Blocks))
-		var pu, pm, pf string
-		var puID, pmID, pfID uint32
-		first := true
-		for i := range p.Blocks {
-			b := &p.Blocks[i]
-			if dropZero && b.Count == 0 {
-				continue
-			}
-			if first || b.Unit != pu {
-				puID, pu = tab.id(b.Unit), b.Unit
-			}
-			if first || b.Module != pm {
-				pmID, pm = tab.id(b.Module), b.Module
-			}
-			if first || b.Function != pf {
-				pfID, pf = tab.id(b.Function), b.Function
-			}
-			first = false
-			in.blocks = append(in.blocks, iBlock{
-				unit: puID, module: pmID, function: pfID,
-				addr: b.Addr, ring: b.Ring, blen: b.Len, count: b.Count,
-			})
-		}
+	for i, o := range p.Ops {
+		in.ops[i] = iOp{mnemonic: mnemonic.id(t, o.Mnemonic), ring: o.Ring, mass: o.Mass}
 	}
-	if len(p.Ops) > 0 {
-		in.ops = make([]iOp, 0, len(p.Ops))
-		var prev string
-		var prevID uint32
-		first := true
-		for i := range p.Ops {
-			o := &p.Ops[i]
-			if dropZero && o.Mass == 0 {
-				continue
-			}
-			if first || o.Mnemonic != prev {
-				prevID, prev, first = tab.id(o.Mnemonic), o.Mnemonic, false
-			}
-			in.ops = append(in.ops, iOp{mnemonic: prevID, ring: o.Ring, mass: o.Mass})
-		}
-	}
-	in.syms = tab.syms
+	in.syms = t.syms
+	in.sortSyms()
 	return in
 }
 
@@ -574,48 +205,6 @@ func (in *Interned) remapIDs(remap []uint32) {
 	}
 }
 
-// normalize integer-sorts every section and folds duplicate keys.
-// Zero-mass *inputs* were already dropped; folded sums are kept even
-// if they wrap to zero, matching exact integer merge semantics.
-func (in *Interned) normalize() {
-	if len(in.workloads) > 1 {
-		sort.Slice(in.workloads, func(i, j int) bool { return in.workloads[i].name < in.workloads[j].name })
-		out := in.workloads[:0]
-		for _, w := range in.workloads {
-			if n := len(out); n > 0 && out[n-1].name == w.name {
-				out[n-1].runs += w.runs
-			} else {
-				out = append(out, w)
-			}
-		}
-		in.workloads = out
-	}
-	if len(in.blocks) > 1 {
-		sort.Slice(in.blocks, func(i, j int) bool { return iBlockCmp(&in.blocks[i], &in.blocks[j]) < 0 })
-		out := in.blocks[:0]
-		for _, b := range in.blocks {
-			if n := len(out); n > 0 && iBlockCmp(&out[n-1], &b) == 0 {
-				out[n-1].count += b.count
-			} else {
-				out = append(out, b)
-			}
-		}
-		in.blocks = out
-	}
-	if len(in.ops) > 1 {
-		sort.Slice(in.ops, func(i, j int) bool { return iOpCmp(&in.ops[i], &in.ops[j]) < 0 })
-		out := in.ops[:0]
-		for _, o := range in.ops {
-			if n := len(out); n > 0 && iOpCmp(&out[n-1], &o) == 0 {
-				out[n-1].mass += o.mass
-			} else {
-				out = append(out, o)
-			}
-		}
-		in.ops = out
-	}
-}
-
 // Profile materializes the interned form back to a canonical Profile.
 // Strings are shared with the symbol table; row slices are fresh, so
 // the result is the caller's own.
@@ -645,232 +234,4 @@ func (in *Interned) Profile() *Profile {
 		}
 	}
 	return out
-}
-
-// unionSyms merges two sorted symbol tables. It returns the union and
-// per-input remap slices (old ID to union ID); a nil remap means that
-// input's IDs are already the union's. Equal tables — the hot case —
-// short-circuit to a few pointer-equal string compares and share a's
-// backing array, so tournament rounds over one fleet's snapshots never
-// rewrite a row.
-func unionSyms(a, b []string) (syms []string, amap, bmap []uint32) {
-	if len(a) == len(b) {
-		eq := true
-		for i := range a {
-			if a[i] != b[i] {
-				eq = false
-				break
-			}
-		}
-		if eq {
-			return a, nil, nil
-		}
-	}
-	syms = make([]string, 0, len(a)+len(b))
-	amap = make([]uint32, len(a))
-	bmap = make([]uint32, len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			amap[i] = uint32(len(syms))
-			syms = append(syms, a[i])
-			i++
-		case b[j] < a[i]:
-			bmap[j] = uint32(len(syms))
-			syms = append(syms, b[j])
-			j++
-		default:
-			id := uint32(len(syms))
-			amap[i], bmap[j] = id, id
-			syms = append(syms, a[i])
-			i++
-			j++
-		}
-	}
-	for ; i < len(a); i++ {
-		amap[i] = uint32(len(syms))
-		syms = append(syms, a[i])
-	}
-	for ; j < len(b); j++ {
-		bmap[j] = uint32(len(syms))
-		syms = append(syms, b[j])
-	}
-	// A same-length union means that input was a superset: the remap is
-	// the identity (both are sorted), so skip the row rewrite.
-	if len(syms) == len(a) {
-		amap = nil
-	}
-	if len(syms) == len(b) {
-		bmap = nil
-	}
-	return syms, amap, bmap
-}
-
-// remapped returns a copy of in with row IDs rewritten into the union
-// table. remap is monotonic (both tables are sorted), so row order is
-// preserved.
-func (in *Interned) remapped(syms []string, remap []uint32) *Interned {
-	out := &Interned{
-		syms:      syms,
-		workloads: append([]iWorkload(nil), in.workloads...),
-		blocks:    append([]iBlock(nil), in.blocks...),
-		ops:       append([]iOp(nil), in.ops...),
-	}
-	out.remapIDs(remap)
-	return out
-}
-
-// mergeInterned2 merges two interned profiles: union the tables, then
-// sum each section with a linear integer-compare pass.
-func mergeInterned2(a, b *Interned) *Interned {
-	syms, amap, bmap := unionSyms(a.syms, b.syms)
-	if amap != nil {
-		a = a.remapped(syms, amap)
-	}
-	if bmap != nil {
-		b = b.remapped(syms, bmap)
-	}
-	return &Interned{
-		syms:      syms,
-		workloads: merge2IWorkloads(a.workloads, b.workloads),
-		blocks:    merge2IBlocks(a.blocks, b.blocks),
-		ops:       merge2IOps(a.ops, b.ops),
-	}
-}
-
-func merge2IWorkloads(a, b []iWorkload) []iWorkload {
-	if len(a)+len(b) == 0 {
-		return nil
-	}
-	out := make([]iWorkload, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i].name < b[j].name:
-			out = append(out, a[i])
-			i++
-		case b[j].name < a[i].name:
-			out = append(out, b[j])
-			j++
-		default:
-			m := a[i]
-			m.runs += b[j].runs
-			out = append(out, m)
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
-}
-
-func merge2IBlocks(a, b []iBlock) []iBlock {
-	if len(a)+len(b) == 0 {
-		return nil
-	}
-	out := make([]iBlock, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		c := iBlockCmp(&a[i], &b[j])
-		switch {
-		case c < 0:
-			out = append(out, a[i])
-			i++
-		case c > 0:
-			out = append(out, b[j])
-			j++
-		default:
-			m := a[i]
-			m.count += b[j].count
-			out = append(out, m)
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
-}
-
-func merge2IOps(a, b []iOp) []iOp {
-	if len(a)+len(b) == 0 {
-		return nil
-	}
-	out := make([]iOp, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		c := iOpCmp(&a[i], &b[j])
-		switch {
-		case c < 0:
-			out = append(out, a[i])
-			i++
-		case c > 0:
-			out = append(out, b[j])
-			j++
-		default:
-			m := a[i]
-			m.mass += b[j].mass
-			out = append(out, m)
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
-}
-
-// parallelMergePairs is the per-round pair count above which a
-// tournament round fans out across the worker pool. Below it the
-// goroutine hand-off costs more than the merges.
-const parallelMergePairs = 16
-
-// mergeInterned merges any number of interned profiles by a pairwise
-// tournament: each round halves the profile count with linear two-way
-// merges, so total work is O(N log k) integer comparisons. Rounds with
-// enough pairs run them in parallel on up to GOMAXPROCS workers —
-// safe because every pair writes a distinct slot and integer merge is
-// associative, so the result is bit-identical at any parallelism. A
-// lone input is returned as-is (Interned is immutable).
-func mergeInterned(ins []*Interned) *Interned {
-	switch len(ins) {
-	case 0:
-		return &Interned{}
-	case 1:
-		return ins[0]
-	}
-	round := ins
-	for len(round) > 1 {
-		pairs := len(round) / 2
-		next := make([]*Interned, (len(round)+1)/2)
-		if len(round)%2 == 1 {
-			next[pairs] = round[len(round)-1]
-		}
-		if workers := runtime.GOMAXPROCS(0); workers > 1 && pairs >= parallelMergePairs {
-			if workers > pairs {
-				workers = pairs
-			}
-			var idx atomic.Int64
-			var wg sync.WaitGroup
-			wg.Add(workers)
-			for w := 0; w < workers; w++ {
-				go func() {
-					defer wg.Done()
-					for {
-						i := int(idx.Add(1)) - 1
-						if i >= pairs {
-							return
-						}
-						next[i] = mergeInterned2(round[2*i], round[2*i+1])
-					}
-				}()
-			}
-			wg.Wait()
-		} else {
-			for i := 0; i < pairs; i++ {
-				next[i] = mergeInterned2(round[2*i], round[2*i+1])
-			}
-		}
-		round = next
-	}
-	return round[0]
 }

@@ -24,31 +24,18 @@
 //     in any order, grouping or sharding produce bit-identical
 //     results.
 //   - Self-containment. Like internal/perffile, this package depends
-//     only on the standard library plus the stdlib-only
-//     internal/telemetry counters (enforced by the repository's
+//     only on the standard library (enforced by the repository's
 //     import-boundary test), so the store format can be lifted into
 //     external fleet tooling unchanged.
 //
 // [Merge] combines profiles offline; [Aggregator] does the same online
-// under concurrent ingestion with lock-striped shards; [Diff] compares
-// two merged views and flags per-op share regressions.
+// under concurrent ingestion; [Diff] compares two merged views and
+// flags per-op share regressions.
 package profstore
 
 import (
 	"fmt"
 	"sort"
-
-	"hbbp/internal/telemetry"
-)
-
-// Merge-path counters: which kernel a Merge call took. The fast path
-// handles registration once at init; the per-call cost is one atomic
-// add, so instrumenting the merge kernel does not move its benchmark.
-var (
-	mergeTwoPointer = telemetry.Default().Counter("hbbp_profstore_merge_total",
-		"Merge calls by kernel path.", "path", "two_pointer")
-	mergeViaInterned = telemetry.Default().Counter("hbbp_profstore_merge_total",
-		"Merge calls by kernel path.", "path", "interned")
 )
 
 // Ring is the privilege level a block executes in, mirroring the
@@ -217,8 +204,12 @@ func (p *Profile) Clone() *Profile {
 // Weighted returns the profile scaled by an integer weight: every
 // count, mass and run multiplied by times. Weighted(k) equals merging
 // k copies — the explicit form of the merge's weight accounting (e.g.
-// one profile standing in for k identical machines).
+// one profile standing in for k identical machines) — so Weighted(0)
+// is the empty profile.
 func (p *Profile) Weighted(times uint64) *Profile {
+	if times == 0 {
+		return &Profile{}
+	}
 	out := p.Clone()
 	for i := range out.Workloads {
 		out.Workloads[i].Runs *= times
@@ -234,8 +225,8 @@ func (p *Profile) Weighted(times uint64) *Profile {
 
 // BlockKeyLess reports whether a orders before b in canonical form —
 // the block identity order Merge emits. Producers that build sections
-// already unique by key can sort with it and take Merge's canonical
-// fast path (a one-pass intern instead of a canonicalizing sort).
+// already unique by key can sort with it and skip Merge's
+// canonicalizing sort.
 func BlockKeyLess(a, b *Block) bool { return blockKeyLess(a, b) }
 
 // OpKeyLess is BlockKeyLess for op-mass entries.
@@ -269,6 +260,8 @@ func opKeyLess(a, b *OpMass) bool {
 	return a.Ring < b.Ring
 }
 
+func workloadKeyLess(a, b *WorkloadWeight) bool { return a.Name < b.Name }
+
 // Merge combines any number of profiles into one canonical profile.
 // Mass accounting is pure integer addition over canonical keys, so the
 // result is independent of argument order and grouping down to the
@@ -277,58 +270,44 @@ func opKeyLess(a, b *OpMass) bool {
 // and Merge() returns the empty profile (the merge identity). Nil
 // arguments are ignored.
 //
-// Internally every input is interned — string keys become fixed-width
-// symbol-ID tuples against a sorted table (see [Interned]) — and the
-// inputs meet in a pairwise tournament of linear integer-compare
-// merges, parallel across the worker pool for large fan-ins. Profiles
-// this package produces intern in one linear pass; hand-assembled
-// ones are canonicalized on the way in.
+// Inputs that are not canonical are canonicalized first; the canonical
+// inputs then meet in a pairwise tournament of linear two-way merges,
+// each round halving the count, so k inputs of n rows cost
+// O(n log k) key comparisons.
 func Merge(profiles ...*Profile) *Profile {
-	live := make([]*Profile, 0, len(profiles))
+	round := make([]*Profile, 0, len(profiles))
 	for _, p := range profiles {
-		if p != nil {
-			live = append(live, p)
+		if p == nil {
+			continue
 		}
+		if !isCanonical(p) {
+			p = canonicalize(p)
+		}
+		round = append(round, p)
 	}
-	// Tiny canonical fan-ins skip the interning machinery: a left fold
-	// of linear two-way string-key merges beats paying the symbol-table
-	// setup per call (the per-epoch accumulate path merges two small
-	// profiles at a time; retention folds a handful). Identical integer
-	// sums in identical key order — associativity makes the fold
-	// bit-for-bit what the interned tournament gives.
-	if n := len(live); n >= 1 && n <= smallMergeFanIn {
-		canonical := true
-		for _, p := range live {
-			if !isCanonical(p) {
-				canonical = false
-				break
-			}
-		}
-		if canonical {
-			mergeTwoPointer.Inc()
-			if n == 1 {
-				return live[0].Clone()
-			}
-			out := merge2Canonical(live[0], live[1])
-			for _, p := range live[2:] {
-				out = merge2Canonical(out, p)
-			}
-			return out
-		}
+	switch len(round) {
+	case 0:
+		return &Profile{}
+	case 1:
+		return round[0].Clone()
 	}
-	mergeViaInterned.Inc()
-	return mergeProfilesInterned(live).Profile()
+	for len(round) > 1 {
+		// next reuses round's array: slot i/2 is written only after
+		// slots i and i+1 were read.
+		next := round[:0]
+		for i := 0; i+1 < len(round); i += 2 {
+			next = append(next, merge2Canonical(round[i], round[i+1]))
+		}
+		if len(round)%2 == 1 {
+			next = append(next, round[len(round)-1])
+		}
+		round = next
+	}
+	return round[0]
 }
-
-// smallMergeFanIn is the largest all-canonical fan-in Merge folds with
-// direct two-way merges instead of the interned tournament. Above it
-// the shared symbol table starts paying for itself.
-const smallMergeFanIn = 4
 
 // merge2Canonical merges two canonical profiles with linear two-pointer
 // walks over string keys — no symbol table, one allocation per section.
-// Summed rows are kept as the interned merges keep them, so both paths
-// emit identical bytes.
 func merge2Canonical(a, b *Profile) *Profile {
 	out := &Profile{}
 	if n := len(a.Workloads) + len(b.Workloads); n > 0 {
@@ -429,6 +408,44 @@ func isCanonical(p *Profile) bool {
 		}
 	}
 	return true
+}
+
+// canonicalize returns p in canonical form as a fresh profile: every
+// section sorted by key, duplicate keys summed, zero-mass rows
+// dropped. It is the package's one normalization: Merge, Canonical,
+// Intern and the decoder's fallback for foreign streams all use it.
+func canonicalize(p *Profile) *Profile {
+	return &Profile{
+		Workloads: canonicalRows(p.Workloads, workloadKeyLess, func(w *WorkloadWeight) *uint64 { return &w.Runs }),
+		Blocks:    canonicalRows(p.Blocks, blockKeyLess, func(b *Block) *uint64 { return &b.Count }),
+		Ops:       canonicalRows(p.Ops, opKeyLess, func(o *OpMass) *uint64 { return &o.Mass }),
+	}
+}
+
+// canonicalRows is canonicalize for one section: a sorted copy of rows
+// with duplicate keys summed and zero-mass results dropped.
+func canonicalRows[T any](rows []T, less func(x, y *T) bool, mass func(*T) *uint64) []T {
+	out := append([]T(nil), rows...)
+	sort.Slice(out, func(i, j int) bool { return less(&out[i], &out[j]) })
+	n := 0
+	for i := range out {
+		if n > 0 && !less(&out[n-1], &out[i]) {
+			*mass(&out[n-1]) += *mass(&out[i])
+			continue
+		}
+		out[n] = out[i]
+		n++
+	}
+	kept := out[:0]
+	for i := range out[:n] {
+		if *mass(&out[i]) != 0 {
+			kept = append(kept, out[i])
+		}
+	}
+	if len(kept) == 0 {
+		return nil
+	}
+	return kept
 }
 
 // Canonical normalizes a hand-assembled profile: duplicate keys are

@@ -9,7 +9,7 @@
 // of atomic words observed with a short linear scan, and none of them
 // allocate or take locks on the update path — proven by
 // testing.AllocsPerRun in the package tests — so instrumenting the
-// wire ingest loop, the merge kernel and the collection planner does
+// wire ingest loop, the series store and the collection planner does
 // not perturb the numbers they produce.
 //
 // Metrics are registered get-or-create by (name, label pairs):

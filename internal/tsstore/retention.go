@@ -154,7 +154,6 @@ func sub(a, b uint64) (uint64, bool) {
 // run's actual epochs. Returns the number of buckets that actually
 // folded (had more than one window).
 func (s *Series) foldLevel(width, horizon uint64) int {
-	s.invalidate() // rebuilds the window list in place; memoized tree nodes go stale
 	out := s.windows[:0]
 	folds := 0
 	for i := 0; i < len(s.windows); {

@@ -13,12 +13,6 @@ var (
 		"Windowed query wall time.", telemetry.NanosToSeconds, telemetry.DurationBuckets())
 	windowSpans = telemetry.Default().Histogram("hbbp_tsstore_window_spans",
 		"Retained windows covered per query.", 1, telemetry.CountBuckets())
-	treeCacheHits = telemetry.Default().Counter("hbbp_tsstore_tree_cache_total",
-		"Merge-tree node lookups by result.", "result", "hit")
-	treeCacheMisses = telemetry.Default().Counter("hbbp_tsstore_tree_cache_total",
-		"Merge-tree node lookups by result.", "result", "miss")
-	treeCombines = telemetry.Default().Counter("hbbp_tsstore_tree_combines_total",
-		"Interior merge-tree nodes computed (two-child merges).")
 	epochAppends = telemetry.Default().Counter("hbbp_tsstore_epoch_appends_total",
 		"Epoch profiles appended across all series.")
 	retentionFolds = telemetry.Default().Counter("hbbp_tsstore_retention_folds_total",

@@ -75,17 +75,6 @@ type window struct {
 // their own lock.
 type Series struct {
 	windows []window
-
-	// tree is the lazily-built merge tree: an implicit 1-indexed
-	// segment tree over the window list whose node memoizes the merge
-	// of its contiguous window range, so a windowed query combines
-	// O(log n) pre-merged nodes instead of re-merging every window.
-	// Because merging is associative, the tree's answer is
-	// bit-identical to the flat merge. Built on first use by Window,
-	// discarded by every mutation; treeN is the padded leaf count
-	// (next power of two >= len(windows)).
-	tree  []*profstore.Profile
-	treeN int
 }
 
 // Len returns the number of retained windows.
@@ -119,18 +108,11 @@ func (s *Series) At(i int) (*profstore.Profile, Span) {
 // Clone returns a deep-enough copy: the window list is copied, the
 // profiles are shared. Safe because every mutation path in this
 // package replaces a window's profile (profstore.Merge allocates a
-// fresh result) rather than editing it in place. The merge tree is
-// deliberately NOT shared: Window memoizes into it, and callers like
-// fleetserver clone under a lock but query the clone outside it — a
-// shared tree would be a data race.
+// fresh result) rather than editing it in place, and queries only
+// read — so callers like fleetserver clone under a lock and query the
+// clone outside it.
 func (s *Series) Clone() *Series {
 	return &Series{windows: append([]window(nil), s.windows...)}
-}
-
-// invalidate discards the memoized merge tree. Every mutation of the
-// window list calls it; the next Window rebuilds lazily.
-func (s *Series) invalidate() {
-	s.tree, s.treeN = nil, 0
 }
 
 // locate returns the index of the window containing epoch e, or
@@ -158,7 +140,6 @@ func (s *Series) AppendEpoch(e uint64, p *profstore.Profile) {
 		return
 	}
 	epochAppends.Inc()
-	s.invalidate()
 	i, ok := s.locate(e)
 	if ok {
 		s.windows[i].prof = profstore.Merge(s.windows[i].prof, p)
@@ -180,14 +161,8 @@ func (s *Series) AppendEpoch(e uint64, p *profstore.Profile) {
 // profile and no spans. since > until is a caller bug and returns the
 // same empty result.
 //
-// Queries spanning more than two windows go through the memoized merge
-// tree: the range decomposes into O(log n) covering nodes, each a
-// pre-merged run of windows, so repeated or overlapping queries on an
-// unchanged series re-merge only what the previous ones have not.
-// Associativity makes the decomposed merge bit-identical to the flat
-// one (the regrouping-invariance tests pin this to serialized bytes).
-// Window therefore mutates memoization state; a Series is not safe for
-// concurrent use (see Clone for the snapshot pattern).
+// Window only reads the series, in one flat profstore.Merge of the
+// overlapping windows.
 func (s *Series) Window(since, until uint64) (*profstore.Profile, []Span) {
 	if since > until {
 		return &profstore.Profile{}, nil
@@ -205,72 +180,12 @@ func (s *Series) Window(since, until uint64) (*profstore.Profile, []Span) {
 	}
 	windowSpans.Observe(int64(j - i))
 	spans := make([]Span, j-i)
+	profs := make([]*profstore.Profile, j-i)
 	for k := i; k < j; k++ {
 		spans[k-i] = s.windows[k].span
+		profs[k-i] = s.windows[k].prof
 	}
-	if j-i <= 2 {
-		// Too small for the tree to help: merge directly.
-		profs := make([]*profstore.Profile, 0, 2)
-		for k := i; k < j; k++ {
-			profs = append(profs, s.windows[k].prof)
-		}
-		return profstore.Merge(profs...), spans
-	}
-	s.ensureTree()
-	nodes := s.cover(1, 0, s.treeN, i, j, make([]*profstore.Profile, 0, 8))
-	return profstore.Merge(nodes...), spans
-}
-
-// ensureTree allocates the (empty) merge tree if no valid one exists.
-// Nodes fill in lazily as queries touch them.
-func (s *Series) ensureTree() {
-	if s.tree != nil {
-		return
-	}
-	n := 1
-	for n < len(s.windows) {
-		n <<= 1
-	}
-	s.treeN = n
-	s.tree = make([]*profstore.Profile, 2*n)
-}
-
-// cover appends the memoized profiles of the minimal set of tree nodes
-// that exactly tile the window range [i, j), walking from node (which
-// covers [lo, hi)) — the standard segment-tree decomposition, left to
-// right so the merge order is deterministic.
-func (s *Series) cover(node, lo, hi, i, j int, out []*profstore.Profile) []*profstore.Profile {
-	if hi <= i || j <= lo {
-		return out
-	}
-	if i <= lo && hi <= j {
-		return append(out, s.nodeProfile(node, lo, hi))
-	}
-	mid := (lo + hi) / 2
-	out = s.cover(2*node, lo, mid, i, j, out)
-	return s.cover(2*node+1, mid, hi, i, j, out)
-}
-
-// nodeProfile returns node's merge of windows [lo, hi), computing and
-// memoizing it (and its children) on first touch. cover only selects
-// nodes fully inside the queried range, so hi never exceeds
-// len(s.windows) and both children always exist.
-func (s *Series) nodeProfile(node, lo, hi int) *profstore.Profile {
-	if p := s.tree[node]; p != nil {
-		treeCacheHits.Inc()
-		return p
-	}
-	treeCacheMisses.Inc()
-	var p *profstore.Profile
-	if hi-lo == 1 {
-		p = s.windows[lo].prof
-	} else {
-		mid := (lo + hi) / 2
-		treeCombines.Inc()
-		p = profstore.Merge(s.nodeProfile(2*node, lo, mid), s.nodeProfile(2*node+1, mid, hi))
-	}
-	s.tree[node] = p
-	return p
+	return profstore.Merge(profs...), spans
 }
 
 // Merged returns the merge of the whole series — the flat fleet
