@@ -17,9 +17,11 @@
 // layout (addresses, opcodes, cached isa.Info, cycle offsets)
 // precomputed once at Machine construction. Listeners that implement
 // BlockListener consume blocks directly — the PMU model exploits this
-// to skip per-instruction work entirely between counter overflows —
-// while plain Listeners receive the identical per-instruction replay
-// through an adapter, so both views observe the same execution.
+// to retire a block in O(1) when no counter event falls inside it, and
+// otherwise to jump straight to the instructions where counters
+// overflow or PMIs land — while plain Listeners receive the identical
+// per-instruction replay through an adapter, so both views observe the
+// same execution.
 package cpu
 
 import (

@@ -45,6 +45,7 @@ import (
 	"io"
 	"net"
 	"time"
+	"unicode/utf8"
 )
 
 // Magic opens each direction of a connection.
@@ -592,7 +593,8 @@ type BatchVerdict struct {
 	// Code classifies a refusal; only meaningful when Status is
 	// BatchNacked.
 	Code NackCode
-	// Msg carries optional refusal detail.
+	// Msg carries optional refusal detail. AppendAckBatch clips it to
+	// maxNameLen bytes, the most parseString accepts.
 	Msg string
 }
 
@@ -605,10 +607,22 @@ func AppendAckBatch(dst []byte, verdicts []BatchVerdict) []byte {
 		dst = binary.AppendUvarint(dst, uint64(v.Status))
 		if v.Status == BatchNacked {
 			dst = binary.AppendUvarint(dst, uint64(v.Code))
-			dst = appendString(dst, v.Msg)
+			dst = appendString(dst, clipUTF8(v.Msg, maxNameLen))
 		}
 	}
 	return dst
+}
+
+// clipUTF8 returns the longest prefix of s that is at most n bytes and
+// does not split a UTF-8 sequence.
+func clipUTF8(s string, n int) string {
+	if len(s) <= n {
+		return s
+	}
+	for n > 0 && !utf8.RuneStart(s[n]) {
+		n--
+	}
+	return s[:n]
 }
 
 // ParseAckBatch decodes a batch ack payload.

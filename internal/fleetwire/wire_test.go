@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
 )
 
 // frameBytes encodes one frame for stream-surgery tests.
@@ -287,6 +288,19 @@ func TestBatchRoundTrips(t *testing.T) {
 	}
 	if _, err := ParseAckBatch(AppendAckBatch(nil, nil)); !errors.Is(err, ErrProtocol) {
 		t.Errorf("empty ack batch = %v", err)
+	}
+	// A server fills Msg from err.Error(), which has no length bound:
+	// the encoder clips it at a rune boundary so the ack still parses.
+	// 1,000 bytes whose 2-byte runes straddle the 256-byte limit.
+	long := "x" + strings.Repeat("é", 499) + "y"
+	vgot, err = ParseAckBatch(AppendAckBatch(nil, []BatchVerdict{
+		{Seq: 4, Status: BatchNacked, Code: NackBadProfile, Msg: long},
+	}))
+	if err != nil || len(vgot) != 1 {
+		t.Fatalf("ack batch with a long message = %+v, %v", vgot, err)
+	}
+	if msg := vgot[0].Msg; len(msg) != maxNameLen-1 || !utf8.ValidString(msg) || msg != long[:len(msg)] {
+		t.Errorf("clipped message = %d bytes %q, want the valid %d-byte prefix", len(msg), msg, maxNameLen-1)
 	}
 	if _, err := ParseAckBatch(AppendAckBatch(nil, []BatchVerdict{{Seq: 1, Status: 7}})); !errors.Is(err, ErrProtocol) {
 		t.Errorf("bad status = %v", err)

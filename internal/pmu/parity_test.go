@@ -1,10 +1,12 @@
 package pmu
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"hbbp/internal/cpu"
+	"hbbp/internal/isa"
 	"hbbp/internal/program"
 )
 
@@ -78,6 +80,130 @@ func TestBlockFastPathMatchesReference(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// eventDenseProgram builds an outer loop over blocks that put counter
+// events where the block path must get them exactly right: a 42-op
+// fallthrough block ending in DIV, SQRTSS; a one-instruction block that
+// is a taken JMP; a 42-op latch with DIV, FSQRT just before its taken
+// back-edge; and a one-instruction self-loop of taken JNZs.
+func eventDenseProgram(t testing.TB) (*program.Program, *program.Function) {
+	t.Helper()
+	long := func(tail ...isa.Op) []isa.Op {
+		var ops []isa.Op
+		for len(ops)+len(tail) < 42 {
+			ops = append(ops, isa.ADD, isa.MOV, isa.SUB)
+		}
+		return append(ops[:42-len(tail)], tail...)
+	}
+	b := program.NewBuilder("pmu-dense")
+	mod := b.Module("m", program.RingUser)
+	f := b.Function(mod, "f")
+	entry := b.Block(f, isa.MOV)
+	head := b.Block(f, long(isa.DIV, isa.SQRTSS)...)
+	jump := b.Block(f)
+	latch := b.Block(f, long(isa.DIV, isa.FSQRT)...)
+	spin := b.Block(f)
+	exit := b.Block(f, isa.MOV)
+	b.Fallthrough(entry, head)
+	b.Fallthrough(head, jump)
+	b.Jump(jump, latch)
+	b.Loop(latch, isa.JNZ, head, spin, 60)
+	b.Loop(spin, isa.JNZ, spin, exit, 500)
+	b.Return(exit)
+	p, err := b.Finish()
+	if err != nil {
+		t.Fatalf("Finish: %v", err)
+	}
+	return p, f
+}
+
+// TestEventScheduledBlocksMatchReference drives the block path through
+// dense counter events — several overflows per block, skids that cross
+// taken terminators, PMIs shadowed at a block's end — under every
+// programming shape, and checks it against the per-instruction
+// reference: samples (stacks copied at delivery), Count of every event,
+// and Dropped and Overflows of every programmed event.
+func TestEventScheduledBlocksMatchReference(t *testing.T) {
+	programmings := map[string]func(ebs, lbr uint64) []Sampling{
+		"prec-dist+branch": func(ebs, lbr uint64) []Sampling {
+			return []Sampling{{Event: InstRetiredPrecDist, Period: ebs}, {Event: BrInstRetiredNearTaken, Period: lbr}}
+		},
+		"non-precise+prec-dist+branch": func(ebs, lbr uint64) []Sampling {
+			return []Sampling{
+				{Event: InstRetired, Period: ebs},
+				{Event: BrInstRetiredNearTaken, Period: lbr},
+				{Event: InstRetiredPrecDist, Period: ebs + lbr},
+			}
+		},
+		"never-triggers+prec-dist+branch": func(ebs, lbr uint64) []Sampling {
+			return []Sampling{
+				{Event: DivCycles, Period: 1},
+				{Event: InstRetiredPrecDist, Period: ebs},
+				{Event: BrInstRetiredNearTaken, Period: lbr},
+			}
+		},
+	}
+	p, f := eventDenseProgram(t)
+	run := func(t *testing.T, samplings []Sampling, seed int64, perInstruction bool) ([]Sample, *PMU) {
+		var samples []Sample
+		handler := func(s Sample) {
+			s.Stack = append([]BranchRecord(nil), s.Stack...)
+			samples = append(samples, s)
+		}
+		programmed := append([]Sampling(nil), samplings...)
+		for i := range programmed {
+			programmed[i].Handler = handler
+		}
+		pm, err := New(DefaultConfig(seed), programmed...)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		if _, err := cpu.Run(p, f, cpu.Config{Seed: seed, PerInstruction: perInstruction}, pm); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		return samples, pm
+	}
+	for name, program := range programmings {
+		for _, ebs := range []uint64{1, 2, 3, 7, 101} {
+			for _, lbr := range []uint64{1, 2, 53} {
+				t.Run(fmt.Sprintf("%s/ebs=%d/lbr=%d", name, ebs, lbr), func(t *testing.T) {
+					samplings := program(ebs, lbr)
+					for _, seed := range []int64{1, 9} {
+						fastS, fast := run(t, samplings, seed, false)
+						refS, ref := run(t, samplings, seed, true)
+						if len(refS) == 0 {
+							t.Fatalf("seed %d: no samples delivered", seed)
+						}
+						if !reflect.DeepEqual(fastS, refS) {
+							i := 0
+							for i < len(fastS) && i < len(refS) && reflect.DeepEqual(fastS[i], refS[i]) {
+								i++
+							}
+							t.Fatalf("seed %d: sample streams diverge at sample %d (%d block path, %d reference)",
+								seed, i, len(fastS), len(refS))
+						}
+						for e := Event(0); e < numEvents; e++ {
+							if fast.Count(e) != ref.Count(e) {
+								t.Errorf("seed %d: Count(%v) = %d block path, %d reference",
+									seed, e, fast.Count(e), ref.Count(e))
+							}
+						}
+						for _, s := range samplings {
+							if fast.Dropped(s.Event) != ref.Dropped(s.Event) {
+								t.Errorf("seed %d: Dropped(%v) = %d block path, %d reference",
+									seed, s.Event, fast.Dropped(s.Event), ref.Dropped(s.Event))
+							}
+							if fast.Overflows(s.Event) != ref.Overflows(s.Event) {
+								t.Errorf("seed %d: Overflows(%v) = %d block path, %d reference",
+									seed, s.Event, fast.Overflows(s.Event), ref.Overflows(s.Event))
+							}
+						}
+					}
+				})
+			}
+		}
 	}
 }
 

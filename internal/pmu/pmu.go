@@ -115,19 +115,11 @@ func DefaultBiasProne(addr uint64) bool {
 	return h%32 == 0
 }
 
-// pendingPMI tracks an in-flight interrupt between counter overflow and
-// sample capture.
-type pendingPMI struct {
-	active   bool
-	skidLeft int
-}
-
 // eventClass partitions sampling events by what makes their counter
 // tick: the retirement counters tick per instruction, the branch
 // counter on the dynamic taken outcome, and every other event never
 // triggers a sampling counter. Classifying once at programming time
-// lets the per-block fast path index a precomputed occurrence vector
-// instead of re-deriving the event rules per counter per block.
+// gives every class one occurrence clock that all its counters share.
 type eventClass uint8
 
 const (
@@ -148,15 +140,17 @@ func classify(e Event) eventClass {
 	return classNone
 }
 
-// counterState is one programmed sampling counter. Field order keeps
-// the per-block fast path's working set (value, period, total, the
-// pending flag and the class) at the front of the struct, with the
-// cold configuration behind it.
+// counterState is one programmed sampling counter. Its count lives in
+// its class clock: the counter's value is clk[class] - base and its
+// total (the counting-mode view) is clk[class], so advancing every
+// counter of a class is one clock bump. An in-flight PMI is tracked by
+// the class clock at which it first tries to land, so its skid drains
+// with the clock too.
 type counterState struct {
-	value   uint64
-	period  uint64 // == cfg.Period, hoisted next to value
-	total   uint64 // total event occurrences (counting mode view)
-	pending pendingPMI
+	base    uint64 // class clock at the last overflow
+	period  uint64 // == cfg.Period, hoisted next to base
+	due     uint64 // class clock at which the pending PMI first tries to land
+	pending bool   // a PMI is in flight between overflow and delivery
 	class   eventClass
 	dropped uint64 // overflows lost because a PMI was already in flight
 	cfg     Sampling
@@ -197,33 +191,8 @@ func countInstr(info *isa.Info, counts *[numEvents]uint64) {
 // execution; only the taken-branch trigger is dynamic and stays
 // outside the aggregate.
 type blockAgg struct {
-	valid  bool
 	counts [numEvents]uint64
-}
-
-// blockHot is the per-block state of the retirement fast path. insts
-// doubles as the validity flag: non-empty blocks retire at least one
-// instruction, so 0 means the aggregate has not been derived yet.
-type blockHot struct {
-	insts uint64 // static InstRetired occurrences per execution
-	hits  uint64 // deferred fast-path executions not yet folded
-}
-
-// occurrences returns how many occurrences of sampling event e one
-// execution of the block generates — mirroring the occurred logic of
-// the per-instruction step: the retirement counters tick per
-// instruction, the branch counter on the dynamic taken outcome, and
-// every other event never triggers a sampling counter.
-func (a *blockAgg) occurrences(e Event, taken bool) uint64 {
-	switch e {
-	case InstRetired, InstRetiredPrecDist:
-		return a.counts[InstRetired]
-	case BrInstRetiredNearTaken:
-		if taken {
-			return 1
-		}
-	}
-	return 0
+	folded uint64 // executions already folded into PMU.counts
 }
 
 // PMU consumes the retirement stream and delivers samples. It
@@ -235,25 +204,34 @@ type PMU struct {
 	cfg      Config
 	rng      *rand.Rand
 	lbr      *lbrRing
-	counters []counterState // contiguous: the hot loops touch every counter
+	counters []counterState
+
+	// clk is the per-class occurrence clock: retired instructions and
+	// retired taken branches (the classNone clock never ticks). Every
+	// counter of a class reads its value and total off it.
+	clk [numClasses]uint64
+	// room is how many more occurrences of each class can retire before
+	// some counter of the class has work to do: an overflow, or a
+	// pending PMI reaching its delivery point. Retirements use it up;
+	// schedule recomputes it whenever a counter may have changed state.
+	room [numClasses]uint64
 
 	// Counting-mode totals for the instruction-specific events, used
 	// for PMU-vs-instrumentation cross-checks like the paper's. The
-	// fast path defers its static per-block contributions to blockHits
+	// block path defers its static per-block contributions to hits
 	// and folds them in on read (Count), so counts alone is complete
 	// only after a fold.
 	counts [numEvents]uint64
 
 	// aggs caches per-block event aggregates, grown lazily by block ID.
 	aggs []blockAgg
-	// hot packs the two per-block words the fast path touches — the
-	// block's static instruction count and its deferred hit tally —
-	// into one cache line's worth of state, so the common case loads
-	// and stores a single line instead of walking the full aggregate.
-	// Each hit contributes the block's static aggregate to counts,
-	// applied lazily as hits × aggregate instead of per retirement.
-	hot []blockHot
-	// ev is the reused retirement event of the block slow path.
+	// hits counts each block's executions on the block path, the one
+	// per-block word the fast path touches; 0 means the block has not
+	// been seen and its aggregate not derived. Each execution
+	// contributes the block's static aggregate to counts, applied
+	// lazily as (hits - folded) × aggregate instead of per retirement.
+	hits []uint64
+	// ev is the reused retirement event of the block event path.
 	ev cpu.RetireEvent
 	// stackBuf is the reused LBR snapshot buffer of deliver; sample
 	// handlers own the stack only for the duration of the call.
@@ -290,155 +268,199 @@ func New(cfg Config, samplings ...Sampling) (*PMU, error) {
 		}
 		p.counters = append(p.counters, counterState{cfg: s, period: s.Period, class: classify(s.Event)})
 	}
+	p.schedule()
 	return p, nil
 }
 
-// agg returns the cached event aggregate for the event's block,
-// deriving it from the block's retired ops on first sight.
-func (p *PMU) agg(bev *cpu.BlockEvent) *blockAgg {
+// derive computes the event aggregate of a block seen for the first
+// time from its retired ops.
+func (p *PMU) derive(bev *cpu.BlockEvent) {
 	id := bev.BlockID()
 	if id >= len(p.aggs) {
 		p.aggs = append(p.aggs, make([]blockAgg, id+1-len(p.aggs))...)
-		p.hot = append(p.hot, make([]blockHot, id+1-len(p.hot))...)
+		p.hits = append(p.hits, make([]uint64, id+1-len(p.hits))...)
 	}
-	a := &p.aggs[id]
-	if a.valid {
-		return a
-	}
-	a.valid = true
 	infos := bev.Infos()
 	for i := range infos {
-		countInstr(&infos[i], &a.counts)
+		countInstr(&infos[i], &p.aggs[id].counts)
 	}
-	return a
+}
+
+// schedule recomputes each class's room from its counters. A counter
+// has work when its value reaches the period, and, with a PMI in
+// flight, also when its clock reaches the delivery point.
+func (p *PMU) schedule() {
+	room := [numClasses]uint64{^uint64(0), ^uint64(0), ^uint64(0)}
+	for i := range p.counters {
+		c := &p.counters[i]
+		if c.class == classNone {
+			continue
+		}
+		clk := p.clk[c.class]
+		r := c.period - (clk - c.base) - 1
+		if c.pending {
+			if c.due <= clk {
+				r = 0
+			} else {
+				r = min(r, c.due-clk-1)
+			}
+		}
+		room[c.class] = min(room[c.class], r)
+	}
+	p.room = room
 }
 
 // RetireBlock implements cpu.BlockListener — the retirement fast path.
 //
-// Each counter tracks its distance to the next overflow in its own
-// event currency (instructions for the retirement counters, taken
-// branches for the branch counter), so a whole block is consumed in
-// O(counters): when no counter overflows inside the block and no PMI is
-// in flight, the only architecturally visible effects are the
-// counting-mode totals and — for a taken terminator — one LBR push, all
-// served from the per-block aggregate. Otherwise the block replays
-// through the per-instruction slow path, whose skid, shadowing and
-// delivery semantics are the pre-fast-path logic unchanged; overflows
-// are rare (periods are in the thousands, Table 4), so the slow path
-// engages only in the window where an overflow fires or a pending PMI
-// is draining. Parity tests assert the two paths are bit-identical.
+// Every counter reads its value off its class clock, and room says how
+// many occurrences of each class can retire before any counter has work
+// to do, so a block in which no counter overflows and no PMI lands is
+// one compare, two clock bumps and — for a taken terminator — one LBR
+// push, whatever the number of counters. The block's static
+// counting-mode totals are deferred as a hit tally either way. A block
+// that does hold an event is retired by retireBlockEvents, which jumps
+// from event to event. Parity tests assert the block path is
+// bit-identical to the per-instruction reference.
 func (p *PMU) RetireBlock(bev *cpu.BlockEvent) {
-	n := bev.Len()
+	n := uint64(bev.Len())
 	if n == 0 {
 		return
 	}
 	id := bev.BlockID()
-	var insts uint64
-	if id < len(p.hot) {
-		insts = p.hot[id].insts
-	}
-	if insts == 0 {
-		agg := p.agg(bev)
-		insts = agg.counts[InstRetired]
-		p.hot[id].insts = insts
-	}
-	// Per-class occurrence vector for this block execution, indexed by
-	// each counter's precomputed class — equivalent to calling
-	// occurrences() per counter, derived once.
-	var occs [numClasses]uint64
-	occs[classInstr] = insts
-	if bev.Taken {
-		occs[classBranch] = 1
-	}
-	for i := range p.counters {
-		c := &p.counters[i]
-		if c.pending.active || c.value+occs[c.class] >= c.period {
-			p.retireBlockSlow(bev)
-			return
-		}
+	if id >= len(p.hits) || p.hits[id] == 0 {
+		p.derive(bev)
 	}
 	// The block's static event contributions are deferred: one hit
-	// tally here, hits × aggregate folded into counts on read. Only
-	// the dynamic taken-branch effects happen inline.
-	p.hot[id].hits++
-	if bev.Taken {
-		p.counts[BrInstRetiredNearTaken]++
-		p.lbr.push(BranchRecord{From: bev.Addrs()[n-1], To: bev.Target})
+	// tally here, folded into counts on read. Only the dynamic
+	// taken-branch effects happen inline.
+	p.hits[id]++
+	if n > p.room[classInstr] || bev.Taken && p.room[classBranch] == 0 {
+		p.retireBlockEvents(bev)
+		return
 	}
-	for i := range p.counters {
-		c := &p.counters[i]
-		occ := occs[c.class]
-		c.total += occ
-		c.value += occ
+	p.retireQuiet(bev, n)
+}
+
+// retireQuiet retires the last insts instructions of a block in which
+// no counter has work left: the class clocks advance in bulk, and a
+// taken terminator is counted and pushed onto the LBR.
+func (p *PMU) retireQuiet(bev *cpu.BlockEvent, insts uint64) {
+	p.clk[classInstr] += insts
+	p.room[classInstr] -= insts
+	if bev.Taken {
+		p.clk[classBranch]++
+		p.room[classBranch]--
+		p.counts[BrInstRetiredNearTaken]++
+		p.lbr.push(BranchRecord{From: bev.Addrs()[bev.Len()-1], To: bev.Target})
 	}
 }
 
-// foldCounts folds the deferred fast-path block hits into the
-// counting-mode totals. Idempotent: folded hits are consumed.
+// retireBlockEvents retires a block that holds at least one counter
+// event, jumping from event to event instead of replaying every
+// instruction. The next event is where the instruction class runs out
+// of room or, on a taken terminator, where the branch class has none
+// left; the instructions before it only advance the instruction clock.
+// At an event every counter runs the reference step in counter order,
+// so RNG draws, skid, shadowing and delivery are exactly those of the
+// per-instruction path.
+func (p *PMU) retireBlockEvents(bev *cpu.BlockEvent) {
+	n := uint64(bev.Len())
+	for i := uint64(0); i < n; {
+		e := n // block index of the next event; n when none is left
+		if p.room[classInstr] < n-i {
+			e = i + p.room[classInstr]
+		}
+		if bev.Taken && p.room[classBranch] == 0 {
+			e = min(e, n-1)
+		}
+		if e == n {
+			p.retireQuiet(bev, n-i)
+			return
+		}
+		p.clk[classInstr] += e - i
+		p.room[classInstr] -= e - i
+		p.tick(p.eventAt(bev, int(e)), &bev.Infos()[e])
+		i = e + 1
+	}
+}
+
+// eventAt fills the reused retirement event for instruction i of the
+// block — the per-instruction view EachRetire would hand out there.
+func (p *PMU) eventAt(bev *cpu.BlockEvent, i int) *cpu.RetireEvent {
+	ev := &p.ev
+	ev.Addr, ev.Op, ev.Cycle = bev.Addrs()[i], bev.Ops()[i], bev.Cycle(i)
+	ev.Block, ev.Ring = bev.Block(), bev.Ring()
+	if i == bev.Len()-1 && bev.Taken {
+		ev.Taken, ev.Target = true, bev.Target
+	} else {
+		ev.Taken, ev.Target = false, 0
+	}
+	return ev
+}
+
+// foldCounts folds the block executions not yet folded into the
+// counting-mode totals. Idempotent.
 func (p *PMU) foldCounts() {
-	for id := range p.hot {
-		hits := p.hot[id].hits
-		if hits == 0 {
+	for id, hits := range p.hits {
+		a := &p.aggs[id]
+		if hits == a.folded {
 			continue
 		}
-		p.hot[id].hits = 0
-		for e, occ := range p.aggs[id].counts {
-			p.counts[e] += occ * hits
+		for e, occ := range a.counts {
+			p.counts[e] += occ * (hits - a.folded)
 		}
+		a.folded = hits
 	}
-}
-
-// retireBlockSlow replays one block through the per-instruction path,
-// reusing the cached isa.Info the machine computed at construction.
-func (p *PMU) retireBlockSlow(bev *cpu.BlockEvent) {
-	bev.EachRetire(&p.ev, p.retire)
 }
 
 // Retire implements cpu.Listener — the per-instruction reference path.
 func (p *PMU) Retire(ev *cpu.RetireEvent) {
 	info := ev.Op.Info()
-	p.retire(ev, &info)
+	countInstr(&info, &p.counts)
+	p.tick(ev, &info)
 }
 
-// retire consumes one retirement with its (possibly cached) static
-// info.
-func (p *PMU) retire(ev *cpu.RetireEvent, info *isa.Info) {
-	// Counting-mode events: the shared classifier plus the dynamic
-	// branch trigger.
-	countInstr(info, &p.counts)
+// tick retires one instruction on the sampling side: the dynamic
+// taken-branch effects and the class clocks, then every counter's step
+// in counter order. The steps decide from the clocks alone; room only
+// says when to reschedule: when some class had none left, a counter
+// may have changed state, otherwise the occurrence just used one up.
+func (p *PMU) tick(ev *cpu.RetireEvent, info *isa.Info) {
+	work := p.room[classInstr] == 0
+	p.clk[classInstr]++
+	p.room[classInstr]--
 	if ev.Taken {
+		work = work || p.room[classBranch] == 0
+		p.clk[classBranch]++
+		p.room[classBranch]--
 		p.counts[BrInstRetiredNearTaken]++
 		p.lbr.push(BranchRecord{From: ev.Addr, To: ev.Target})
 	}
-
 	for i := range p.counters {
 		p.step(&p.counters[i], ev, info)
 	}
+	if work {
+		p.schedule()
+	}
 }
 
-// step advances one sampling counter for the retirement ev.
+// step advances one sampling counter for the retirement ev, after the
+// class clocks have ticked for it.
 func (p *PMU) step(c *counterState, ev *cpu.RetireEvent, info *isa.Info) {
-	occurred := c.class == classInstr || (c.class == classBranch && ev.Taken)
-	if occurred {
-		c.total++
-		c.value++
-		if c.value >= c.period {
-			c.value = 0
-			p.overflow(c, ev.Addr)
-		}
-	}
-	// Advance an in-flight PMI. The skid currency differs by event: the
-	// branch counter's delivery slips in retired taken branches, the
-	// instruction counters' in retired instructions.
-	if !c.pending.active {
-		return
-	}
+	// Both the counter and an in-flight PMI's skid advance only on an
+	// occurrence of the counter's event: the branch counter's delivery
+	// slips in retired taken branches, the instruction counters' in
+	// retired instructions.
 	branchCounter := c.class == classBranch
-	if branchCounter && !ev.Taken {
+	if c.class == classNone || branchCounter && !ev.Taken {
 		return
 	}
-	c.pending.skidLeft--
-	if c.pending.skidLeft > 0 {
+	clk := p.clk[c.class]
+	if clk-c.base >= c.period {
+		c.base = clk
+		p.overflow(c, ev.Addr)
+	}
+	if !c.pending || clk < c.due {
 		return
 	}
 	if !branchCounter && p.cfg.Shadowing && info.IsLongLatency() {
@@ -446,7 +468,7 @@ func (p *PMU) step(c *counterState, ev *cpu.RetireEvent, info *isa.Info) {
 		// a long-latency operation; it slides to the next retirement.
 		return
 	}
-	c.pending.active = false
+	c.pending = false
 	p.deliver(c, ev)
 }
 
@@ -458,7 +480,7 @@ func (p *PMU) step(c *counterState, ev *cpu.RetireEvent, info *isa.Info) {
 // the paper pick prime sampling periods, and it keeps per-location
 // displacement stable the way Weaver's determinism studies describe.
 func (p *PMU) overflow(c *counterState, addr uint64) {
-	if c.pending.active {
+	if c.pending {
 		c.dropped++
 		return
 	}
@@ -477,7 +499,9 @@ func (p *PMU) overflow(c *counterState, addr uint64) {
 	if skid < 1 {
 		skid = 1
 	}
-	c.pending = pendingPMI{active: true, skidLeft: skid}
+	// A skid of s lands on the (s-1)th occurrence after this one.
+	c.pending = true
+	c.due = p.clk[c.class] + uint64(skid) - 1
 }
 
 // addrHash mixes an instruction address into a stable per-location
@@ -552,7 +576,7 @@ func (p *PMU) Overflows(e Event) uint64 {
 	var n uint64
 	for i := range p.counters {
 		if c := &p.counters[i]; c.cfg.Event == e {
-			n += c.total / c.period
+			n += p.clk[c.class] / c.period
 		}
 	}
 	return n
