@@ -13,21 +13,25 @@
 // execution, like a deterministic workload run twice in the paper).
 //
 // The stream is dispatched at block granularity: a BlockEvent describes
-// the retirement of one whole basic block, with the per-instruction
-// layout (addresses, opcodes, cached isa.Info, cycle offsets)
-// precomputed once at Machine construction. Listeners that implement
-// BlockListener consume blocks directly — the PMU model exploits this
-// to retire a block in O(1) when no counter event falls inside it, and
-// otherwise to jump straight to the instructions where counters
-// overflow or PMIs land — while plain Listeners receive the identical
-// per-instruction replay through an adapter, so both views observe the
-// same execution.
+// the retirement of one whole basic block. The machine walks a flat
+// dispatch table (Layout) compiled once per program — successors as
+// block indices, per-block totals, and the per-instruction layout
+// (addresses, opcodes, cached isa.Info, cycle offsets). Listeners that
+// implement BlockListener consume blocks directly — the PMU model
+// exploits this to retire a block in O(1) when no counter event falls
+// inside it, and otherwise to jump straight to the instructions where
+// counters overflow or PMIs land — while plain Listeners receive the
+// identical per-instruction replay through an adapter, so both views
+// observe the same execution. When every listener is a LoopListener,
+// the machine also retires whole iterations of branch-free loops in
+// one step, as many as every listener can absorb without an event.
 package cpu
 
 import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"hbbp/internal/isa"
 	"hbbp/internal/program"
@@ -57,13 +61,14 @@ type Listener interface {
 // machine's per-block caches behind one pointer, shared across events
 // and immutable for the run; listeners must not modify or retain them.
 type BlockEvent struct {
-	// info is the machine's whole per-block layout table, set once at
-	// machine construction; idx selects the retired block. Identifying
-	// the block by scalar index means the per-transition stores are all
-	// pointer-free, so the retirement fast path runs with no write
-	// barriers at all.
-	info []blockInfo
-	idx  int32
+	// table and lay are the machine's dispatch table and the layout
+	// holding it, set once at machine construction; idx selects the
+	// retired block. Identifying the block by scalar index means the
+	// per-transition stores are all pointer-free, so the retirement
+	// fast path runs with no write barriers at all.
+	table []entry
+	lay   *Layout
+	idx   int32
 	// StartCycle is the machine cycle count when the block began
 	// retiring.
 	StartCycle uint64
@@ -71,39 +76,59 @@ type BlockEvent struct {
 	Target     uint64 // branch target when Taken, else 0
 }
 
-// inf returns the retired block's layout entry.
-func (ev *BlockEvent) inf() *blockInfo { return &ev.info[ev.idx] }
+// span returns the retired block's range in the layout's
+// per-instruction arrays.
+func (ev *BlockEvent) span() (from, to int) {
+	e := &ev.table[ev.idx]
+	return int(e.first), int(e.first + e.n)
+}
 
 // Block returns the retired block.
-func (ev *BlockEvent) Block() *program.Block { return ev.inf().blk }
+func (ev *BlockEvent) Block() *program.Block { return ev.lay.prog.BlockByID(int(ev.idx)) }
 
 // BlockID returns the retired block's ID without touching the block
 // itself — the O(1) identity listeners index per-block state with.
 func (ev *BlockEvent) BlockID() int { return int(ev.idx) }
 
 // Ring returns the privilege level the block retired at.
-func (ev *BlockEvent) Ring() program.Ring { return ev.inf().ring }
+func (ev *BlockEvent) Ring() program.Ring { return ev.table[ev.idx].ring }
 
 // Len returns the number of instructions the event retires.
-func (ev *BlockEvent) Len() int { return len(ev.inf().ops) }
+func (ev *BlockEvent) Len() int { return int(ev.table[ev.idx].n) }
+
+// LastAddr returns the address of the block's final instruction — the
+// source the LBR records when the terminator is taken.
+func (ev *BlockEvent) LastAddr() uint64 { return ev.table[ev.idx].lastAddr }
 
 // Addrs returns the per-instruction addresses.
-func (ev *BlockEvent) Addrs() []uint64 { return ev.inf().addrs }
+func (ev *BlockEvent) Addrs() []uint64 {
+	from, to := ev.span()
+	return ev.lay.addrs[from:to:to]
+}
 
 // Ops returns the retired opcodes (live image: trace points retire
 // NOPs).
-func (ev *BlockEvent) Ops() []isa.Op { return ev.inf().ops }
+func (ev *BlockEvent) Ops() []isa.Op {
+	from, to := ev.span()
+	return ev.lay.ops[from:to:to]
+}
 
 // Infos returns the cached static attributes, same indexing as Ops.
-func (ev *BlockEvent) Infos() []isa.Info { return ev.inf().infos }
+func (ev *BlockEvent) Infos() []isa.Info {
+	from, to := ev.span()
+	return ev.lay.infos[from:to:to]
+}
 
 // CycleSums returns the cumulative latencies: CycleSums()[i] is the
 // latency of Ops()[0..i], so instruction i retires at cycle
 // StartCycle + CycleSums()[i].
-func (ev *BlockEvent) CycleSums() []uint64 { return ev.inf().cycleSums }
+func (ev *BlockEvent) CycleSums() []uint64 {
+	from, to := ev.span()
+	return ev.lay.cycleSums[from:to:to]
+}
 
 // Cycle returns the retirement cycle of instruction i.
-func (ev *BlockEvent) Cycle(i int) uint64 { return ev.StartCycle + ev.inf().cycleSums[i] }
+func (ev *BlockEvent) Cycle(i int) uint64 { return ev.StartCycle + ev.CycleSums()[i] }
 
 // EachRetire replays the block as per-instruction retirement events,
 // calling f once per instruction in program order with the cached
@@ -113,19 +138,19 @@ func (ev *BlockEvent) Cycle(i int) uint64 { return ev.StartCycle + ev.inf().cycl
 // storage; the info pointer aliases the immutable layout cache; f must
 // retain neither.
 func (ev *BlockEvent) EachRetire(scratch *RetireEvent, f func(*RetireEvent, *isa.Info)) {
-	bi := ev.inf()
-	scratch.Block, scratch.Ring = bi.blk, bi.ring
-	last := len(bi.ops) - 1
-	for i, op := range bi.ops {
-		scratch.Addr = bi.addrs[i]
-		scratch.Op = op
-		scratch.Cycle = ev.StartCycle + bi.cycleSums[i]
-		if i == last && ev.Taken {
+	l := ev.lay
+	from, to := ev.span()
+	scratch.Block, scratch.Ring = ev.Block(), ev.Ring()
+	for i := from; i < to; i++ {
+		scratch.Addr = l.addrs[i]
+		scratch.Op = l.ops[i]
+		scratch.Cycle = ev.StartCycle + l.cycleSums[i]
+		if i == to-1 && ev.Taken {
 			scratch.Taken, scratch.Target = true, ev.Target
 		} else {
 			scratch.Taken, scratch.Target = false, 0
 		}
-		f(scratch, &bi.infos[i])
+		f(scratch, &l.infos[i])
 	}
 }
 
@@ -138,6 +163,61 @@ type BlockListener interface {
 	// order.
 	RetireBlock(ev *BlockEvent)
 }
+
+// LoopListener is a BlockListener that can also retire whole
+// iterations of a branch-free loop in one step. After a loop latch's
+// taken back-edge the machine asks every listener how many of the
+// following iterations it can absorb without per-block work, and
+// retires the smallest answer (bounded by the remaining trip count) in
+// one RetireIterations call per listener. The machine fast-forwards
+// only when every listener is a LoopListener, so a listener that
+// observes blocks one by one never misses any.
+type LoopListener interface {
+	BlockListener
+	// QuietIterations returns how many iterations of l, starting at
+	// its head, the listener can retire in bulk with exactly the
+	// effect RetireBlock would have for each body block in turn.
+	QuietIterations(l *Loop) uint64
+	// RetireIterations retires n whole iterations of l, the first
+	// starting at machine cycle start. n never exceeds what
+	// QuietIterations returned for the same state.
+	RetireIterations(l *Loop, start, n uint64)
+}
+
+// Branch is one retired taken branch: its source instruction and its
+// target.
+type Branch struct {
+	From, To uint64
+}
+
+// Loop is a loop whose every iteration retires the same block
+// sequence: from the head, each block ends in a fallthrough or a jump
+// until the latch, whose taken back-edge returns to the head. Loop
+// records live in the Layout's flat tables and are immutable; their
+// slices alias layout storage and must not be modified.
+type Loop struct {
+	body     []int32  // retiring body block IDs in order, latch last
+	branches []Branch // the taken branches of one iteration, in order
+	insts    uint64   // instructions per iteration
+	kernel   uint64   // ring-0 instructions per iteration
+	taken    uint64   // taken branches per iteration (len(branches))
+	cycles   uint64   // latency of one iteration
+}
+
+// Body returns the IDs of the blocks one iteration retires, in order,
+// ending at the latch. Blocks that retire no instructions are left out:
+// they are never dispatched to listeners.
+func (l *Loop) Body() []int32 { return l.body }
+
+// Branches returns the taken branches one iteration retires, in
+// retirement order; the latch's back-edge is the last.
+func (l *Loop) Branches() []Branch { return l.branches }
+
+// Insts returns the instructions one iteration retires.
+func (l *Loop) Insts() uint64 { return l.insts }
+
+// Taken returns the taken branches one iteration retires.
+func (l *Loop) Taken() uint64 { return l.taken }
 
 // replayListener adapts a per-instruction Listener to the block stream
 // by replaying every block event instruction by instruction — the exact
@@ -205,60 +285,178 @@ type Config struct {
 // large enough to keep the check off the block fast path's profile.
 const ctxCheckInterval = 1024
 
-// blockInfo caches the per-block layout the hot loop needs, computed
-// once per block: instruction addresses, the retired opcodes
-// (effective ops — trace points retire NOPs), their static isa.Info,
-// cumulative latencies, and the block's aggregate contribution to the
-// run statistics.
-type blockInfo struct {
-	blk       *program.Block
-	ring      program.Ring
-	addrs     []uint64
-	ops       []isa.Op
-	infos     []isa.Info
-	cycleSums []uint64 // cycleSums[i] = latency of ops[0..i]
-	cycleSum  uint64   // total block latency
+// entry is one block's row of the flat dispatch table: everything the
+// run loop reads to retire the block and pick its successor, with
+// successors as block indices instead of pointers. It is 64 bytes, one
+// cache line, so retiring a block touches one line of the table. A
+// taken branch's target address is the successor's addr, so it is not
+// stored twice.
+type entry struct {
+	kind     program.TermKind
+	ring     program.Ring
+	n        int32   // instructions retired
+	next     int32   // fallthrough or return-to successor; -1 for none
+	target   int32   // taken successor (callee entry for calls); -1 for none
+	loop     int32   // index into Layout.loops when the block latches a fast-forwardable loop, else -1
+	first    int32   // index of the block's first instruction in the per-instruction arrays
+	trip     int     // TermLoop iterations per activation
+	prob     float64 // TermCond taken probability
+	cycles   uint64  // total block latency
+	addr     uint64  // first instruction address (a taken branch's target)
+	lastAddr uint64  // final instruction address (a taken branch's source)
 }
 
-// Layout is the precomputed per-block dispatch table of one program
-// image — everything the block fast path reads that depends only on
-// the static code. Deriving it walks the whole image; a Layout is
-// immutable afterwards and safe to share across any number of
-// concurrent Machines of the same program, so callers that run one
+// Layout is the precomputed dispatch table of one program image —
+// everything the run loop reads that depends only on the static code:
+// one flat entry per block, the per-instruction caches listeners read
+// (every block's instructions back to back), and the
+// fast-forwardable loops. Deriving it walks the whole image; a
+// Layout is immutable afterwards and safe to share across any number
+// of concurrent Machines of the same program, so callers that run one
 // workload many times (the experiment harness, the workload registry's
 // snapshotted images) pay the derivation and its allocations once
 // instead of per run. Execution is bit-identical with or without a
 // shared layout.
 type Layout struct {
-	prog *program.Program
-	info []blockInfo
+	prog  *program.Program
+	table []entry
+	// The per-instruction caches: addresses, the retired opcodes
+	// (effective ops — trace points retire NOPs), their static
+	// isa.Info, and cumulative latencies within the block
+	// (cycleSums[first+i] = latency of the block's ops[0..i]).
+	addrs     []uint64
+	ops       []isa.Op
+	infos     []isa.Info
+	cycleSums []uint64
+	loops     []Loop
+	// body and branches back every Loop's slices: the loop tables are
+	// two flat arrays plus one fixed-size record per loop.
+	body     []int32
+	branches []Branch
 }
 
 // NewLayout derives the dispatch table for p.
 func NewLayout(p *program.Program) *Layout {
-	l := &Layout{prog: p, info: make([]blockInfo, p.NumBlocks())}
-	for _, b := range p.Blocks() {
-		ops := b.EffectiveOps()
-		bi := blockInfo{
-			blk:       b,
-			ring:      b.Fn.Mod.Ring,
-			ops:       ops,
-			addrs:     make([]uint64, len(ops)),
-			infos:     make([]isa.Info, len(ops)),
-			cycleSums: make([]uint64, len(ops)),
+	blocks := p.Blocks()
+	effective := make([][]isa.Op, len(blocks))
+	total := 0
+	for i, b := range blocks {
+		effective[i] = b.EffectiveOps()
+		total += len(effective[i])
+	}
+	l := &Layout{
+		prog:      p,
+		table:     make([]entry, p.NumBlocks()),
+		addrs:     make([]uint64, total),
+		ops:       make([]isa.Op, total),
+		infos:     make([]isa.Info, total),
+		cycleSums: make([]uint64, total),
+	}
+	index := func(b *program.Block) int32 {
+		if b == nil {
+			return -1
+		}
+		return int32(b.ID)
+	}
+	first := 0
+	for k, b := range blocks {
+		ops := effective[k]
+		t := &b.Term
+		e := entry{
+			kind:     t.Kind,
+			ring:     b.Fn.Mod.Ring,
+			n:        int32(len(ops)),
+			next:     index(t.Next),
+			target:   index(t.Target),
+			loop:     -1,
+			first:    int32(first),
+			trip:     t.Trip,
+			prob:     t.Prob,
+			addr:     b.Addr,
+			lastAddr: b.LastAddr(),
+		}
+		if t.Kind == program.TermCall {
+			e.target = int32(t.Callee.Entry().ID)
 		}
 		addr := b.Addr
 		for i, op := range ops {
 			info := op.Info()
-			bi.infos[i] = info
-			bi.addrs[i] = addr
+			l.ops[first+i] = op
+			l.infos[first+i] = info
+			l.addrs[first+i] = addr
 			addr += uint64(info.Bytes)
-			bi.cycleSum += uint64(info.Latency)
-			bi.cycleSums[i] = bi.cycleSum
+			e.cycles += uint64(info.Latency)
+			l.cycleSums[first+i] = e.cycles
 		}
-		l.info[b.ID] = bi
+		l.table[b.ID] = e
+		first += len(ops)
 	}
+	l.findLoops()
 	return l
+}
+
+// findLoops records every latch whose loop can be fast-forwarded: a
+// TermLoop block with a trip above one whose body — the blocks from
+// its head up to the latch — ends every block in a fallthrough or a
+// jump. Such a body makes no RNG draw, no call and no nested loop
+// step, so every iteration retires the same block sequence and one
+// iteration's totals describe them all.
+func (l *Layout) findLoops() {
+	type span struct{ body, branches int }
+	var spans []span
+	for latch := range l.table {
+		if l.table[latch].kind != program.TermLoop || l.table[latch].trip < 2 {
+			continue
+		}
+		sp := span{len(l.body), len(l.branches)}
+		var lp Loop
+		ok := false
+		// A deterministic walk that has not reached the latch after
+		// visiting every block is cycling without it.
+		for id, steps := l.table[latch].target, 0; id >= 0 && steps < len(l.table); steps++ {
+			e := &l.table[id]
+			if e.n > 0 {
+				l.body = append(l.body, id)
+				lp.insts += uint64(e.n)
+				lp.cycles += e.cycles
+				if e.ring == program.RingKernel {
+					lp.kernel += uint64(e.n)
+				}
+				if int(id) == latch || e.kind == program.TermJump {
+					l.branches = append(l.branches, Branch{From: e.lastAddr, To: l.table[e.target].addr})
+				}
+			}
+			if int(id) == latch {
+				ok = true
+				break
+			}
+			switch e.kind {
+			case program.TermFallthrough:
+				id = e.next
+			case program.TermJump:
+				id = e.target
+			default:
+				id = -1
+			}
+		}
+		if !ok {
+			l.body, l.branches = l.body[:sp.body], l.branches[:sp.branches]
+			continue
+		}
+		l.table[latch].loop = int32(len(l.loops))
+		l.loops = append(l.loops, lp)
+		spans = append(spans, sp)
+	}
+	// The flat arrays are final only now: trim their growth slack and
+	// slice them into the records.
+	l.body, l.branches = slices.Clone(l.body), slices.Clone(l.branches)
+	spans = append(spans, span{len(l.body), len(l.branches)})
+	for i := range l.loops {
+		lp, from, to := &l.loops[i], spans[i], spans[i+1]
+		lp.body = l.body[from.body:to.body:to.body]
+		lp.branches = l.branches[from.branches:to.branches:to.branches]
+		lp.taken = uint64(len(lp.branches))
+	}
 }
 
 // Program returns the image the layout was derived from.
@@ -270,11 +468,17 @@ type Machine struct {
 	cfg       Config
 	rng       *rand.Rand
 	listeners []BlockListener
-	info      []blockInfo
-	loopCount []int
-	callStack []*program.Block
-	stats     Stats
-	bev       BlockEvent
+	// loopers holds the listeners that are LoopListeners; fastForward
+	// says every listener is one, the precondition for retiring loop
+	// iterations in bulk.
+	loopers     []LoopListener
+	fastForward bool
+	table       []entry
+	loops       []Loop
+	loopCount   []int
+	callStack   []int32
+	stats       Stats
+	bev         BlockEvent
 	// ctxCountdown counts retired blocks down to the next poll of
 	// cfg.Ctx; it starts at zero so an already-cancelled context stops
 	// the run before the first block retires.
@@ -291,15 +495,23 @@ func New(p *program.Program, cfg Config, listeners ...Listener) *Machine {
 		layout = NewLayout(p)
 	}
 	m := &Machine{
-		prog:      p,
-		cfg:       cfg,
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		info:      layout.info,
-		loopCount: make([]int, p.NumBlocks()),
+		prog:        p,
+		cfg:         cfg,
+		rng:         rand.New(rand.NewSource(cfg.Seed)),
+		table:       layout.table,
+		loops:       layout.loops,
+		loopCount:   make([]int, p.NumBlocks()),
+		fastForward: true,
 	}
-	m.bev.info = layout.info
+	m.bev.table, m.bev.lay = layout.table, layout
 	for _, l := range listeners {
-		m.listeners = append(m.listeners, resolveListener(l, cfg.PerInstruction))
+		bl := resolveListener(l, cfg.PerInstruction)
+		m.listeners = append(m.listeners, bl)
+		if ll, ok := bl.(LoopListener); ok {
+			m.loopers = append(m.loopers, ll)
+		} else {
+			m.fastForward = false
+		}
 	}
 	return m
 }
@@ -318,10 +530,18 @@ func (m *Machine) Run(entry *program.Function) (Stats, error) {
 // ErrRetireLimit is returned when MaxRetired is exceeded.
 var ErrRetireLimit = fmt.Errorf("cpu: retirement limit exceeded")
 
+// runOnce runs entry once. It walks the dispatch table by block index:
+// each step resolves the block's terminator, retires the block as one
+// event and, after a fast-forwardable latch's taken back-edge, retires
+// as many further whole iterations as the listeners allow in one step.
 func (m *Machine) runOnce(entry *program.Function) error {
-	cur := entry.Entry()
+	table, loopCount, bev := m.table, m.loopCount, &m.bev
+	limit := m.cfg.MaxRetired
+	if limit == 0 {
+		limit = ^uint64(0)
+	}
 	m.callStack = m.callStack[:0]
-	for cur != nil {
+	for cur := int32(entry.Entry().ID); cur >= 0; {
 		if m.cfg.Ctx != nil {
 			if m.ctxCountdown--; m.ctxCountdown < 0 {
 				m.ctxCountdown = ctxCheckInterval
@@ -330,91 +550,114 @@ func (m *Machine) runOnce(entry *program.Function) error {
 				}
 			}
 		}
-		if m.cfg.MaxRetired > 0 && m.stats.Retired > m.cfg.MaxRetired {
+		if m.stats.Retired > limit {
 			return fmt.Errorf("%w: %d instructions (check loop wiring in %s)",
 				ErrRetireLimit, m.stats.Retired, m.prog.Name)
 		}
-		next, err := m.execBlock(cur)
-		if err != nil {
-			return err
+
+		// Resolve the terminator first so the final instruction can
+		// carry its taken-branch flag.
+		e := &table[cur]
+		next, taken, skip := e.next, false, false
+		switch e.kind {
+		case program.TermFallthrough:
+		case program.TermJump:
+			next, taken = e.target, true
+		case program.TermLoop:
+			if loopCount[cur]++; loopCount[cur] < e.trip {
+				next, taken = e.target, true
+				// Whole iterations are left to skip until the
+				// activation's last two.
+				skip = e.loop >= 0 && loopCount[cur] < e.trip-1 && m.fastForward
+			} else {
+				loopCount[cur] = 0
+			}
+		case program.TermCond:
+			if m.rng.Float64() < e.prob {
+				next, taken = e.target, true
+			}
+		case program.TermCall:
+			m.callStack = append(m.callStack, e.next)
+			next, taken = e.target, true
+		case program.TermReturn:
+			next, taken = -1, true
+			if n := len(m.callStack); n > 0 {
+				next = m.callStack[n-1]
+				m.callStack = m.callStack[:n-1]
+			}
+		default:
+			return fmt.Errorf("cpu: block %s: unknown terminator %v", m.prog.BlockByID(int(cur)), e.kind)
+		}
+
+		if e.n == 0 {
+			// An empty block retires nothing — in particular no branch
+			// instruction, so a taken terminator leaves no trace.
+			cur = next
+			continue
+		}
+		var target uint64
+		if taken && next >= 0 {
+			// The successor's row is the next one this loop reads, so
+			// this load costs no extra cache line.
+			target = table[next].addr
+		}
+		n := uint64(e.n)
+		start := m.stats.Cycles
+		m.stats.Retired += n
+		m.stats.Cycles += e.cycles
+		if e.ring == program.RingKernel {
+			m.stats.KernelRetired += n
+		}
+		if taken {
+			m.stats.TakenBranches++
+		}
+		bev.idx = cur
+		bev.StartCycle = start
+		bev.Taken, bev.Target = taken, target
+		for _, l := range m.listeners {
+			l.RetireBlock(bev)
+		}
+		if skip {
+			m.skipIterations(cur, e)
 		}
 		cur = next
 	}
 	return nil
 }
 
-// execBlock retires all instructions of blk as one block event,
-// resolves its terminator and returns the next block (nil when the
-// outermost function returned).
-func (m *Machine) execBlock(blk *program.Block) (*program.Block, error) {
-	bi := &m.info[blk.ID]
-	ring := bi.ring
-
-	// Resolve the terminator first so the final instruction can carry
-	// its taken-branch flag.
-	var (
-		next   *program.Block
-		taken  bool
-		target uint64
-	)
-	t := &blk.Term
-	switch t.Kind {
-	case program.TermFallthrough:
-		next = t.Next
-	case program.TermJump:
-		next, taken, target = t.Target, true, t.Target.Addr
-	case program.TermLoop:
-		m.loopCount[blk.ID]++
-		if m.loopCount[blk.ID] < t.Trip {
-			next, taken, target = t.Target, true, t.Target.Addr
-		} else {
-			m.loopCount[blk.ID] = 0
-			next = t.Next
+// skipIterations retires, in one step, whole iterations of the loop
+// latched by block latch, which has just taken its back-edge: as many
+// as remain before the activation's final iteration, every listener
+// can absorb quietly, and fit under MaxRetired. The cap keeps the
+// limit from falling inside a bulk step, so ErrRetireLimit fires at
+// the same block boundary and count as block by block.
+func (m *Machine) skipIterations(latch int32, e *entry) {
+	lp := &m.loops[e.loop]
+	n := uint64(e.trip - 1 - m.loopCount[latch]) // at least 1
+	if limit := m.cfg.MaxRetired; limit > 0 {
+		if m.stats.Retired >= limit {
+			return
 		}
-	case program.TermCond:
-		if m.rng.Float64() < t.Prob {
-			next, taken, target = t.Target, true, t.Target.Addr
-		} else {
-			next = t.Next
-		}
-	case program.TermCall:
-		m.callStack = append(m.callStack, t.Next)
-		next, taken, target = t.Callee.Entry(), true, t.Callee.Addr()
-	case program.TermReturn:
-		if n := len(m.callStack); n > 0 {
-			next = m.callStack[n-1]
-			m.callStack = m.callStack[:n-1]
-			target = next.Addr
-		}
-		taken = true
-	default:
-		return nil, fmt.Errorf("cpu: block %s: unknown terminator %v", blk, t.Kind)
+		n = min(n, (limit-m.stats.Retired)/lp.insts)
 	}
-
-	n := uint64(len(bi.ops))
+	for _, l := range m.loopers {
+		if n == 0 {
+			return
+		}
+		n = min(n, l.QuietIterations(lp))
+	}
 	if n == 0 {
-		// An empty block retires nothing — in particular no branch
-		// instruction, so a taken terminator leaves no trace.
-		return next, nil
+		return
 	}
 	start := m.stats.Cycles
-	m.stats.Retired += n
-	m.stats.Cycles += bi.cycleSum
-	if ring == program.RingKernel {
-		m.stats.KernelRetired += n
+	m.stats.Retired += n * lp.insts
+	m.stats.KernelRetired += n * lp.kernel
+	m.stats.TakenBranches += n * lp.taken
+	m.stats.Cycles += n * lp.cycles
+	m.loopCount[latch] += int(n)
+	for _, l := range m.loopers {
+		l.RetireIterations(lp, start, n)
 	}
-	if taken {
-		m.stats.TakenBranches++
-	}
-
-	bev := &m.bev
-	bev.idx = int32(blk.ID)
-	bev.StartCycle = start
-	bev.Taken, bev.Target = taken, target
-	for _, l := range m.listeners {
-		l.RetireBlock(bev)
-	}
-	return next, nil
 }
 
 // Run is a convenience wrapper constructing a Machine and running it.
@@ -440,6 +683,18 @@ func (c *CountingListener) RetireBlock(ev *BlockEvent) {
 	c.Exec[ev.BlockID()]++
 }
 
+// QuietIterations implements LoopListener: counting has no events, so
+// any number of iterations retires in bulk.
+func (c *CountingListener) QuietIterations(*Loop) uint64 { return ^uint64(0) }
+
+// RetireIterations implements LoopListener — n increments per body
+// block.
+func (c *CountingListener) RetireIterations(l *Loop, _, n uint64) {
+	for _, id := range l.body {
+		c.Exec[id] += n
+	}
+}
+
 // Retire implements Listener, the per-instruction reference path.
 func (c *CountingListener) Retire(ev *RetireEvent) {
 	if ev.Addr == ev.Block.Addr {
@@ -448,6 +703,6 @@ func (c *CountingListener) Retire(ev *RetireEvent) {
 }
 
 var (
-	_ Listener      = (*CountingListener)(nil)
-	_ BlockListener = (*CountingListener)(nil)
+	_ Listener     = (*CountingListener)(nil)
+	_ LoopListener = (*CountingListener)(nil)
 )

@@ -272,3 +272,46 @@ func benchWireIngestBatch(b *testing.B, agents, batchSize int) {
 
 func BenchmarkWireIngestBatch1Agent(b *testing.B)  { benchWireIngestBatch(b, 1, 16) }
 func BenchmarkWireIngestBatch8Agents(b *testing.B) { benchWireIngestBatch(b, 8, 16) }
+
+// TestBatchAckFitsMaxFrame pins that a batch of many tiny entries, all
+// nacked with a message, is answered with a parseable ack inside the
+// server's own MaxFrame — the messages dropped, every verdict kept —
+// instead of an oversized frame the server refuses to write, which
+// dropped the connection.
+func TestBatchAckFitsMaxFrame(t *testing.T) {
+	const maxFrame = 512
+	s := startServer(t, Config{MaxFrame: maxFrame})
+	ctx := context.Background()
+	c, err := Dial(ctx, s.Addr().String(), ClientConfig{Tenant: "acme", Agent: "host-1", MaxFrame: maxFrame, MaxAttempts: 1})
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+
+	// Each 1-byte entry takes 4 bytes of request but, nacked with the
+	// decoder's message, tens of bytes of ack.
+	items := make([]BatchItem, 100)
+	for i := range items {
+		items[i] = BatchItem{Epoch: 1, Payload: []byte{'x'}}
+	}
+	withMsgs := make([]fleetwire.BatchVerdict, len(items))
+	for i := range withMsgs {
+		withMsgs[i] = fleetwire.BatchVerdict{Seq: uint64(i + 1), Status: fleetwire.BatchNacked,
+			Code: fleetwire.NackBadProfile, Msg: "profstore: not a stored profile"}
+	}
+	if n := len(fleetwire.AppendAckBatch(nil, withMsgs)); n <= maxFrame {
+		t.Fatalf("ack with messages is %d bytes, want more than the %d-byte frame limit", n, maxFrame)
+	}
+
+	err = c.SendBatchBytes(ctx, items)
+	if !errors.Is(err, ErrRejected) {
+		t.Fatalf("SendBatchBytes = %v, want ErrRejected from a parsed ack", err)
+	}
+	ts := tenantStats(t, s, "acme")
+	if ts.Rejected != uint64(len(items)) || ts.Batches != 1 {
+		t.Fatalf("tenant ledger = %+v, want %d rejected in 1 batch", ts, len(items))
+	}
+	if st := c.Stats(); st.ConnErrors != 0 || st.Dials != 1 || st.RejectedNacks != uint64(len(items)) {
+		t.Fatalf("client stats = %+v, want %d refusals on one connection", st, len(items))
+	}
+}

@@ -441,6 +441,16 @@ func (s *Server) handle(conn net.Conn) {
 		verdicts, keep := s.handleBatch(tn, ag, payload, connJob, reply)
 		if verdicts != nil {
 			ackBuf = fleetwire.AppendAckBatch(ackBuf[:0], verdicts)
+			if len(ackBuf) > s.cfg.MaxFrame {
+				// Many tiny entries nacked with a message can encode
+				// larger than the frame that carried them. The verdicts
+				// are what the agent acts on; the detail is dropped so
+				// the ack still fits.
+				for i := range verdicts {
+					verdicts[i].Msg = ""
+				}
+				ackBuf = fleetwire.AppendAckBatch(ackBuf[:0], verdicts)
+			}
 			if err := wc.WriteFrame(fleetwire.FrameAckBatch, ackBuf); err != nil {
 				keep = false
 			}

@@ -1,5 +1,7 @@
 package pmu
 
+import "hbbp/internal/cpu"
+
 // BranchRecord is one LBR entry: the address of a retired taken branch
 // and its target.
 type BranchRecord struct {
@@ -31,6 +33,38 @@ func (r *lbrRing) push(rec BranchRecord) {
 		r.head = 0
 	}
 	r.count++
+}
+
+// pushRepeated records reps repetitions of the taken-branch sequence
+// pattern, exactly as that many push calls would leave the ring: only
+// the newest len(buf) records are written, and head and count advance
+// as if every record had been pushed.
+func (r *lbrRing) pushRepeated(pattern []cpu.Branch, reps uint64) {
+	k := uint64(len(pattern))
+	total := k * reps
+	if total == 0 {
+		return
+	}
+	size := uint64(len(r.buf))
+	skip := uint64(0)
+	if total > size {
+		skip = total - size
+	}
+	// Record i of the sequence is pattern[i%k] and lands at
+	// (head+i) % size; start at the first record that survives.
+	pos := int((uint64(r.head) + skip) % size)
+	j := int(skip % k)
+	for i := skip; i < total; i++ {
+		r.buf[pos] = BranchRecord(pattern[j])
+		if pos++; pos == len(r.buf) {
+			pos = 0
+		}
+		if j++; j == len(pattern) {
+			j = 0
+		}
+	}
+	r.head = pos
+	r.count += int(total)
 }
 
 // at returns the record age positions back from the newest (age 0 =

@@ -196,10 +196,10 @@ type blockAgg struct {
 }
 
 // PMU consumes the retirement stream and delivers samples. It
-// implements cpu.BlockListener (the block-granularity fast path) and
-// cpu.Listener (the per-instruction reference path). A PMU instance
-// observes a single program: the per-block aggregate cache is keyed by
-// block ID.
+// implements cpu.LoopListener (the block-granularity fast path, with
+// bulk loop iterations) and cpu.Listener (the per-instruction
+// reference path). A PMU instance observes a single program: the
+// per-block aggregate cache is keyed by block ID.
 type PMU struct {
 	cfg      Config
 	rng      *rand.Rand
@@ -351,8 +351,48 @@ func (p *PMU) retireQuiet(bev *cpu.BlockEvent, insts uint64) {
 		p.clk[classBranch]++
 		p.room[classBranch]--
 		p.counts[BrInstRetiredNearTaken]++
-		p.lbr.push(BranchRecord{From: bev.Addrs()[bev.Len()-1], To: bev.Target})
+		p.lbr.push(BranchRecord{From: bev.LastAddr(), To: bev.Target})
 	}
+}
+
+// QuietIterations implements cpu.LoopListener: how many whole
+// iterations of l fit in the room every class has left, so that none
+// of them holds a counter event — n·insts ≤ room[instr] and
+// n·taken ≤ room[branch], the bound under which retiring the body
+// blocks one by one would take retireQuiet on every one of them. It is
+// 0 while any body block is underived, so first executions still go
+// through RetireBlock.
+func (p *PMU) QuietIterations(l *cpu.Loop) uint64 {
+	n := p.room[classInstr] / l.Insts()
+	if t := l.Taken(); t > 0 {
+		n = min(n, p.room[classBranch]/t)
+	}
+	if n == 0 {
+		return 0
+	}
+	for _, id := range l.Body() {
+		if int(id) >= len(p.hits) || p.hits[id] == 0 {
+			return 0
+		}
+	}
+	return n
+}
+
+// RetireIterations implements cpu.LoopListener: n quiet iterations of
+// l in one step — the hit tallies and class clocks advance by n
+// iterations' worth, and the LBR receives the iterations' taken
+// branches, of which only the newest HistoryDepth are written.
+func (p *PMU) RetireIterations(l *cpu.Loop, _, n uint64) {
+	for _, id := range l.Body() {
+		p.hits[id] += n
+	}
+	insts, taken := n*l.Insts(), n*l.Taken()
+	p.clk[classInstr] += insts
+	p.room[classInstr] -= insts
+	p.clk[classBranch] += taken
+	p.room[classBranch] -= taken
+	p.counts[BrInstRetiredNearTaken] += taken
+	p.lbr.pushRepeated(l.Branches(), n)
 }
 
 // retireBlockEvents retires a block that holds at least one counter
@@ -583,6 +623,6 @@ func (p *PMU) Overflows(e Event) uint64 {
 }
 
 var (
-	_ cpu.Listener      = (*PMU)(nil)
-	_ cpu.BlockListener = (*PMU)(nil)
+	_ cpu.Listener     = (*PMU)(nil)
+	_ cpu.LoopListener = (*PMU)(nil)
 )

@@ -67,9 +67,10 @@ func opCost(info *isa.Info) uint64 {
 // and emulation cost, and the compacted per-mnemonic tallies. All of it
 // is static, so it is derived once per block at construction.
 type blockProfile struct {
-	insts uint64
-	cost  uint64
-	ops   []opCount
+	insts  uint64
+	cost   uint64
+	ops    []opCount
+	kernel bool // the block runs in ring 0
 }
 
 // Static is the per-program half of an instrumenter: the per-block
@@ -90,8 +91,9 @@ func NewStatic(p *program.Program) *Static {
 	for _, blk := range p.Blocks() {
 		ops := blk.EffectiveOps()
 		bp := blockProfile{
-			insts: uint64(len(ops)),
-			cost:  costBlockEntry,
+			insts:  uint64(len(ops)),
+			cost:   costBlockEntry,
+			kernel: blk.Fn.Mod.Ring == program.RingKernel,
 		}
 	tally:
 		for _, op := range ops {
@@ -114,8 +116,8 @@ func NewStatic(p *program.Program) *Static {
 func (s *Static) Program() *program.Program { return s.prog }
 
 // Instrumenter observes a run and produces exact ground truth. It
-// implements cpu.BlockListener (block-granularity fast path) and
-// cpu.Listener (per-instruction reference path).
+// implements cpu.LoopListener (block-granularity fast path, with bulk
+// loop iterations) and cpu.Listener (per-instruction reference path).
 type Instrumenter struct {
 	prog *program.Program
 
@@ -171,6 +173,22 @@ func (in *Instrumenter) RetireBlock(ev *cpu.BlockEvent) {
 	}
 	in.fastExec[ev.BlockID()]++
 	in.dirty = true
+}
+
+// QuietIterations implements cpu.LoopListener: instrumentation has no
+// events, so any number of iterations retires in bulk.
+func (in *Instrumenter) QuietIterations(*cpu.Loop) uint64 { return ^uint64(0) }
+
+// RetireIterations implements cpu.LoopListener: n block entries per
+// visible body block, tallied like RetireBlock's.
+func (in *Instrumenter) RetireIterations(l *cpu.Loop, _, n uint64) {
+	for _, id := range l.Body() {
+		if in.UserOnly && in.blocks[id].kernel {
+			continue
+		}
+		in.fastExec[id] += n
+		in.dirty = true
+	}
 }
 
 // fold applies the deferred block-path tallies to the totals.
@@ -261,6 +279,6 @@ func (in *Instrumenter) SlowdownFactor(cleanCycles uint64) float64 {
 }
 
 var (
-	_ cpu.Listener      = (*Instrumenter)(nil)
-	_ cpu.BlockListener = (*Instrumenter)(nil)
+	_ cpu.Listener     = (*Instrumenter)(nil)
+	_ cpu.LoopListener = (*Instrumenter)(nil)
 )
