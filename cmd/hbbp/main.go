@@ -66,7 +66,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 
@@ -310,7 +309,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "hbbp: %v\n", err)
 			return 1
 		}
-		if err := saveStoredAtomic(*saveOut, sp); err != nil {
+		if err := hbbp.SaveProfileFile(*saveOut, sp); err != nil {
 			fmt.Fprintf(stderr, "hbbp: -save %s: %v (profile not written; fix the path or free space and re-run)\n",
 				*saveOut, err)
 			return 1
@@ -329,27 +328,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprint(stdout, render(hbbp.Pivot(prof, hbbp.ViewOptions{LiveText: true})))
 	return 0
-}
-
-// saveStoredAtomic writes a stored profile via a same-directory temp
-// file and rename, so an interrupted or failed save can never leave a
-// truncated profile at the target path — a truncated .prof would
-// otherwise poison later -merge/-diff runs.
-func saveStoredAtomic(path string, sp *hbbp.StoredProfile) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".hbbprof-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := hbbp.SaveProfile(tmp, sp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }
 
 // loadStored opens and decodes one stored profile, translating the

@@ -289,7 +289,7 @@ func saveSnapshots(s *hbbp.FleetServer, st hbbp.FleetServerStats, dir string, st
 				continue
 			}
 			path := filepath.Join(dir, fmt.Sprintf("%s-epoch%d.hbbprof", safeName(ts.Tenant), epoch))
-			if err := writeProfileAtomic(path, p); err != nil {
+			if err := hbbp.SaveProfileFile(path, p); err != nil {
 				return fmt.Errorf("saving %s: %w", path, err)
 			}
 			fmt.Fprintf(stderr, "hbbpd: saved %s/%d to %s\n", ts.Tenant, epoch, path)
@@ -329,24 +329,4 @@ func safeName(s string) string {
 			return '_'
 		}
 	}, s)
-}
-
-// writeProfileAtomic stores a profile at path via a same-directory
-// temp file and rename: readers see either the old file or the
-// complete new one, never a truncated write.
-func writeProfileAtomic(path string, p *hbbp.StoredProfile) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".hbbprof-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := hbbp.SaveProfile(tmp, p); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }

@@ -63,6 +63,19 @@ func SaveProfile(w io.Writer, sp *StoredProfile) error {
 	return profstore.Save(w, sp)
 }
 
+// SaveProfileFile writes a stored profile to the file at path, in the
+// format of [SaveProfile], durably and atomically: the bytes are staged
+// in a temp file beside path and fsynced before a rename replaces path,
+// so an interrupted or failed save never leaves a truncated profile
+// there — one would poison every later load of it.
+func SaveProfileFile(path string, sp *StoredProfile) error {
+	data, err := profstore.AppendSave(nil, sp)
+	if err != nil {
+		return err
+	}
+	return profstore.WriteFileAtomic(path, data)
+}
+
 // LoadProfile reads one stored profile written by [SaveProfile].
 // Malformed streams return errors matching [ErrProfileMagic],
 // [ErrProfileTruncated] or [ErrProfileVersion] under errors.Is.

@@ -40,11 +40,11 @@ func BenchmarkCollectSerializeReparse(b *testing.B) {
 	p, main := mixedProgram(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := Collect(p, main, Options{Class: ClassSeconds, Seed: 42, KeepRaw: true})
-		if err != nil {
+		var raw bytes.Buffer
+		if _, err := Collect(p, main, Options{Class: ClassSeconds, Seed: 42, RawOut: &raw}); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := PostProcess(res.Raw); err != nil {
+		if _, err := ReplayResult(bytes.NewReader(raw.Bytes())); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -54,15 +54,15 @@ func BenchmarkCollectSerializeReparse(b *testing.B) {
 // pre-serialized collection.
 func BenchmarkReplay(b *testing.B) {
 	p, main := mixedProgram(b)
-	res, err := Collect(p, main, Options{Class: ClassSeconds, Seed: 42, KeepRaw: true})
-	if err != nil {
+	var raw bytes.Buffer
+	if _, err := Collect(p, main, Options{Class: ClassSeconds, Seed: 42, RawOut: &raw}); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
-	b.SetBytes(int64(len(res.Raw)))
+	b.SetBytes(int64(raw.Len()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ReplayResult(bytes.NewReader(res.Raw)); err != nil {
+		if _, err := ReplayResult(bytes.NewReader(raw.Bytes())); err != nil {
 			b.Fatal(err)
 		}
 	}

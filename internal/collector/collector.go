@@ -3,8 +3,8 @@
 // into the registered SampleSinks — the EBS-IP and LBR-stack sinks the
 // estimators consume directly, plus an optional perffile writer sink
 // for on-disk retention. There is no serialize-then-reparse round
-// trip on the hot path; PostProcess survives as the replay path for
-// perffiles written earlier.
+// trip on the hot path; ReplayResult re-derives a result from a
+// perffile written earlier.
 //
 // Following Section V.A, the simultaneous collection of classic EBS and
 // LBR is not supported, so the collector programs two counters in LBR
@@ -19,7 +19,6 @@
 package collector
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -93,13 +92,10 @@ type Options struct {
 	// MaxRetired guards against runaway programs (default none).
 	MaxRetired uint64
 	// RawOut, when non-nil, additionally receives the raw perffile
-	// stream (e.g. a file on disk).
+	// stream (e.g. a file on disk). Off by default: the collection
+	// streams straight into sinks, and the raw byte stream is only
+	// materialized when a caller opts in here.
 	RawOut io.Writer
-	// KeepRaw retains the serialized perffile on Result.Raw. Off by
-	// default: the collection streams straight into sinks, and the raw
-	// byte stream is only materialized when a caller opts in here or
-	// via RawOut.
-	KeepRaw bool
 	// Sinks receive every PMU sample as it is captured, after the
 	// built-in EBS and LBR sinks.
 	Sinks []SampleSink
@@ -184,9 +180,6 @@ type Result struct {
 	PMIs uint64
 	// LostEBS and LostLBR count overflow collisions (dropped PMIs).
 	LostEBS, LostLBR uint64
-	// Raw is the serialized perffile, retained only when
-	// Options.KeepRaw is set.
-	Raw []byte
 }
 
 // Collect runs entry under the PMU configuration described above,
@@ -202,23 +195,11 @@ func Collect(p *program.Program, entry *program.Function, opt Options, extra ...
 	sinks := append([]SampleSink{ebs, lbr}, opt.Sinks...)
 
 	// Serialization is opt-in: a writer sink joins the dispatch only
-	// when a caller wants the byte stream on disk or in memory.
-	var buf *bytes.Buffer
+	// when a caller wants the byte stream.
 	var w *perffile.Writer
-	if opt.KeepRaw || opt.RawOut != nil {
-		var out io.Writer
-		switch {
-		case opt.KeepRaw && opt.RawOut != nil:
-			buf = new(bytes.Buffer)
-			out = io.MultiWriter(buf, opt.RawOut)
-		case opt.KeepRaw:
-			buf = new(bytes.Buffer)
-			out = buf
-		default:
-			out = opt.RawOut
-		}
+	if opt.RawOut != nil {
 		var err error
-		w, err = perffile.NewWriter(out)
+		w, err = perffile.NewWriter(opt.RawOut)
 		if err != nil {
 			return nil, fmt.Errorf("collector: %w", err)
 		}
@@ -285,7 +266,7 @@ func Collect(p *program.Program, entry *program.Function, opt Options, extra ...
 		}
 	}
 
-	res := &Result{
+	return &Result{
 		EBSIPs:    ebs.IPs,
 		Stacks:    lbr.Stacks,
 		EBSPeriod: ebsPeriod,
@@ -295,20 +276,7 @@ func Collect(p *program.Program, entry *program.Function, opt Options, extra ...
 		PMIs:      pmis,
 		LostEBS:   ebs.Dropped,
 		LostLBR:   lbr.Dropped,
-	}
-	if buf != nil {
-		res.Raw = buf.Bytes()
-	}
-	return res, nil
-}
-
-// PostProcess extracts the EBS and LBR sample sets from a raw
-// perffile: eventing IPs from precise-instruction samples (stacks
-// discarded), LBR stacks from taken-branch samples (IPs discarded).
-// It is the in-memory form of the replay path — live collection no
-// longer round-trips through it; see ReplayResult for streams.
-func PostProcess(raw []byte) (*Result, error) {
-	return ReplayResult(bytes.NewReader(raw))
+	}, nil
 }
 
 // CollectionOverheadCycles models the runtime cost of sampling: each PMI

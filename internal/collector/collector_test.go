@@ -89,8 +89,9 @@ func TestPeriodsForMatchTable4(t *testing.T) {
 func TestCollectEndToEnd(t *testing.T) {
 	p, main := mixedProgram(t)
 	ref := sde.New(p)
+	var raw bytes.Buffer
 	res, err := Collect(p, main, Options{
-		Class: ClassSeconds, Scale: 1000, Seed: 42, KeepRaw: true,
+		Class: ClassSeconds, Scale: 1000, Seed: 42, RawOut: &raw,
 	}, ref)
 	if err != nil {
 		t.Fatalf("Collect: %v", err)
@@ -103,7 +104,7 @@ func TestCollectEndToEnd(t *testing.T) {
 	}
 
 	// The raw file must parse and contain metadata + all samples.
-	r, err := perffile.NewReader(bytes.NewReader(res.Raw))
+	r, err := perffile.NewReader(bytes.NewReader(raw.Bytes()))
 	if err != nil {
 		t.Fatalf("NewReader: %v", err)
 	}
@@ -208,13 +209,18 @@ func TestCollectWritesRawOut(t *testing.T) {
 	p, main := mixedProgram(t)
 	var sink bytes.Buffer
 	res, err := Collect(p, main, Options{
-		Class: ClassSeconds, Seed: 1, RawOut: &sink, KeepRaw: true,
+		Class: ClassSeconds, Seed: 1, RawOut: &sink,
 	})
 	if err != nil {
 		t.Fatalf("Collect: %v", err)
 	}
-	if !bytes.Equal(sink.Bytes(), res.Raw) {
-		t.Error("RawOut stream differs from Result.Raw")
+	replayed, err := ReplayResult(bytes.NewReader(sink.Bytes()))
+	if err != nil {
+		t.Fatalf("ReplayResult: %v", err)
+	}
+	if len(replayed.EBSIPs) != len(res.EBSIPs) || len(replayed.Stacks) != len(res.Stacks) {
+		t.Errorf("RawOut stream replays to %d/%d samples, live %d/%d",
+			len(replayed.EBSIPs), len(replayed.Stacks), len(res.EBSIPs), len(res.Stacks))
 	}
 }
 
@@ -224,9 +230,6 @@ func TestRawIsOptIn(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Collect: %v", err)
 	}
-	if res.Raw != nil {
-		t.Errorf("Result.Raw retained %d bytes without KeepRaw", len(res.Raw))
-	}
 	if len(res.EBSIPs) == 0 || len(res.Stacks) == 0 {
 		t.Errorf("streaming sinks empty: %d EBS, %d LBR", len(res.EBSIPs), len(res.Stacks))
 	}
@@ -234,13 +237,14 @@ func TestRawIsOptIn(t *testing.T) {
 
 func TestPostProcessSplitsEvents(t *testing.T) {
 	p, main := mixedProgram(t)
-	res, err := Collect(p, main, Options{Class: ClassSeconds, Seed: 3, KeepRaw: true})
+	var raw bytes.Buffer
+	res, err := Collect(p, main, Options{Class: ClassSeconds, Seed: 3, RawOut: &raw})
 	if err != nil {
 		t.Fatalf("Collect: %v", err)
 	}
-	again, err := PostProcess(res.Raw)
+	again, err := ReplayResult(bytes.NewReader(raw.Bytes()))
 	if err != nil {
-		t.Fatalf("PostProcess: %v", err)
+		t.Fatalf("ReplayResult: %v", err)
 	}
 	if len(again.EBSIPs) != len(res.EBSIPs) || len(again.Stacks) != len(res.Stacks) {
 		t.Errorf("re-post-process mismatch: %d/%d vs %d/%d",
@@ -259,13 +263,14 @@ func TestPostProcessSplitsEvents(t *testing.T) {
 // EBS IPs, LBR stacks and per-counter lost counts.
 func TestStreamingReplayParity(t *testing.T) {
 	p, main := mixedProgram(t)
+	var raw bytes.Buffer
 	live, err := Collect(p, main, Options{
-		Class: ClassSeconds, Scale: 1000, Seed: 42, KeepRaw: true,
+		Class: ClassSeconds, Scale: 1000, Seed: 42, RawOut: &raw,
 	})
 	if err != nil {
 		t.Fatalf("Collect: %v", err)
 	}
-	replayed, err := ReplayResult(bytes.NewReader(live.Raw))
+	replayed, err := ReplayResult(bytes.NewReader(raw.Bytes()))
 	if err != nil {
 		t.Fatalf("ReplayResult: %v", err)
 	}

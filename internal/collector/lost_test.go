@@ -134,8 +134,9 @@ func TestLostRecordsReserializeByteStable(t *testing.T) {
 // says exactly how many.
 func TestLiveLostParityUnderCollisions(t *testing.T) {
 	p, main := mixedProgram(t)
+	var raw bytes.Buffer
 	live, err := Collect(p, main, Options{
-		EBSPeriod: 1, LBRPeriod: 1, Scale: 1, Seed: 42, KeepRaw: true,
+		EBSPeriod: 1, LBRPeriod: 1, Scale: 1, Seed: 42, RawOut: &raw,
 	})
 	if err != nil {
 		t.Fatalf("Collect: %v", err)
@@ -143,7 +144,7 @@ func TestLiveLostParityUnderCollisions(t *testing.T) {
 	if live.LostEBS+live.LostLBR == 0 {
 		t.Fatal("period-1 collection dropped nothing; the collision scenario lost its teeth")
 	}
-	replayed, err := ReplayResult(bytes.NewReader(live.Raw))
+	replayed, err := ReplayResult(bytes.NewReader(raw.Bytes()))
 	if err != nil {
 		t.Fatalf("ReplayResult: %v", err)
 	}

@@ -21,24 +21,25 @@ import (
 // collectPair runs one workload twice with identical options — block
 // fast path vs per-instruction reference — with both an SDE
 // instrumenter and a counting oracle riding along, and returns
-// everything both runs produced.
-func collectPair(t *testing.T, w *workloads.Workload, seed int64) (fast, ref *collector.Result,
+// everything both runs produced, serialized perffiles included.
+func collectPair(t *testing.T, w *workloads.Workload, seed int64) (fast, ref *collector.Result, fastRaw, refRaw []byte,
 	fastSDE, refSDE *sde.Instrumenter, fastOracle, refOracle *cpu.CountingListener) {
 	t.Helper()
-	run := func(perInstruction bool) (*collector.Result, *sde.Instrumenter, *cpu.CountingListener) {
+	run := func(perInstruction bool) (*collector.Result, []byte, *sde.Instrumenter, *cpu.CountingListener) {
 		in := sde.New(w.Prog)
 		oracle := cpu.NewCountingListener(w.Prog)
+		var raw bytes.Buffer
 		res, err := collector.Collect(w.Prog, w.Entry, collector.Options{
 			Class: w.Class, Scale: w.Scale, Seed: seed, Repeat: w.Repeat,
-			KeepRaw: true, PerInstruction: perInstruction,
+			RawOut: &raw, PerInstruction: perInstruction,
 		}, in, oracle)
 		if err != nil {
 			t.Fatalf("%s (perInstruction=%v): %v", w.Name, perInstruction, err)
 		}
-		return res, in, oracle
+		return res, raw.Bytes(), in, oracle
 	}
-	fast, fastSDE, fastOracle = run(false)
-	ref, refSDE, refOracle = run(true)
+	fast, fastRaw, fastSDE, fastOracle = run(false)
+	ref, refRaw, refSDE, refOracle = run(true)
 	return
 }
 
@@ -55,7 +56,7 @@ func TestFastPathParityAcrossWorkloads(t *testing.T) {
 		w = w.Scaled(0.1)
 		t.Run(w.Name, func(t *testing.T) {
 			for _, seed := range []int64{7, 42} {
-				fast, ref, fastSDE, refSDE, fastOracle, refOracle := collectPair(t, w, seed)
+				fast, ref, fastRaw, refRaw, fastSDE, refSDE, fastOracle, refOracle := collectPair(t, w, seed)
 
 				if !reflect.DeepEqual(fast.EBSIPs, ref.EBSIPs) {
 					t.Errorf("seed %d: EBS IPs diverged (%d fast, %d reference)",
@@ -72,9 +73,9 @@ func TestFastPathParityAcrossWorkloads(t *testing.T) {
 					t.Errorf("seed %d: PMI accounting diverged: fast (%d, %d, %d), reference (%d, %d, %d)",
 						seed, fast.PMIs, fast.LostEBS, fast.LostLBR, ref.PMIs, ref.LostEBS, ref.LostLBR)
 				}
-				if !bytes.Equal(fast.Raw, ref.Raw) {
+				if !bytes.Equal(fastRaw, refRaw) {
 					t.Errorf("seed %d: serialized perffiles diverged (%d vs %d bytes)",
-						seed, len(fast.Raw), len(ref.Raw))
+						seed, len(fastRaw), len(refRaw))
 				}
 				if len(fast.EBSIPs) == 0 || len(fast.Stacks) == 0 {
 					t.Errorf("seed %d: empty collection (ips=%d stacks=%d) — parity vacuous",

@@ -91,8 +91,8 @@ func (k *LBRSink) Lost(l perffile.Lost) {
 }
 
 // WriterSink forwards every sample to a perffile.Writer — the opt-in
-// serialization path (Options.RawOut and Options.KeepRaw). Callers own
-// the writer and flush it after the run.
+// serialization path (Options.RawOut). Callers own the writer and
+// flush it after the run.
 type WriterSink struct {
 	W *perffile.Writer
 }

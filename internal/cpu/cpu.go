@@ -16,15 +16,16 @@
 // the retirement of one whole basic block. The machine walks a flat
 // dispatch table (Layout) compiled once per program — successors as
 // block indices, per-block totals, and the per-instruction layout
-// (addresses, opcodes, cached isa.Info, cycle offsets). Listeners that
-// implement BlockListener consume blocks directly — the PMU model
-// exploits this to retire a block in O(1) when no counter event falls
-// inside it, and otherwise to jump straight to the instructions where
-// counters overflow or PMIs land — while plain Listeners receive the
-// identical per-instruction replay through an adapter, so both views
-// observe the same execution. When every listener is a LoopListener,
-// the machine also retires whole iterations of branch-free loops in
-// one step, as many as every listener can absorb without an event.
+// (addresses, opcodes, cached isa.Info, cycle offsets). The machine owns
+// the dispatch state every observer needs (State): the instruction and
+// taken-branch clocks, a per-block execution tally and a ring of recent
+// taken branches. A BoundListener binds to that state once and is
+// called only for the blocks that reach one of its published deadlines
+// — the PMU model between two counter events costs nothing — while
+// plain Listeners receive every block as the identical per-instruction
+// replay through an adapter. When every listener is bound, the machine
+// also retires whole iterations of branch-free loops in one step, as
+// many as fit before the nearest deadline.
 package cpu
 
 import (
@@ -154,35 +155,131 @@ func (ev *BlockEvent) EachRetire(scratch *RetireEvent, f func(*RetireEvent, *isa
 	}
 }
 
-// BlockListener consumes the retirement stream at block granularity —
-// the fast path. Implementations that need per-instruction detail read
-// it from the event's cached layout; implementations that do not (the
-// common case between PMU overflows) touch each block in O(1).
+// BlockListener consumes the retirement stream at block granularity.
+// Implementations that need per-instruction detail read it from the
+// event's cached layout. A BlockListener that is not a BoundListener
+// is called for every block and keeps loop fast-forward off.
 type BlockListener interface {
 	// RetireBlock is called once per retired basic block, in program
 	// order.
 	RetireBlock(ev *BlockEvent)
 }
 
-// LoopListener is a BlockListener that can also retire whole
-// iterations of a branch-free loop in one step. After a loop latch's
-// taken back-edge the machine asks every listener how many of the
-// following iterations it can absorb without per-block work, and
-// retires the smallest answer (bounded by the remaining trip count) in
-// one RetireIterations call per listener. The machine fast-forwards
-// only when every listener is a LoopListener, so a listener that
-// observes blocks one by one never misses any.
-type LoopListener interface {
-	BlockListener
-	// QuietIterations returns how many iterations of l, starting at
-	// its head, the listener can retire in bulk with exactly the
-	// effect RetireBlock would have for each body block in turn.
-	QuietIterations(l *Loop) uint64
-	// RetireIterations retires n whole iterations of l, the first
-	// starting at machine cycle start. n never exceeds what
-	// QuietIterations returned for the same state.
-	RetireIterations(l *Loop, start, n uint64)
+// Deadline is where a bound listener next has work, as absolute values
+// of the two clocks: the machine calls the listener's RetireBlock for
+// the first block whose retirement brings Stats.Retired to Instr or
+// beyond, or whose taken branch brings Stats.TakenBranches to Branch or
+// beyond. NoDeadline never arrives.
+type Deadline struct {
+	Instr, Branch uint64
 }
+
+// NoDeadline is the deadline of a listener that never has work.
+var NoDeadline = Deadline{Instr: ^uint64(0), Branch: ^uint64(0)}
+
+// BoundListener is a BlockListener that reads the machine's State
+// instead of observing every block. Its RetireBlock is called only for
+// the blocks that reach its deadline, after the machine has applied the
+// block to the State; the deadline must lie past the clocks when
+// RetireBlock returns.
+type BoundListener interface {
+	BlockListener
+	// Bind is called once, when the machine is constructed, with the
+	// state the listener reads for the rest of its runs. It returns how
+	// many recent taken branches the listener reads from
+	// State.History, or 0 for none.
+	Bind(s *State) (history int)
+	// Deadline returns the listener's next deadline. The machine reads
+	// it after Bind and after every RetireBlock call.
+	Deadline() Deadline
+}
+
+// State is the dispatch state a Machine owns and its bound listeners
+// read: the run statistics, whose Retired and TakenBranches are the
+// instruction and taken-branch clocks, the per-block execution tally
+// and the ring of recent taken branches. Only the machine writes it.
+type State struct {
+	Stats
+	// Exec counts each block's executions, by block ID. Blocks that
+	// retire no instruction are never counted. It is nil when no
+	// listener is bound.
+	Exec []uint64
+	// History holds the most recent taken branches, as many as the
+	// deepest bound listener asked for; nil when none asked.
+	History *BranchRing
+	// Skipped counts the loop iterations retired in bulk steps.
+	Skipped uint64
+	// Layout is the dispatch table of the program being run.
+	Layout *Layout
+}
+
+// BranchRing keeps the most recent taken branches, overwriting the
+// oldest.
+type BranchRing struct {
+	buf   []Branch
+	head  int // next write position
+	count int // total records ever written
+}
+
+// NewBranchRing returns an empty ring holding depth records.
+func NewBranchRing(depth int) *BranchRing {
+	return &BranchRing{buf: make([]Branch, depth)}
+}
+
+// Push records a retired taken branch. The wrap is a compare instead of
+// a modulo — Push sits on the per-taken-branch hot path.
+func (r *BranchRing) Push(b Branch) {
+	r.buf[r.head] = b
+	if r.head++; r.head == len(r.buf) {
+		r.head = 0
+	}
+	r.count++
+}
+
+// PushRepeated records reps repetitions of the taken-branch sequence
+// pattern, exactly as that many Push calls would leave the ring: only
+// the newest len(buf) records are written, and the ring advances as if
+// every record had been pushed.
+func (r *BranchRing) PushRepeated(pattern []Branch, reps uint64) {
+	k := uint64(len(pattern))
+	total := k * reps
+	if total == 0 {
+		return
+	}
+	size := uint64(len(r.buf))
+	skip := uint64(0)
+	if total > size {
+		skip = total - size
+	}
+	// Record i of the sequence is pattern[i%k] and lands at
+	// (head+i) % size; start at the first record that survives.
+	pos := int((uint64(r.head) + skip) % size)
+	j := int(skip % k)
+	for i := skip; i < total; i++ {
+		r.buf[pos] = pattern[j]
+		if pos++; pos == len(r.buf) {
+			pos = 0
+		}
+		if j++; j == len(pattern) {
+			j = 0
+		}
+	}
+	r.head = pos
+	r.count += int(total)
+}
+
+// At returns the record age positions back from the newest (age 0 =
+// newest). The caller must ensure age < Len().
+func (r *BranchRing) At(age int) Branch {
+	idx := (r.head - 1 - age) % len(r.buf)
+	if idx < 0 {
+		idx += len(r.buf)
+	}
+	return r.buf[idx]
+}
+
+// Len returns how many records can be read back.
+func (r *BranchRing) Len() int { return min(r.count, len(r.buf)) }
 
 // Branch is one retired taken branch: its source instruction and its
 // target.
@@ -190,12 +287,12 @@ type Branch struct {
 	From, To uint64
 }
 
-// Loop is a loop whose every iteration retires the same block
+// loop is a loop whose every iteration retires the same block
 // sequence: from the head, each block ends in a fallthrough or a jump
 // until the latch, whose taken back-edge returns to the head. Loop
 // records live in the Layout's flat tables and are immutable; their
 // slices alias layout storage and must not be modified.
-type Loop struct {
+type loop struct {
 	body     []int32  // retiring body block IDs in order, latch last
 	branches []Branch // the taken branches of one iteration, in order
 	insts    uint64   // instructions per iteration
@@ -205,19 +302,18 @@ type Loop struct {
 }
 
 // Body returns the IDs of the blocks one iteration retires, in order,
-// ending at the latch. Blocks that retire no instructions are left out:
-// they are never dispatched to listeners.
-func (l *Loop) Body() []int32 { return l.body }
+// ending at the latch. Blocks that retire no instructions are left out.
+func (l *loop) Body() []int32 { return l.body }
 
 // Branches returns the taken branches one iteration retires, in
 // retirement order; the latch's back-edge is the last.
-func (l *Loop) Branches() []Branch { return l.branches }
+func (l *loop) Branches() []Branch { return l.branches }
 
 // Insts returns the instructions one iteration retires.
-func (l *Loop) Insts() uint64 { return l.insts }
+func (l *loop) Insts() uint64 { return l.insts }
 
 // Taken returns the taken branches one iteration retires.
-func (l *Loop) Taken() uint64 { return l.taken }
+func (l *loop) Taken() uint64 { return l.taken }
 
 // replayListener adapts a per-instruction Listener to the block stream
 // by replaying every block event instruction by instruction — the exact
@@ -328,8 +424,8 @@ type Layout struct {
 	ops       []isa.Op
 	infos     []isa.Info
 	cycleSums []uint64
-	loops     []Loop
-	// body and branches back every Loop's slices: the loop tables are
+	loops     []loop
+	// body and branches back every loop's slices: the loop tables are
 	// two flat arrays plus one fixed-size record per loop.
 	body     []int32
 	branches []Branch
@@ -409,7 +505,7 @@ func (l *Layout) findLoops() {
 			continue
 		}
 		sp := span{len(l.body), len(l.branches)}
-		var lp Loop
+		var lp loop
 		ok := false
 		// A deterministic walk that has not reached the latch after
 		// visiting every block is cycling without it.
@@ -462,30 +558,40 @@ func (l *Layout) findLoops() {
 // Program returns the image the layout was derived from.
 func (l *Layout) Program() *program.Program { return l.prog }
 
+// Infos returns the cached static attributes of the instructions the
+// block with the given ID retires, in order. The slice aliases the
+// immutable layout cache.
+func (l *Layout) Infos(id int) []isa.Info {
+	e := &l.table[id]
+	return l.infos[e.first : e.first+e.n : e.first+e.n]
+}
+
 // Machine executes one program. It is not safe for concurrent use.
 type Machine struct {
-	prog      *program.Program
-	cfg       Config
-	rng       *rand.Rand
+	prog *program.Program
+	cfg  Config
+	rng  *rand.Rand
+	// listeners are called on every block; bound listeners only at
+	// their deadlines, the nearest of which is next. Loop iterations
+	// retire in bulk only when every listener is bound.
 	listeners []BlockListener
-	// loopers holds the listeners that are LoopListeners; fastForward
-	// says every listener is one, the precondition for retiring loop
-	// iterations in bulk.
-	loopers     []LoopListener
-	fastForward bool
-	table       []entry
-	loops       []Loop
-	loopCount   []int
-	callStack   []int32
-	stats       Stats
-	bev         BlockEvent
+	bound     []BoundListener
+	next      Deadline
+	table     []entry
+	loops     []loop
+	loopCount []int
+	callStack []int32
+	st        State
+	bev       BlockEvent
 	// ctxCountdown counts retired blocks down to the next poll of
 	// cfg.Ctx; it starts at zero so an already-cancelled context stops
 	// the run before the first block retires.
 	ctxCountdown int
 }
 
-// New prepares a machine for the given program.
+// New prepares a machine for the given program. Listeners that are
+// BoundListeners bind to the machine's state here, unless
+// cfg.PerInstruction sends every listener down the reference dispatch.
 func New(p *program.Program, cfg Config, listeners ...Listener) *Machine {
 	if cfg.Repeat <= 0 {
 		cfg.Repeat = 1
@@ -495,25 +601,55 @@ func New(p *program.Program, cfg Config, listeners ...Listener) *Machine {
 		layout = NewLayout(p)
 	}
 	m := &Machine{
-		prog:        p,
-		cfg:         cfg,
-		rng:         rand.New(rand.NewSource(cfg.Seed)),
-		table:       layout.table,
-		loops:       layout.loops,
-		loopCount:   make([]int, p.NumBlocks()),
-		fastForward: true,
+		prog:      p,
+		cfg:       cfg,
+		rng:       rand.New(rand.NewSource(cfg.Seed)),
+		table:     layout.table,
+		loops:     layout.loops,
+		loopCount: make([]int, p.NumBlocks()),
+		st:        State{Layout: layout},
 	}
 	m.bev.table, m.bev.lay = layout.table, layout
 	for _, l := range listeners {
-		bl := resolveListener(l, cfg.PerInstruction)
-		m.listeners = append(m.listeners, bl)
-		if ll, ok := bl.(LoopListener); ok {
-			m.loopers = append(m.loopers, ll)
+		if bl, ok := l.(BoundListener); ok && !cfg.PerInstruction {
+			m.bound = append(m.bound, bl)
 		} else {
-			m.fastForward = false
+			m.listeners = append(m.listeners, resolveListener(l, cfg.PerInstruction))
 		}
 	}
+	if len(m.bound) > 0 {
+		m.st.Exec = make([]uint64, p.NumBlocks())
+	}
+	history := 0
+	for _, bl := range m.bound {
+		history = max(history, bl.Bind(&m.st))
+	}
+	if history > 0 {
+		m.st.History = NewBranchRing(history)
+	}
+	m.schedule(nil)
 	return m
+}
+
+// schedule calls the bound listeners whose deadline the block bev has
+// reached (none when bev is nil) and recomputes the nearest deadline.
+func (m *Machine) schedule(bev *BlockEvent) {
+	next := NoDeadline
+	for _, l := range m.bound {
+		d := l.Deadline()
+		if bev != nil && m.st.reached(d, bev.Taken) {
+			l.RetireBlock(bev)
+			d = l.Deadline()
+		}
+		next.Instr, next.Branch = min(next.Instr, d.Instr), min(next.Branch, d.Branch)
+	}
+	m.next = next
+}
+
+// reached reports whether the block just applied to s, taken or not,
+// brought a clock to d.
+func (s *State) reached(d Deadline, taken bool) bool {
+	return s.Retired >= d.Instr || taken && s.TakenBranches >= d.Branch
 }
 
 // Run invokes the entry function cfg.Repeat times and returns run
@@ -521,21 +657,23 @@ func New(p *program.Program, cfg Config, listeners ...Listener) *Machine {
 func (m *Machine) Run(entry *program.Function) (Stats, error) {
 	for i := 0; i < m.cfg.Repeat; i++ {
 		if err := m.runOnce(entry); err != nil {
-			return m.stats, err
+			return m.st.Stats, err
 		}
 	}
-	return m.stats, nil
+	return m.st.Stats, nil
 }
 
 // ErrRetireLimit is returned when MaxRetired is exceeded.
 var ErrRetireLimit = fmt.Errorf("cpu: retirement limit exceeded")
 
 // runOnce runs entry once. It walks the dispatch table by block index:
-// each step resolves the block's terminator, retires the block as one
-// event and, after a fast-forwardable latch's taken back-edge, retires
-// as many further whole iterations as the listeners allow in one step.
+// each step resolves the block's terminator, applies the block to the
+// state, dispatches it to the listeners due for it and, after a
+// fast-forwardable latch's taken back-edge, retires as many further
+// whole iterations as fit before the nearest deadline in one step.
 func (m *Machine) runOnce(entry *program.Function) error {
-	table, loopCount, bev := m.table, m.loopCount, &m.bev
+	table, loopCount, bev, st := m.table, m.loopCount, &m.bev, &m.st
+	fastForward := len(m.listeners) == 0
 	limit := m.cfg.MaxRetired
 	if limit == 0 {
 		limit = ^uint64(0)
@@ -550,9 +688,9 @@ func (m *Machine) runOnce(entry *program.Function) error {
 				}
 			}
 		}
-		if m.stats.Retired > limit {
+		if st.Retired > limit {
 			return fmt.Errorf("%w: %d instructions (check loop wiring in %s)",
-				ErrRetireLimit, m.stats.Retired, m.prog.Name)
+				ErrRetireLimit, st.Retired, m.prog.Name)
 		}
 
 		// Resolve the terminator first so the final instruction can
@@ -568,7 +706,7 @@ func (m *Machine) runOnce(entry *program.Function) error {
 				next, taken = e.target, true
 				// Whole iterations are left to skip until the
 				// activation's last two.
-				skip = e.loop >= 0 && loopCount[cur] < e.trip-1 && m.fastForward
+				skip = e.loop >= 0 && loopCount[cur] < e.trip-1 && fastForward
 			} else {
 				loopCount[cur] = 0
 			}
@@ -602,20 +740,30 @@ func (m *Machine) runOnce(entry *program.Function) error {
 			target = table[next].addr
 		}
 		n := uint64(e.n)
-		start := m.stats.Cycles
-		m.stats.Retired += n
-		m.stats.Cycles += e.cycles
+		bev.idx = cur
+		bev.StartCycle = st.Cycles
+		bev.Taken, bev.Target = taken, target
+		st.Retired += n
+		st.Cycles += e.cycles
 		if e.ring == program.RingKernel {
-			m.stats.KernelRetired += n
+			st.KernelRetired += n
 		}
 		if taken {
-			m.stats.TakenBranches++
+			st.TakenBranches++
 		}
-		bev.idx = cur
-		bev.StartCycle = start
-		bev.Taken, bev.Target = taken, target
 		for _, l := range m.listeners {
 			l.RetireBlock(bev)
+		}
+		// The tally exists only when some listener is bound, so a run
+		// without one pays a single test here.
+		if st.Exec != nil {
+			st.Exec[cur]++
+			if taken && st.History != nil {
+				st.History.Push(Branch{From: e.lastAddr, To: target})
+			}
+			if st.reached(m.next, taken) {
+				m.schedule(bev)
+			}
 		}
 		if skip {
 			m.skipIterations(cur, e)
@@ -627,37 +775,45 @@ func (m *Machine) runOnce(entry *program.Function) error {
 
 // skipIterations retires, in one step, whole iterations of the loop
 // latched by block latch, which has just taken its back-edge: as many
-// as remain before the activation's final iteration, every listener
-// can absorb quietly, and fit under MaxRetired. The cap keeps the
-// limit from falling inside a bulk step, so ErrRetireLimit fires at
-// the same block boundary and count as block by block.
+// as remain before the activation's final iteration, fit before the
+// nearest deadline and fit under MaxRetired. The caps keep every
+// deadline and the limit out of a bulk step, so listeners are called,
+// and ErrRetireLimit fires, at the same block boundaries and counts as
+// block by block.
 func (m *Machine) skipIterations(latch int32, e *entry) {
-	lp := &m.loops[e.loop]
+	lp, st := &m.loops[e.loop], &m.st
 	n := uint64(e.trip - 1 - m.loopCount[latch]) // at least 1
 	if limit := m.cfg.MaxRetired; limit > 0 {
-		if m.stats.Retired >= limit {
+		if st.Retired >= limit {
 			return
 		}
-		n = min(n, (limit-m.stats.Retired)/lp.insts)
+		n = min(n, (limit-st.Retired)/lp.insts)
 	}
-	for _, l := range m.loopers {
-		if n == 0 {
-			return
-		}
-		n = min(n, l.QuietIterations(lp))
+	// Divide only when a deadline does cap n: most bulk steps end at
+	// the activation's trip, far before any deadline.
+	if room := m.next.Instr - st.Retired - 1; n*lp.insts > room {
+		n = room / lp.insts
+	}
+	if room := m.next.Branch - st.TakenBranches - 1; n*lp.taken > room {
+		n = room / lp.taken
 	}
 	if n == 0 {
 		return
 	}
-	start := m.stats.Cycles
-	m.stats.Retired += n * lp.insts
-	m.stats.KernelRetired += n * lp.kernel
-	m.stats.TakenBranches += n * lp.taken
-	m.stats.Cycles += n * lp.cycles
-	m.loopCount[latch] += int(n)
-	for _, l := range m.loopers {
-		l.RetireIterations(lp, start, n)
+	st.Retired += n * lp.insts
+	st.KernelRetired += n * lp.kernel
+	st.TakenBranches += n * lp.taken
+	st.Cycles += n * lp.cycles
+	st.Skipped += n
+	if st.Exec != nil {
+		for _, id := range lp.body {
+			st.Exec[id] += n
+		}
 	}
+	if st.History != nil {
+		st.History.PushRepeated(lp.branches, n)
+	}
+	m.loopCount[latch] += int(n)
 }
 
 // Run is a convenience wrapper constructing a Machine and running it.
@@ -670,7 +826,9 @@ func Run(p *program.Program, entry *program.Function, cfg Config, listeners ...L
 // the SDE model in internal/sde it sees all rings; it exists for tests
 // and calibration rather than as a paper artefact.
 type CountingListener struct {
-	Exec []uint64 // per block ID, incremented once per block entry
+	// Exec counts executions per block ID. Bound to a machine, it is
+	// that machine's tally.
+	Exec []uint64
 }
 
 // NewCountingListener sizes the counter array for program p.
@@ -678,22 +836,18 @@ func NewCountingListener(p *program.Program) *CountingListener {
 	return &CountingListener{Exec: make([]uint64, p.NumBlocks())}
 }
 
-// RetireBlock implements BlockListener — one increment per block entry.
-func (c *CountingListener) RetireBlock(ev *BlockEvent) {
-	c.Exec[ev.BlockID()]++
+// Bind implements BoundListener: Exec becomes the machine's tally.
+func (c *CountingListener) Bind(s *State) int {
+	c.Exec = s.Exec
+	return 0
 }
 
-// QuietIterations implements LoopListener: counting has no events, so
-// any number of iterations retires in bulk.
-func (c *CountingListener) QuietIterations(*Loop) uint64 { return ^uint64(0) }
+// Deadline implements BoundListener: counting has no events.
+func (c *CountingListener) Deadline() Deadline { return NoDeadline }
 
-// RetireIterations implements LoopListener — n increments per body
-// block.
-func (c *CountingListener) RetireIterations(l *Loop, _, n uint64) {
-	for _, id := range l.body {
-		c.Exec[id] += n
-	}
-}
+// RetireBlock implements BlockListener. It is never called: the
+// listener has no deadline.
+func (c *CountingListener) RetireBlock(*BlockEvent) {}
 
 // Retire implements Listener, the per-instruction reference path.
 func (c *CountingListener) Retire(ev *RetireEvent) {
@@ -703,6 +857,6 @@ func (c *CountingListener) Retire(ev *RetireEvent) {
 }
 
 var (
-	_ Listener     = (*CountingListener)(nil)
-	_ LoopListener = (*CountingListener)(nil)
+	_ Listener      = (*CountingListener)(nil)
+	_ BoundListener = (*CountingListener)(nil)
 )

@@ -105,17 +105,20 @@ func TestLayoutFindsBranchFreeLoops(t *testing.T) {
 	}
 }
 
-// skipCounter is a CountingListener that also tallies the iterations
-// it was handed in bulk.
+// skipCounter is a CountingListener that also keeps the machine's
+// state, whose Skipped count says how many iterations retired in bulk.
 type skipCounter struct {
 	*CountingListener
-	skipped uint64
+	st *State
 }
 
-func (s *skipCounter) RetireIterations(l *Loop, start, n uint64) {
-	s.skipped += n
-	s.CountingListener.RetireIterations(l, start, n)
+func (s *skipCounter) Bind(st *State) int {
+	s.st = st
+	return s.CountingListener.Bind(st)
 }
+
+// skipped returns the iterations retired in bulk steps.
+func (s *skipCounter) skipped() uint64 { return s.st.Skipped }
 
 // TestFastForwardMatchesReference runs loopsProgram with fast-forward
 // (a CountingListener, or no listener at all) and without it (the
@@ -150,8 +153,8 @@ func TestFastForwardMatchesReference(t *testing.T) {
 		// Per activation, the self and jump loops skip all but their
 		// first and last iterations: (trip-2) each, the self-loop
 		// activated 3 times per call.
-		if want := uint64(max(trip-2, 0) * (3 + 1) * 3); fast.skipped != want {
-			t.Errorf("trip %d: %d iterations retired in bulk, want %d", trip, fast.skipped, want)
+		if want := uint64(max(trip-2, 0) * (3 + 1) * 3); fast.skipped() != want {
+			t.Errorf("trip %d: %d iterations retired in bulk, want %d", trip, fast.skipped(), want)
 		}
 	}
 }
@@ -188,19 +191,30 @@ func TestRetireLimitSameWithFastForward(t *testing.T) {
 	}
 }
 
-// cancelOnSkip cancels a context the first time it is handed
-// iterations in bulk.
+// cancelOnSkip cancels a context once the machine has retired
+// iterations in bulk: it asks to be called every 64 retired
+// instructions, few enough to leave room for bulk steps, and looks at
+// the state's Skipped count each time.
 type cancelOnSkip struct {
 	*CountingListener
 	cancel context.CancelFunc
+	st     *State
 }
 
-func (c *cancelOnSkip) RetireIterations(l *Loop, start, n uint64) {
-	c.cancel()
-	c.CountingListener.RetireIterations(l, start, n)
+func (c *cancelOnSkip) Bind(st *State) int {
+	c.st = st
+	return c.CountingListener.Bind(st)
 }
 
-// TestFastForwardObservesCancellation cancels a run from inside its
+func (c *cancelOnSkip) Deadline() Deadline {
+	if c.st.Skipped > 0 {
+		c.cancel()
+		return NoDeadline
+	}
+	return Deadline{Instr: c.st.Retired + 64, Branch: NoDeadline.Branch}
+}
+
+// TestFastForwardObservesCancellation cancels a run right after its
 // first bulk step. The run asks for 2^40 calls of f and would otherwise
 // stop only at its retire limit: the machine must still poll the
 // context and stop with its error.

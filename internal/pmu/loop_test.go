@@ -96,43 +96,26 @@ func loopShapesProgram(t testing.TB, trip int) (*program.Program, *program.Funct
 	return p, f
 }
 
-// bulkProbe stands between the machine and a PMU on the block path:
-// it forwards every call, checks that each quiet count the PMU reports
-// is the largest one the room bound allows, and tallies the iterations
-// retired in bulk.
+// bulkProbe binds its PMU to the machine and keeps the machine's
+// state, whose Skipped count says how many loop iterations retired in
+// bulk steps.
 type bulkProbe struct {
 	*PMU
-	t     testing.TB
-	bulk  uint64 // iterations retired by RetireIterations
-	steps int    // RetireIterations calls
+	t  testing.TB
+	st *cpu.State
 }
 
-func (b *bulkProbe) QuietIterations(l *cpu.Loop) uint64 {
-	q := b.PMU.QuietIterations(l)
-	fits := func(n uint64) bool {
-		return n*l.Insts() <= b.room[classInstr] && n*l.Taken() <= b.room[classBranch]
-	}
-	derived := true
-	for _, id := range l.Body() {
-		derived = derived && int(id) < len(b.hits) && b.hits[id] > 0
-	}
-	switch {
-	case !derived && q != 0:
-		b.t.Errorf("quiet count %d with an underived body block", q)
-	case derived && !fits(q):
-		b.t.Errorf("quiet count %d overruns room %v (insts %d, taken %d per iteration)",
-			q, b.room, l.Insts(), l.Taken())
-	case derived && fits(q+1):
-		b.t.Errorf("quiet count %d is not the largest: %d iterations fit room %v (insts %d, taken %d per iteration)",
-			q, q+1, b.room, l.Insts(), l.Taken())
-	}
-	return q
+func (b *bulkProbe) Bind(s *cpu.State) int {
+	b.st = s
+	return b.PMU.Bind(s)
 }
 
-func (b *bulkProbe) RetireIterations(l *cpu.Loop, start, n uint64) {
-	b.bulk += n
-	b.steps++
-	b.PMU.RetireIterations(l, start, n)
+// bulk returns the iterations retired in bulk steps.
+func (b *bulkProbe) bulk() uint64 {
+	if b.st == nil {
+		b.t.Fatal("probe was never bound to the machine")
+	}
+	return b.st.Skipped
 }
 
 // TestLoopFastForwardMatchesReference drives the loop fast-forward
@@ -178,10 +161,10 @@ func TestLoopFastForwardMatchesReference(t *testing.T) {
 					for _, seed := range []int64{1, 9} {
 						fastS, fast, probe, fastStats := run(t, p, f, seed, ebs, lbr, false)
 						refS, ref, _, refStats := run(t, p, f, seed, ebs, lbr, true)
-						bulk += probe.bulk
-						if trip < 3 && probe.steps > 0 {
-							t.Errorf("seed %d: trip %d fast-forwarded %d times; no iteration is left to skip",
-								seed, trip, probe.steps)
+						bulk += probe.bulk()
+						if trip < 3 && probe.bulk() > 0 {
+							t.Errorf("seed %d: trip %d fast-forwarded %d iterations; no iteration is left to skip",
+								seed, trip, probe.bulk())
 						}
 						if fastStats != refStats {
 							t.Errorf("seed %d: stats %+v fast-forward, %+v reference", seed, fastStats, refStats)
@@ -243,9 +226,9 @@ func TestLoopFastForwardStillTaken(t *testing.T) {
 	if _, err := cpu.Run(p, f, cpu.Config{Seed: 1}, probe); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if share := float64(probe.bulk) / trips; share < minShare {
+	if share := float64(probe.bulk()) / trips; share < minShare {
 		t.Errorf("bulk steps retired %d of %d iterations (%.3f), want at least %.2f",
-			probe.bulk, trips, share, minShare)
+			probe.bulk(), trips, share, minShare)
 	}
 }
 

@@ -141,11 +141,10 @@ func classify(e Event) eventClass {
 }
 
 // counterState is one programmed sampling counter. Its count lives in
-// its class clock: the counter's value is clk[class] - base and its
-// total (the counting-mode view) is clk[class], so advancing every
-// counter of a class is one clock bump. An in-flight PMI is tracked by
-// the class clock at which it first tries to land, so its skid drains
-// with the clock too.
+// its class clock, which is the dispatch state's: the counter's value
+// is the clock minus base and its total (the counting-mode view) is the
+// clock itself. An in-flight PMI is tracked by the class clock at which
+// it first tries to land, so its skid drains with the clock too.
 type counterState struct {
 	base    uint64 // class clock at the last overflow
 	period  uint64 // == cfg.Period, hoisted next to base
@@ -158,11 +157,11 @@ type counterState struct {
 
 // countInstr accrues the counting-mode occurrences of one retired
 // instruction into per-event totals. It is the single definition of
-// the instruction-specific event rules: the per-block aggregate
-// derivation and the per-instruction reference path both feed on it,
-// so the two dispatch paths cannot drift apart. Branch events are
-// dynamic (they depend on the taken outcome) and are counted by the
-// callers.
+// the instruction-specific event rules: the fold of the bound block
+// tally and the per-instruction reference path both feed on it, so the
+// two dispatch paths cannot drift apart. Branch events are dynamic
+// (they depend on the taken outcome) and are read off the branch
+// clock.
 func countInstr(info *isa.Info, counts *[numEvents]uint64) {
 	counts[InstRetired]++
 	if info.Cat == isa.CatDivide {
@@ -185,52 +184,29 @@ func countInstr(info *isa.Info, counts *[numEvents]uint64) {
 	}
 }
 
-// blockAgg caches the counting-mode event occurrences one execution of
-// a basic block contributes — static properties of the block's retired
-// ops, derived once per block and reused on every subsequent
-// execution; only the taken-branch trigger is dynamic and stays
-// outside the aggregate.
-type blockAgg struct {
-	counts [numEvents]uint64
-	folded uint64 // executions already folded into PMU.counts
-}
-
 // PMU consumes the retirement stream and delivers samples. It
-// implements cpu.LoopListener (the block-granularity fast path, with
-// bulk loop iterations) and cpu.Listener (the per-instruction
-// reference path). A PMU instance observes a single program: the
-// per-block aggregate cache is keyed by block ID.
+// implements cpu.BoundListener (the block path: the machine calls it
+// only for blocks that reach a counter event) and cpu.Listener (the
+// per-instruction reference path). A PMU instance observes a single
+// program.
 type PMU struct {
 	cfg      Config
 	rng      *rand.Rand
-	lbr      *lbrRing
 	counters []counterState
 
-	// clk is the per-class occurrence clock: retired instructions and
-	// retired taken branches (the classNone clock never ticks). Every
-	// counter of a class reads its value and total off it.
-	clk [numClasses]uint64
-	// room is how many more occurrences of each class can retire before
-	// some counter of the class has work to do: an overflow, or a
-	// pending PMI reaching its delivery point. Retirements use it up;
-	// schedule recomputes it whenever a counter may have changed state.
-	room [numClasses]uint64
-
-	// Counting-mode totals for the instruction-specific events, used
-	// for PMU-vs-instrumentation cross-checks like the paper's. The
-	// block path defers its static per-block contributions to hits
-	// and folds them in on read (Count), so counts alone is complete
-	// only after a fold.
+	// st is the dispatch state the counters read their clocks and the
+	// LBR from: the bound machine's, or own, which the per-instruction
+	// reference path advances itself.
+	st  *cpu.State
+	own cpu.State
+	// next is the class clock value at which some counter of the class
+	// next has work: an overflow, or a pending PMI reaching its
+	// delivery point. It is the deadline the PMU publishes.
+	next [numClasses]uint64
+	// counts holds the reference path's counting-mode totals of the
+	// instruction-specific events; a bound PMU folds them from the
+	// machine's block tally on read.
 	counts [numEvents]uint64
-
-	// aggs caches per-block event aggregates, grown lazily by block ID.
-	aggs []blockAgg
-	// hits counts each block's executions on the block path, the one
-	// per-block word the fast path touches; 0 means the block has not
-	// been seen and its aggregate not derived. Each execution
-	// contributes the block's static aggregate to counts, applied
-	// lazily as (hits - folded) × aggregate instead of per retirement.
-	hits []uint64
 	// ev is the reused retirement event of the block event path.
 	ev cpu.RetireEvent
 	// stackBuf is the reused LBR snapshot buffer of deliver; sample
@@ -247,12 +223,17 @@ func New(cfg Config, samplings ...Sampling) (*PMU, error) {
 	if cfg.HistoryDepth < 2*cfg.LBRDepth {
 		return nil, fmt.Errorf("pmu: history depth %d < 2x LBR depth", cfg.HistoryDepth)
 	}
+	if cfg.SkidMin > cfg.SkidMax || cfg.SkidPreciseMin > cfg.SkidPreciseMax || cfg.BranchSkidMax < 0 {
+		return nil, fmt.Errorf("pmu: empty skid range: [%d, %d], precise [%d, %d], branch max %d",
+			cfg.SkidMin, cfg.SkidMax, cfg.SkidPreciseMin, cfg.SkidPreciseMax, cfg.BranchSkidMax)
+	}
 	precise := 0
 	p := &PMU{
 		cfg: cfg,
 		rng: rand.New(rand.NewSource(cfg.Seed)),
-		lbr: newLBRRing(cfg.HistoryDepth),
+		own: cpu.State{History: cpu.NewBranchRing(cfg.HistoryDepth)},
 	}
+	p.st = &p.own
 	for _, s := range samplings {
 		if s.Period == 0 {
 			return nil, fmt.Errorf("pmu: event %v has zero period", s.Event)
@@ -268,159 +249,82 @@ func New(cfg Config, samplings ...Sampling) (*PMU, error) {
 		}
 		p.counters = append(p.counters, counterState{cfg: s, period: s.Period, class: classify(s.Event)})
 	}
-	p.schedule()
 	return p, nil
 }
 
-// derive computes the event aggregate of a block seen for the first
-// time from its retired ops.
-func (p *PMU) derive(bev *cpu.BlockEvent) {
-	id := bev.BlockID()
-	if id >= len(p.aggs) {
-		p.aggs = append(p.aggs, make([]blockAgg, id+1-len(p.aggs))...)
-		p.hits = append(p.hits, make([]uint64, id+1-len(p.hits))...)
-	}
-	infos := bev.Infos()
-	for i := range infos {
-		countInstr(&infos[i], &p.aggs[id].counts)
-	}
+// clocks returns the class clocks of the dispatch state.
+func (p *PMU) clocks() [numClasses]uint64 {
+	return [numClasses]uint64{classInstr: p.st.Retired, classBranch: p.st.TakenBranches}
 }
 
-// schedule recomputes each class's room from its counters. A counter
-// has work when its value reaches the period, and, with a PMI in
-// flight, also when its clock reaches the delivery point.
-func (p *PMU) schedule() {
-	room := [numClasses]uint64{^uint64(0), ^uint64(0), ^uint64(0)}
+// schedule recomputes each class's next deadline from its counters at
+// the class clocks clk. A counter has work when its value reaches the
+// period, and, with a PMI in flight, also at the first occurrence at or
+// past the delivery point.
+func (p *PMU) schedule(clk [numClasses]uint64) {
+	next := [numClasses]uint64{^uint64(0), ^uint64(0), ^uint64(0)}
 	for i := range p.counters {
 		c := &p.counters[i]
 		if c.class == classNone {
 			continue
 		}
-		clk := p.clk[c.class]
-		r := c.period - (clk - c.base) - 1
-		if c.pending {
-			if c.due <= clk {
-				r = 0
-			} else {
-				r = min(r, c.due-clk-1)
-			}
+		d := c.base + c.period
+		if d < c.base {
+			d = ^uint64(0)
 		}
-		room[c.class] = min(room[c.class], r)
+		if c.pending {
+			d = min(d, max(c.due, clk[c.class]+1))
+		}
+		next[c.class] = min(next[c.class], d)
 	}
-	p.room = room
+	p.next = next
 }
 
-// RetireBlock implements cpu.BlockListener — the retirement fast path.
-//
-// Every counter reads its value off its class clock, and room says how
-// many occurrences of each class can retire before any counter has work
-// to do, so a block in which no counter overflows and no PMI lands is
-// one compare, two clock bumps and — for a taken terminator — one LBR
-// push, whatever the number of counters. The block's static
-// counting-mode totals are deferred as a hit tally either way. A block
-// that does hold an event is retired by retireBlockEvents, which jumps
-// from event to event. Parity tests assert the block path is
-// bit-identical to the per-instruction reference.
+// Bind implements cpu.BoundListener: the counters read their clocks,
+// and deliveries the LBR, from the machine's state from now on.
+func (p *PMU) Bind(s *cpu.State) int {
+	p.st = s
+	p.schedule(p.clocks())
+	return p.cfg.HistoryDepth
+}
+
+// Deadline implements cpu.BoundListener.
+func (p *PMU) Deadline() cpu.Deadline {
+	return cpu.Deadline{Instr: p.next[classInstr], Branch: p.next[classBranch]}
+}
+
+// RetireBlock implements cpu.BlockListener for a block that reaches a
+// deadline. The machine has already applied the whole block to the
+// state, so the walk rewinds the clocks to each event inside it —
+// where the instruction clock reaches its deadline or, on a taken
+// terminator, the final instruction when the branch clock reaches its
+// own — and runs every counter's reference step there, so RNG draws,
+// skid, shadowing and delivery are exactly those of the
+// per-instruction path. Before the final instruction of a taken block,
+// the block's own branch is already in the ring but not yet retired.
 func (p *PMU) RetireBlock(bev *cpu.BlockEvent) {
 	n := uint64(bev.Len())
-	if n == 0 {
-		return
-	}
-	id := bev.BlockID()
-	if id >= len(p.hits) || p.hits[id] == 0 {
-		p.derive(bev)
-	}
-	// The block's static event contributions are deferred: one hit
-	// tally here, folded into counts on read. Only the dynamic
-	// taken-branch effects happen inline.
-	p.hits[id]++
-	if n > p.room[classInstr] || bev.Taken && p.room[classBranch] == 0 {
-		p.retireBlockEvents(bev)
-		return
-	}
-	p.retireQuiet(bev, n)
-}
-
-// retireQuiet retires the last insts instructions of a block in which
-// no counter has work left: the class clocks advance in bulk, and a
-// taken terminator is counted and pushed onto the LBR.
-func (p *PMU) retireQuiet(bev *cpu.BlockEvent, insts uint64) {
-	p.clk[classInstr] += insts
-	p.room[classInstr] -= insts
-	if bev.Taken {
-		p.clk[classBranch]++
-		p.room[classBranch]--
-		p.counts[BrInstRetiredNearTaken]++
-		p.lbr.push(BranchRecord{From: bev.LastAddr(), To: bev.Target})
-	}
-}
-
-// QuietIterations implements cpu.LoopListener: how many whole
-// iterations of l fit in the room every class has left, so that none
-// of them holds a counter event — n·insts ≤ room[instr] and
-// n·taken ≤ room[branch], the bound under which retiring the body
-// blocks one by one would take retireQuiet on every one of them. It is
-// 0 while any body block is underived, so first executions still go
-// through RetireBlock.
-func (p *PMU) QuietIterations(l *cpu.Loop) uint64 {
-	n := p.room[classInstr] / l.Insts()
-	if t := l.Taken(); t > 0 {
-		n = min(n, p.room[classBranch]/t)
-	}
-	if n == 0 {
-		return 0
-	}
-	for _, id := range l.Body() {
-		if int(id) >= len(p.hits) || p.hits[id] == 0 {
-			return 0
-		}
-	}
-	return n
-}
-
-// RetireIterations implements cpu.LoopListener: n quiet iterations of
-// l in one step — the hit tallies and class clocks advance by n
-// iterations' worth, and the LBR receives the iterations' taken
-// branches, of which only the newest HistoryDepth are written.
-func (p *PMU) RetireIterations(l *cpu.Loop, _, n uint64) {
-	for _, id := range l.Body() {
-		p.hits[id] += n
-	}
-	insts, taken := n*l.Insts(), n*l.Taken()
-	p.clk[classInstr] += insts
-	p.room[classInstr] -= insts
-	p.clk[classBranch] += taken
-	p.room[classBranch] -= taken
-	p.counts[BrInstRetiredNearTaken] += taken
-	p.lbr.pushRepeated(l.Branches(), n)
-}
-
-// retireBlockEvents retires a block that holds at least one counter
-// event, jumping from event to event instead of replaying every
-// instruction. The next event is where the instruction class runs out
-// of room or, on a taken terminator, where the branch class has none
-// left; the instructions before it only advance the instruction clock.
-// At an event every counter runs the reference step in counter order,
-// so RNG draws, skid, shadowing and delivery are exactly those of the
-// per-instruction path.
-func (p *PMU) retireBlockEvents(bev *cpu.BlockEvent) {
-	n := uint64(bev.Len())
-	for i := uint64(0); i < n; {
+	end := p.clocks()
+	first := end[classInstr] - n // instruction clock before the block
+	for {
 		e := n // block index of the next event; n when none is left
-		if p.room[classInstr] < n-i {
-			e = i + p.room[classInstr]
+		if d := p.next[classInstr]; d <= end[classInstr] {
+			e = d - first - 1
 		}
-		if bev.Taken && p.room[classBranch] == 0 {
+		if bev.Taken && p.next[classBranch] <= end[classBranch] {
 			e = min(e, n-1)
 		}
 		if e == n {
-			p.retireQuiet(bev, n-i)
 			return
 		}
-		p.clk[classInstr] += e - i
-		p.room[classInstr] -= e - i
-		p.tick(p.eventAt(bev, int(e)), &bev.Infos()[e])
-		i = e + 1
+		clk, unretired := end, 0
+		clk[classInstr] = first + e + 1
+		if bev.Taken && e < n-1 {
+			clk[classBranch]--
+			unretired = 1
+		}
+		p.stepAll(p.eventAt(bev, int(e)), &bev.Infos()[e], clk, unretired)
+		p.schedule(clk)
 	}
 }
 
@@ -438,78 +342,51 @@ func (p *PMU) eventAt(bev *cpu.BlockEvent, i int) *cpu.RetireEvent {
 	return ev
 }
 
-// foldCounts folds the block executions not yet folded into the
-// counting-mode totals. Idempotent.
-func (p *PMU) foldCounts() {
-	for id, hits := range p.hits {
-		a := &p.aggs[id]
-		if hits == a.folded {
-			continue
-		}
-		for e, occ := range a.counts {
-			p.counts[e] += occ * (hits - a.folded)
-		}
-		a.folded = hits
-	}
-}
-
-// Retire implements cpu.Listener — the per-instruction reference path.
+// Retire implements cpu.Listener — the per-instruction reference path:
+// it advances the state itself, one instruction at a time, and steps
+// every counter at every instruction.
 func (p *PMU) Retire(ev *cpu.RetireEvent) {
 	info := ev.Op.Info()
 	countInstr(&info, &p.counts)
-	p.tick(ev, &info)
-}
-
-// tick retires one instruction on the sampling side: the dynamic
-// taken-branch effects and the class clocks, then every counter's step
-// in counter order. The steps decide from the clocks alone; room only
-// says when to reschedule: when some class had none left, a counter
-// may have changed state, otherwise the occurrence just used one up.
-func (p *PMU) tick(ev *cpu.RetireEvent, info *isa.Info) {
-	work := p.room[classInstr] == 0
-	p.clk[classInstr]++
-	p.room[classInstr]--
+	p.st.Retired++
 	if ev.Taken {
-		work = work || p.room[classBranch] == 0
-		p.clk[classBranch]++
-		p.room[classBranch]--
-		p.counts[BrInstRetiredNearTaken]++
-		p.lbr.push(BranchRecord{From: ev.Addr, To: ev.Target})
+		p.st.TakenBranches++
+		p.st.History.Push(cpu.Branch{From: ev.Addr, To: ev.Target})
 	}
-	for i := range p.counters {
-		p.step(&p.counters[i], ev, info)
-	}
-	if work {
-		p.schedule()
-	}
+	p.stepAll(ev, &info, p.clocks(), 0)
 }
 
-// step advances one sampling counter for the retirement ev, after the
-// class clocks have ticked for it.
-func (p *PMU) step(c *counterState, ev *cpu.RetireEvent, info *isa.Info) {
-	// Both the counter and an in-flight PMI's skid advance only on an
-	// occurrence of the counter's event: the branch counter's delivery
-	// slips in retired taken branches, the instruction counters' in
-	// retired instructions.
-	branchCounter := c.class == classBranch
-	if c.class == classNone || branchCounter && !ev.Taken {
-		return
+// stepAll runs every counter's step, in counter order, for the
+// retirement ev at class clocks clk. The newest unretired branch
+// records in the ring belong to instructions after ev.
+func (p *PMU) stepAll(ev *cpu.RetireEvent, info *isa.Info, clk [numClasses]uint64, unretired int) {
+	for i := range p.counters {
+		c := &p.counters[i]
+		// Both the counter and an in-flight PMI's skid advance only on
+		// an occurrence of the counter's event: the branch counter's
+		// delivery slips in retired taken branches, the instruction
+		// counters' in retired instructions.
+		branchCounter := c.class == classBranch
+		if c.class == classNone || branchCounter && !ev.Taken {
+			continue
+		}
+		now := clk[c.class]
+		if now-c.base >= c.period {
+			c.base = now
+			p.overflow(c, ev.Addr, now)
+		}
+		if !c.pending || now < c.due {
+			continue
+		}
+		if !branchCounter && p.cfg.Shadowing && info.IsLongLatency() {
+			// The PMI cannot land on an instruction hiding in the
+			// shadow of a long-latency operation; it slides to the
+			// next retirement.
+			continue
+		}
+		c.pending = false
+		p.deliver(c, ev, unretired)
 	}
-	clk := p.clk[c.class]
-	if clk-c.base >= c.period {
-		c.base = clk
-		p.overflow(c, ev.Addr)
-	}
-	if !c.pending || clk < c.due {
-		return
-	}
-	if !branchCounter && p.cfg.Shadowing && info.IsLongLatency() {
-		// The PMI cannot land on an instruction hiding in the shadow of
-		// a long-latency operation; it slides to the next retirement.
-		return
-	}
-	c.pending = false
-	p.deliver(c, ev)
 }
 
 // overflow arms a pending PMI with the event-appropriate skid. Skid is
@@ -519,7 +396,7 @@ func (p *PMU) step(c *counterState, ev *cpu.RetireEvent, info *isa.Info) {
 // alias against loop periods, the systematic EBS pathology that made
 // the paper pick prime sampling periods, and it keeps per-location
 // displacement stable the way Weaver's determinism studies describe.
-func (p *PMU) overflow(c *counterState, addr uint64) {
+func (p *PMU) overflow(c *counterState, addr, now uint64) {
 	if c.pending {
 		c.dropped++
 		return
@@ -541,7 +418,7 @@ func (p *PMU) overflow(c *counterState, addr uint64) {
 	}
 	// A skid of s lands on the (s-1)th occurrence after this one.
 	c.pending = true
-	c.due = p.clk[c.class] + uint64(skid) - 1
+	c.due = now + uint64(skid) - 1
 }
 
 // addrHash mixes an instruction address into a stable per-location
@@ -552,8 +429,10 @@ func addrHash(addr uint64) uint64 {
 	return h
 }
 
-// deliver captures the sample at the current retirement.
-func (p *PMU) deliver(c *counterState, ev *cpu.RetireEvent) {
+// deliver captures the sample at the retirement ev, reading the LBR
+// past the newest unretired records.
+func (p *PMU) deliver(c *counterState, ev *cpu.RetireEvent, unretired int) {
+	lbr := lbrRing{p.st.History, unretired}
 	depth := p.cfg.LBRDepth
 	// The entry[0] bias anomaly (Section III.C): when a bias-prone
 	// branch sits in the architectural window, the ring read may start
@@ -562,7 +441,7 @@ func (p *PMU) deliver(c *counterState, ev *cpu.RetireEvent) {
 	// than it — is lost to the analysis, so the streams closing at and
 	// before the prone branch go systematically uncounted.
 	if p.cfg.BiasProne != nil && p.cfg.BiasStrength > 0 {
-		if age, ok := p.lbr.findProne(depth, p.cfg.BiasProne); ok {
+		if age, ok := lbr.findProne(depth, p.cfg.BiasProne); ok {
 			if p.rng.Float64() < p.cfg.BiasStrength {
 				depth = age + 1
 			}
@@ -574,7 +453,7 @@ func (p *PMU) deliver(c *counterState, ev *cpu.RetireEvent) {
 	if cap(p.stackBuf) < depth {
 		p.stackBuf = make([]BranchRecord, depth)
 	}
-	stack := p.lbr.snapshotInto(p.stackBuf[:depth], 0)
+	stack := lbr.snapshotInto(p.stackBuf[:depth], 0)
 	if stack != nil && p.cfg.EntryDropProb > 0 && len(stack) > 3 &&
 		p.rng.Float64() < p.cfg.EntryDropProb {
 		// Drop one interior entry; its neighbours' streams merge.
@@ -592,10 +471,29 @@ func (p *PMU) deliver(c *counterState, ev *cpu.RetireEvent) {
 
 // Count returns the counting-mode total for an event — what a PMU
 // counter programmed in counting (non-sampling) mode would read. Used to
-// cross-check instrumentation results like the paper does.
+// cross-check instrumentation results like the paper does. A bound PMU
+// folds the machine's block tally times each block's static
+// contributions.
 func (p *PMU) Count(e Event) uint64 {
-	p.foldCounts()
-	return p.counts[e]
+	switch {
+	case e == BrInstRetiredNearTaken:
+		return p.st.TakenBranches
+	case p.st == &p.own:
+		return p.counts[e]
+	}
+	var total uint64
+	for id, n := range p.st.Exec {
+		if n == 0 {
+			continue
+		}
+		var block [numEvents]uint64
+		infos := p.st.Layout.Infos(id)
+		for i := range infos {
+			countInstr(&infos[i], &block)
+		}
+		total += n * block[e]
+	}
+	return total
 }
 
 // Dropped returns how many overflows of event e were lost to PMI
@@ -616,13 +514,13 @@ func (p *PMU) Overflows(e Event) uint64 {
 	var n uint64
 	for i := range p.counters {
 		if c := &p.counters[i]; c.cfg.Event == e {
-			n += p.clk[c.class] / c.period
+			n += p.clocks()[c.class] / c.period
 		}
 	}
 	return n
 }
 
 var (
-	_ cpu.Listener     = (*PMU)(nil)
-	_ cpu.LoopListener = (*PMU)(nil)
+	_ cpu.Listener      = (*PMU)(nil)
+	_ cpu.BoundListener = (*PMU)(nil)
 )

@@ -80,16 +80,25 @@ func buildLoopProgram(t testing.TB) (*program.Program, *program.Function) {
 	return p, main
 }
 
-// bulkCounter is an Instrumenter that also tallies the iterations it
-// was handed in bulk.
+// bulkCounter binds its Instrumenter to the machine and keeps the
+// machine's state, whose Skipped count says how many loop iterations
+// retired in bulk steps.
 type bulkCounter struct {
 	*Instrumenter
-	bulk uint64
+	st *cpu.State
 }
 
-func (b *bulkCounter) RetireIterations(l *cpu.Loop, start, n uint64) {
-	b.bulk += n
-	b.Instrumenter.RetireIterations(l, start, n)
+func (b *bulkCounter) Bind(s *cpu.State) int {
+	b.st = s
+	return b.Instrumenter.Bind(s)
+}
+
+// bulk returns the iterations retired in bulk steps; 0 when unbound.
+func (b *bulkCounter) bulk() uint64 {
+	if b.st == nil {
+		return 0
+	}
+	return b.st.Skipped
 }
 
 // TestLoopFastForwardMatchesReference extends the block-path parity
@@ -110,7 +119,7 @@ func TestLoopFastForwardMatchesReference(t *testing.T) {
 		if _, err := cpu.Run(p, main, cpu.Config{Seed: 5, Repeat: 4, PerInstruction: true}, ref); err != nil {
 			t.Fatalf("reference run: %v", err)
 		}
-		if fast.bulk == 0 {
+		if fast.bulk() == 0 {
 			t.Fatalf("userOnly=%v: no loop iteration retired in bulk", userOnly)
 		}
 		if !reflect.DeepEqual(fast.BBECs(), ref.BBECs()) {

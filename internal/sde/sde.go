@@ -44,10 +44,9 @@ type opCount struct {
 }
 
 // opCost returns the modelled instrumentation cost of emulating one
-// instruction, excluding the per-block dispatch cost. It is the single
-// definition of the per-instruction cost rules: the blockProfile
-// derivation and the per-instruction reference path both use it, so
-// the two dispatch paths cannot drift apart.
+// instruction, excluding the per-block dispatch cost: the single
+// definition of the per-instruction cost rules, which the blockProfile
+// derivation sums per block.
 func opCost(info *isa.Info) uint64 {
 	cost := uint64(costPerInst)
 	if info.IsBranch() {
@@ -116,8 +115,9 @@ func NewStatic(p *program.Program) *Static {
 func (s *Static) Program() *program.Program { return s.prog }
 
 // Instrumenter observes a run and produces exact ground truth. It
-// implements cpu.LoopListener (block-granularity fast path, with bulk
-// loop iterations) and cpu.Listener (per-instruction reference path).
+// implements cpu.BoundListener (it reads the machine's block tally and
+// is never called during a run) and cpu.Listener (the per-instruction
+// reference path).
 type Instrumenter struct {
 	prog *program.Program
 
@@ -125,18 +125,40 @@ type Instrumenter struct {
 	// behaviour. Tests may disable it to get an all-ring oracle.
 	UserOnly bool
 
-	blockExec []uint64               // per block ID
-	blocks    []blockProfile         // per block ID, static contributions
+	blocks []blockProfile // per block ID, static contributions
+	// st is the block tally being observed: the bound machine's, or own,
+	// which the per-instruction reference path advances itself. The
+	// results are done, the totals of the tallies observed before it,
+	// plus st's tally times the static per-block contributions.
+	st   *cpu.State
+	own  cpu.State
+	done totals
+	view totals // the last result, reused across reads
+}
+
+// totals are the instrumentation results.
+type totals struct {
+	exec      []uint64               // per block ID
 	mnemonics [isa.NumOps + 2]uint64 // per opcode
 	insts     uint64
-	extraCost uint64 // instrumentation cycles added on top of the clean run
+	cost      uint64 // instrumentation cycles added on top of the clean run
+}
 
-	// fastExec tallies block-path retirements not yet folded into the
-	// totals above: the fast path is one increment per block entry,
-	// and the per-block static contributions are applied lazily as
-	// count × profile when a result accessor needs them.
-	fastExec []uint64
-	dirty    bool
+// add folds a block tally into t: n executions of a visible block add
+// n times its static profile.
+func (t *totals) add(in *Instrumenter, tally []uint64) {
+	for id, n := range tally {
+		bp := &in.blocks[id]
+		if n == 0 || in.UserOnly && bp.kernel {
+			continue
+		}
+		t.exec[id] += n
+		t.insts += n * bp.insts
+		t.cost += n * bp.cost
+		for _, oc := range bp.ops {
+			t.mnemonics[oc.op] += n * oc.n
+		}
+	}
 }
 
 // New returns an instrumenter for program p with faithful user-only
@@ -151,103 +173,79 @@ func New(p *program.Program) *Instrumenter {
 // profile table s — per-run state is fresh, the static table is the
 // shared one. The instrumenter observes runs of s.Program().
 func NewFromStatic(s *Static) *Instrumenter {
-	return &Instrumenter{
-		prog:      s.prog,
-		UserOnly:  true,
-		blockExec: make([]uint64, len(s.blocks)),
-		blocks:    s.blocks,
-		fastExec:  make([]uint64, len(s.blocks)),
+	n := len(s.blocks)
+	in := &Instrumenter{
+		prog:     s.prog,
+		UserOnly: true,
+		blocks:   s.blocks,
+		own:      cpu.State{Exec: make([]uint64, n)},
+		done:     totals{exec: make([]uint64, n)},
+		view:     totals{exec: make([]uint64, n)},
 	}
+	in.st = &in.own
+	return in
 }
 
-// RetireBlock implements cpu.BlockListener: one block entry is one
-// tally — the block's static contributions (instructions, cost, the
-// mnemonic histogram) are folded in lazily as count × profile, so the
-// per-retirement work is O(1) regardless of block content.
-func (in *Instrumenter) RetireBlock(ev *cpu.BlockEvent) {
-	if in.UserOnly && ev.Ring() == program.RingKernel {
-		return
+// Bind implements cpu.BoundListener: the instrumenter observes the
+// machine's tally from now on, after folding the tally it observed
+// before, so results accumulate across runs.
+func (in *Instrumenter) Bind(s *cpu.State) int {
+	in.done.add(in, in.st.Exec)
+	if in.st == &in.own {
+		clear(in.own.Exec)
 	}
-	if ev.Len() == 0 {
-		return
-	}
-	in.fastExec[ev.BlockID()]++
-	in.dirty = true
+	in.st = s
+	return 0
 }
 
-// QuietIterations implements cpu.LoopListener: instrumentation has no
-// events, so any number of iterations retires in bulk.
-func (in *Instrumenter) QuietIterations(*cpu.Loop) uint64 { return ^uint64(0) }
+// Deadline implements cpu.BoundListener: instrumentation has no events.
+func (in *Instrumenter) Deadline() cpu.Deadline { return cpu.NoDeadline }
 
-// RetireIterations implements cpu.LoopListener: n block entries per
-// visible body block, tallied like RetireBlock's.
-func (in *Instrumenter) RetireIterations(l *cpu.Loop, _, n uint64) {
-	for _, id := range l.Body() {
-		if in.UserOnly && in.blocks[id].kernel {
-			continue
-		}
-		in.fastExec[id] += n
-		in.dirty = true
-	}
-}
+// RetireBlock implements cpu.BlockListener. It is never called: the
+// instrumenter has no deadline.
+func (in *Instrumenter) RetireBlock(*cpu.BlockEvent) {}
 
-// fold applies the deferred block-path tallies to the totals.
-// Idempotent: folded tallies are consumed.
-func (in *Instrumenter) fold() {
-	if !in.dirty {
-		return
-	}
-	in.dirty = false
-	for id, n := range in.fastExec {
-		if n == 0 {
-			continue
-		}
-		in.fastExec[id] = 0
-		bp := &in.blocks[id]
-		in.blockExec[id] += n
-		in.insts += n * bp.insts
-		in.extraCost += n * bp.cost
-		for _, oc := range bp.ops {
-			in.mnemonics[oc.op] += n * oc.n
-		}
-	}
-}
-
-// Retire implements cpu.Listener, the per-instruction reference path.
+// Retire implements cpu.Listener, the per-instruction reference path:
+// one tally per block entry, in the instrumenter's own state.
 func (in *Instrumenter) Retire(ev *cpu.RetireEvent) {
-	if in.UserOnly && ev.Ring == program.RingKernel {
-		return
+	if in.st != &in.own {
+		in.Bind(&in.own)
 	}
-	info := ev.Op.Info()
 	if ev.Addr == ev.Block.Addr {
-		in.blockExec[ev.Block.ID]++
-		in.extraCost += costBlockEntry
+		in.own.Exec[ev.Block.ID]++
 	}
-	in.mnemonics[ev.Op]++
-	in.insts++
-	in.extraCost += opCost(&info)
+}
+
+// results returns the totals so far.
+func (in *Instrumenter) results() *totals {
+	v := &in.view
+	copy(v.exec, in.done.exec)
+	v.mnemonics, v.insts, v.cost = in.done.mnemonics, in.done.insts, in.done.cost
+	v.add(in, in.st.Exec)
+	return v
 }
 
 // BlockExec returns the exact execution count of the block with the
 // given ID.
 func (in *Instrumenter) BlockExec(id int) uint64 {
-	in.fold()
-	return in.blockExec[id]
+	n := in.done.exec[id]
+	if !in.UserOnly || !in.blocks[id].kernel {
+		n += in.st.Exec[id]
+	}
+	return n
 }
 
 // BBECs returns the exact per-block execution counts indexed by block
-// ID. The returned slice is the instrumenter's live storage; callers
-// must not modify it.
+// ID. The returned slice is the instrumenter's storage, valid until the
+// next call of a result accessor; callers must not modify it.
 func (in *Instrumenter) BBECs() []uint64 {
-	in.fold()
-	return in.blockExec
+	return in.results().exec
 }
 
 // Mnemonics returns the exact per-mnemonic execution histogram.
 func (in *Instrumenter) Mnemonics() map[isa.Op]uint64 {
-	in.fold()
 	out := make(map[isa.Op]uint64)
-	for op, n := range in.mnemonics {
+	for op, n := range in.results().mnemonics {
 		if n > 0 {
 			out[isa.Op(op)] = n
 		}
@@ -257,15 +255,13 @@ func (in *Instrumenter) Mnemonics() map[isa.Op]uint64 {
 
 // Instructions returns the total retired instructions observed.
 func (in *Instrumenter) Instructions() uint64 {
-	in.fold()
-	return in.insts
+	return in.results().insts
 }
 
 // ExtraCycles returns the instrumentation cost accumulated on top of the
 // clean run's cycles. InstrumentedCycles = cleanCycles + ExtraCycles.
 func (in *Instrumenter) ExtraCycles() uint64 {
-	in.fold()
-	return in.extraCost
+	return in.results().cost
 }
 
 // SlowdownFactor returns the modelled runtime multiplier relative to a
@@ -274,11 +270,10 @@ func (in *Instrumenter) SlowdownFactor(cleanCycles uint64) float64 {
 	if cleanCycles == 0 {
 		return 1
 	}
-	in.fold()
-	return float64(cleanCycles+in.extraCost) / float64(cleanCycles)
+	return float64(cleanCycles+in.ExtraCycles()) / float64(cleanCycles)
 }
 
 var (
-	_ cpu.Listener     = (*Instrumenter)(nil)
-	_ cpu.LoopListener = (*Instrumenter)(nil)
+	_ cpu.Listener      = (*Instrumenter)(nil)
+	_ cpu.BoundListener = (*Instrumenter)(nil)
 )

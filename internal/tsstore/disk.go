@@ -212,7 +212,7 @@ func (s *Series) Save(dir string) error {
 		}
 		name := windowFileName(w.span)
 		live[name] = true
-		if err := writeFileAtomic(dir, name, buf); err != nil {
+		if err := profstore.WriteFileAtomic(filepath.Join(dir, name), buf); err != nil {
 			return fmt.Errorf("tsstore: writing window %s: %w", w.span, err)
 		}
 		entries = append(entries, indexEntry{
@@ -221,7 +221,7 @@ func (s *Series) Save(dir string) error {
 			crc:  crc32.Checksum(buf, castagnoli),
 		})
 	}
-	if err := writeFileAtomic(dir, IndexName, appendIndex(nil, entries)); err != nil {
+	if err := profstore.WriteFileAtomic(filepath.Join(dir, IndexName), appendIndex(nil, entries)); err != nil {
 		return fmt.Errorf("tsstore: writing index: %w", err)
 	}
 	// Sweep stale window files (from saves of a finer-grained past
@@ -237,24 +237,6 @@ func (s *Series) Save(dir string) error {
 		}
 	}
 	return nil
-}
-
-// writeFileAtomic stages data in a same-directory temp file and
-// renames it over name.
-func writeFileAtomic(dir, name string, data []byte) error {
-	tmp, err := os.CreateTemp(dir, ".tsstore-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), filepath.Join(dir, name))
 }
 
 // Open loads a series from dir. A directory without an index (or a

@@ -99,18 +99,6 @@ func WithRawOutput(w io.Writer) Option {
 	}
 }
 
-// WithPerInstructionReference forces every run onto the CPU's
-// per-instruction reference dispatch instead of the block-granularity
-// fast path. Results are bit-identical either way — the façade's
-// parity tests flip this option to prove it — so the only reason to
-// set it is to exercise the reference path.
-func WithPerInstructionReference() Option {
-	return func(c *config) error {
-		c.perInstruction = true
-		return nil
-	}
-}
-
 // WithModel installs a profiling model, bypassing both the shipped
 // default rule and training. A model returned by [Session.Train] on
 // one session can be reused on another.
