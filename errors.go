@@ -6,6 +6,7 @@ import (
 	"hbbp/internal/cpu"
 	"hbbp/internal/fleetserver"
 	"hbbp/internal/fleetwire"
+	"hbbp/internal/harness"
 	"hbbp/internal/perffile"
 	"hbbp/internal/profstore"
 	"hbbp/internal/tsstore"
@@ -37,7 +38,7 @@ var (
 	ErrWorkloadBuild = workloads.ErrBuild
 	// ErrUnknownExperiment reports an experiment name RunExperiment
 	// does not recognise.
-	ErrUnknownExperiment = errors.New("hbbp: unknown experiment")
+	ErrUnknownExperiment = harness.ErrUnknownExperiment
 	// ErrProfileMagic reports a LoadProfile stream that is not a
 	// stored profile at all.
 	ErrProfileMagic = profstore.ErrBadMagic

@@ -261,14 +261,13 @@ func TestExperimentRunnerReusesCaches(t *testing.T) {
 	}
 	first := out.String()
 
-	s.mu.Lock()
-	cachedModel, cachedSuite := s.expModel, s.expSuite
-	s.mu.Unlock()
-	if cachedModel == nil {
-		t.Fatal("no trained model harvested after a model-backed experiment")
+	// A repeated call is served wholly from the session's run cache.
+	rep, err := s.RunExperiments(ctx, "table1")
+	if err != nil {
+		t.Fatalf("repeated RunExperiments: %v", err)
 	}
-	if cachedSuite == nil {
-		t.Fatal("no suite evaluations harvested after a suite-backed experiment")
+	if rep.RunsCollected != 0 {
+		t.Errorf("repeated table1 collected %d runs, want 0", rep.RunsCollected)
 	}
 
 	// The cached re-run must render the identical bytes.
@@ -290,15 +289,34 @@ func TestExperimentRunnerReusesCaches(t *testing.T) {
 		t.Errorf("façade table1 differs from direct harness")
 	}
 
-	// Train must return the very same model object without a second
-	// corpus pass.
+	// Train must return the model the experiments trained, without a
+	// second corpus pass.
+	misses := runCacheMisses()
 	m, err := s.Train(ctx)
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
-	if m != cachedModel {
-		t.Errorf("Train re-learned a model instead of reusing the session cache")
+	if n := runCacheMisses() - misses; n != 0 {
+		t.Errorf("Train collected %v runs instead of reusing the session cache", n)
 	}
+	refModel, err := r.Model()
+	if err != nil {
+		t.Fatalf("harness Model: %v", err)
+	}
+	if !reflect.DeepEqual(m, refModel) {
+		t.Errorf("Train returned a model unlike the one the experiments trained")
+	}
+}
+
+// runCacheMisses reads the process-wide count of collection runs the
+// experiment harness executed.
+func runCacheMisses() float64 {
+	for _, m := range TelemetrySnapshot() {
+		if m.Name == "hbbp_harness_runcache_total" && m.Labels == `result="miss"` {
+			return m.Value
+		}
+	}
+	return 0
 }
 
 // TestPerInstructionReferenceParity asserts the façade option maps

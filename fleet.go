@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"hbbp/internal/analyzer"
 	"hbbp/internal/core"
 	"hbbp/internal/isa"
 	"hbbp/internal/pivot"
@@ -157,18 +158,7 @@ func (a *Aggregator) Snapshot() *StoredProfile {
 // build's ISA table does not know (a stored profile may come from a
 // newer build) are skipped.
 func StoredMix(sp *StoredProfile, scope Scope) Mix {
-	mix := make(Mix)
-	for _, o := range sp.Ops {
-		if !scopeAdmitsRing(scope, o.Ring) {
-			continue
-		}
-		op, err := isa.Parse(o.Mnemonic)
-		if err != nil {
-			continue
-		}
-		mix[op] += float64(o.Mass)
-	}
-	return mix
+	return analyzer.StoredMix(sp, scope)
 }
 
 // StoredPivot explodes a stored profile's op masses into a pivot
@@ -237,15 +227,4 @@ func StoredBlockPivot(sp *StoredProfile) *PivotTable {
 		}, float64(b.Mass()))
 	}
 	return tab
-}
-
-// scopeAdmitsRing filters a stored ring by view scope.
-func scopeAdmitsRing(s Scope, ring uint8) bool {
-	switch s {
-	case ScopeUser:
-		return ring == profstore.RingUser
-	case ScopeKernel:
-		return ring == profstore.RingKernel
-	}
-	return true
 }

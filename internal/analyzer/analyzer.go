@@ -16,6 +16,7 @@ package analyzer
 import (
 	"hbbp/internal/isa"
 	"hbbp/internal/metrics"
+	"hbbp/internal/profstore"
 	"hbbp/internal/program"
 )
 
@@ -114,6 +115,25 @@ func ToMix(m map[isa.Op]uint64) metrics.Mix {
 		out[op] = float64(n)
 	}
 	return out
+}
+
+// StoredMix converts a stored profile's per-op mass into a mix under
+// the scope filter. Stored rings share the program model's numbering.
+// Mnemonics this build's ISA table does not know (a stored profile may
+// come from a newer build) are skipped.
+func StoredMix(sp *profstore.Profile, s Scope) metrics.Mix {
+	mix := make(metrics.Mix)
+	for _, o := range sp.Ops {
+		if !s.admits(program.Ring(o.Ring)) {
+			continue
+		}
+		op, err := isa.Parse(o.Mnemonic)
+		if err != nil {
+			continue
+		}
+		mix[op] += float64(o.Mass)
+	}
+	return mix
 }
 
 // GroupBy aggregates a mix into named buckets using a taxonomy.

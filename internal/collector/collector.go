@@ -85,12 +85,8 @@ type Options struct {
 	Scale uint64
 	// Seed seeds both the workload's stochastic branches and the PMU.
 	Seed int64
-	// PMU overrides the default PMU model when non-nil.
-	PMU *pmu.Config
 	// Repeat is the workload invocation count (default 1).
 	Repeat int
-	// MaxRetired guards against runaway programs (default none).
-	MaxRetired uint64
 	// RawOut, when non-nil, additionally receives the raw perffile
 	// stream (e.g. a file on disk). Off by default: the collection
 	// streams straight into sinks, and the raw byte stream is only
@@ -215,10 +211,6 @@ func Collect(p *program.Program, entry *program.Function, opt Options, extra ...
 		sinks = append(sinks, &WriterSink{W: w})
 	}
 
-	pmuCfg := pmu.DefaultConfig(opt.Seed)
-	if opt.PMU != nil {
-		pmuCfg = *opt.PMU
-	}
 	var pmis uint64
 	var rec perffile.Sample
 	handler := func(s pmu.Sample) {
@@ -235,7 +227,7 @@ func Collect(p *program.Program, entry *program.Function, opt Options, extra ...
 			sink.Sample(&rec)
 		}
 	}
-	unit, err := pmu.New(pmuCfg,
+	unit, err := pmu.New(pmu.DefaultConfig(opt.Seed),
 		pmu.Sampling{Event: pmu.InstRetiredPrecDist, Period: ebsPeriod, Handler: handler},
 		pmu.Sampling{Event: pmu.BrInstRetiredNearTaken, Period: lbrPeriod, Handler: handler},
 	)
@@ -245,7 +237,7 @@ func Collect(p *program.Program, entry *program.Function, opt Options, extra ...
 
 	listeners := append([]cpu.Listener{unit}, extra...)
 	stats, err := cpu.Run(p, entry, cpu.Config{
-		Seed: opt.Seed, Repeat: opt.Repeat, MaxRetired: opt.MaxRetired,
+		Seed: opt.Seed, Repeat: opt.Repeat,
 		PerInstruction: opt.PerInstruction, Ctx: opt.Context,
 		Layout: opt.Layout,
 	}, listeners...)

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"strings"
 
+	"hbbp/internal/analyzer"
 	"hbbp/internal/core"
-	"hbbp/internal/isa"
 	"hbbp/internal/metrics"
 	"hbbp/internal/profstore"
 )
@@ -94,27 +94,10 @@ func (r *Runner) Fleet() (*FleetResult, error) {
 			res.Rows[i].Share = float64(res.Rows[i].Mass) / float64(total)
 		}
 	}
-	res.ErrHBBP = metrics.AvgWeightedError(unionRef, storedUserMix(profstore.Merge(hybrid...)))
-	res.ErrEBS = metrics.AvgWeightedError(unionRef, storedUserMix(profstore.Merge(ebs...)))
-	res.ErrLBR = metrics.AvgWeightedError(unionRef, storedUserMix(profstore.Merge(lbr...)))
+	res.ErrHBBP = metrics.AvgWeightedError(unionRef, analyzer.StoredMix(profstore.Merge(hybrid...), analyzer.ScopeUser))
+	res.ErrEBS = metrics.AvgWeightedError(unionRef, analyzer.StoredMix(profstore.Merge(ebs...), analyzer.ScopeUser))
+	res.ErrLBR = metrics.AvgWeightedError(unionRef, analyzer.StoredMix(profstore.Merge(lbr...), analyzer.ScopeUser))
 	return res, nil
-}
-
-// storedUserMix converts a merged profile's user-mode op mass back
-// into a metrics mix for scoring.
-func storedUserMix(sp *profstore.Profile) metrics.Mix {
-	mix := make(metrics.Mix)
-	for _, o := range sp.Ops {
-		if o.Ring != profstore.RingUser {
-			continue
-		}
-		op, err := isa.Parse(o.Mnemonic)
-		if err != nil {
-			continue
-		}
-		mix[op] += float64(o.Mass)
-	}
-	return mix
 }
 
 // Render prints the fleet table: per-workload mass shares, the merged

@@ -54,80 +54,88 @@ type Config struct {
 	// Outputs are identical either way; the model/table parity tests
 	// flip this flag to prove it.
 	PerInstruction bool
-	// Ctx, when non-nil, cancels experiments in flight: the worker pool
-	// stops dispatching new runs and every running collection aborts at
-	// its next context poll, so a Runner method returns promptly with
-	// an error wrapping ctx.Err(). Results produced before
-	// cancellation are discarded; a run that completes under a context
-	// is bit-identical to one without.
-	Ctx context.Context
-	// Model, when non-nil, is used as the HBBP model instead of
-	// training one on the corpus — the cache-sharing hook for callers
-	// that construct a Runner per invocation. Outputs are identical to
-	// a training Runner only if the model is one such a Runner (same
-	// Seed, Fast settings and dispatch path) produced; see
-	// TrainedModel.
-	Model *core.Model
-	// Suite, when non-nil, is used as the SPEC-suite evaluation set
-	// instead of running the suite — the same cache-sharing hook for
-	// the other expensive shared computation; see EvaluatedSuite.
-	Suite []*WorkloadEval
 }
 
 // Runner executes experiments through a keyed run cache: the trained
-// model, the suite evaluations and every named workload evaluation are
-// collected at most once per Runner and shared by all experiments that
-// request them. A Runner is safe for the concurrent use its own worker
-// pool makes of it.
+// model and every workload evaluation (the SPEC suite's included) are
+// collected at most once per cache and shared by all experiments that
+// request them. A Runner returned by New carries no context; the views
+// WithContext returns share its cache and collection tally and carry
+// one call's context each. A Runner and its views are safe for
+// concurrent use.
 type Runner struct {
+	*runCache
+	// ctx, when non-nil, cancels this view's work in flight: the worker
+	// pool stops dispatching new runs and every running collection
+	// aborts at its next context poll, so a method returns promptly
+	// with an error wrapping ctx.Err(). A run that completes under a
+	// context is bit-identical to one without.
+	ctx context.Context
+}
+
+// runCache is the state every view of one Runner shares.
+type runCache struct {
 	cfg Config
 	out io.Writer
 
-	modelOnce  sync.Once
-	model      *core.Model
-	modelErr   error
-	modelReady atomic.Bool
+	model memo[*core.Model]
 
-	suiteOnce  sync.Once
-	suite      []*WorkloadEval
-	suiteErr   error
-	suiteReady atomic.Bool
-
-	// evals is the keyed run cache: one slot per workload name, each
-	// collected at most once. The per-run seed is name-independent, so
-	// a cached evaluation is bit-identical to a fresh one.
+	// evals is the keyed run cache: one entry per workload name. The
+	// per-run seed is name-independent, so a cached evaluation is
+	// bit-identical to a fresh one.
 	evalMu sync.Mutex
-	evals  map[string]*evalSlot
+	evals  map[string]*memo[*WorkloadEval]
 
 	// statsMu guards the collection accounting below. collectCounts
 	// tallies, per key, how many collection runs actually executed
 	// (evaluations under their workload name, training runs under
-	// "corpus/<name>"); reused counts requests served from a cache
+	// "corpus/<name>"); reused counts requests served from the cache
 	// instead of collecting again.
 	statsMu       sync.Mutex
 	collectCounts map[string]int
 	reused        int
 }
 
-// evalSlot is one keyed run cache entry.
-type evalSlot struct {
-	once sync.Once
-	ev   *WorkloadEval
-	err  error
+// memo caches one result. A successful computation is kept for the
+// cache's lifetime; a failed one is dropped, so the next caller
+// computes afresh and a cancelled call never poisons a later one.
+type memo[T any] struct {
+	mu   sync.Mutex
+	done atomic.Bool
+	val  T
+}
+
+// get returns the cached value or computes it with fn. Callers of one
+// memo wait while a computation runs, even a caller whose own context
+// is cancelled, and take its result when it succeeds; after a failure
+// the next waiter computes afresh. fresh reports whether this call
+// computed the value.
+func (m *memo[T]) get(fn func() (T, error)) (v T, fresh bool, err error) {
+	if m.done.Load() {
+		return m.val, false, nil
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.done.Load() {
+		return m.val, false, nil
+	}
+	if v, err = fn(); err != nil {
+		return v, false, err
+	}
+	m.val = v
+	m.done.Store(true)
+	return v, true, nil
 }
 
 // noteCollected records one executed collection run under key.
 func (r *Runner) noteCollected(key string) {
 	runcacheMisses.Inc()
 	r.statsMu.Lock()
-	if r.collectCounts == nil {
-		r.collectCounts = map[string]int{}
-	}
 	r.collectCounts[key]++
 	r.statsMu.Unlock()
 }
 
-// noteReused records n requests served from a cache.
+// noteReused records n requests served from the cache.
 func (r *Runner) noteReused(n int) {
 	runcacheHits.Add(uint64(n))
 	r.statsMu.Lock()
@@ -139,7 +147,7 @@ func (r *Runner) noteReused(n int) {
 // collected is the number of (workload, config) collection runs that
 // actually executed — training corpus runs and workload evaluations —
 // and reused is the number of requests served from the keyed run
-// cache (or the suite cache) instead of collecting again.
+// cache instead of collecting again.
 func (r *Runner) Collections() (collected, reused int) {
 	r.statsMu.Lock()
 	defer r.statsMu.Unlock()
@@ -152,7 +160,8 @@ func (r *Runner) Collections() (collected, reused int) {
 // CollectionCounts returns a copy of the per-key collection tally:
 // workload evaluations under their name, training corpus runs under
 // "corpus/<name>". The planner's exactly-once guarantee means every
-// value is 1 after any sequence of experiments on one Runner.
+// value is 1 after any sequence of experiments, concurrent ones
+// included, on one Runner and its views.
 func (r *Runner) CollectionCounts() map[string]int {
 	r.statsMu.Lock()
 	defer r.statsMu.Unlock()
@@ -172,7 +181,21 @@ func New(cfg Config) *Runner {
 	if out == nil {
 		out = io.Discard
 	}
-	return &Runner{cfg: cfg, out: out}
+	return &Runner{runCache: &runCache{
+		cfg:           cfg,
+		out:           out,
+		evals:         map[string]*memo[*WorkloadEval]{},
+		collectCounts: map[string]int{},
+	}}
+}
+
+// WithContext returns a view of r that shares its run cache and
+// collection tally and runs under ctx: cancelling ctx stops the view's
+// worker pool and its collections in flight. Results a view completes
+// stay cached for every other view; a cancelled or failed run caches
+// nothing.
+func (r *Runner) WithContext(ctx context.Context) *Runner {
+	return &Runner{runCache: r.runCache, ctx: ctx}
 }
 
 func (r *Runner) printf(format string, args ...any) {
@@ -211,13 +234,13 @@ func (r *Runner) workers(n int) int {
 	return w
 }
 
-// ctxErr reports the configured context's cancellation error, wrapped
-// for attribution; nil when no context is set or it is still live.
+// ctxErr reports the view's cancellation error, wrapped for
+// attribution; nil when the view has no context or it is still live.
 func (r *Runner) ctxErr() error {
-	if r.cfg.Ctx == nil {
+	if r.ctx == nil {
 		return nil
 	}
-	if err := r.cfg.Ctx.Err(); err != nil {
+	if err := r.ctx.Err(); err != nil {
 		return fmt.Errorf("harness: %w", err)
 	}
 	return nil
@@ -226,8 +249,8 @@ func (r *Runner) ctxErr() error {
 // forEach runs fn(i) for every i in [0, n) on a bounded worker pool
 // and returns the lowest-index error. Callers communicate results by
 // writing to per-index slots, so assembly order — and therefore every
-// rendered table — is independent of scheduling. A cancelled
-// Config.Ctx stops the dispatch of further items; items already
+// rendered table — is independent of scheduling. A cancelled view
+// context stops the dispatch of further items; items already
 // running abort at their own context polls inside the collection.
 func (r *Runner) forEach(n int, fn func(i int) error) error {
 	if n == 0 {
@@ -279,60 +302,41 @@ func (r *Runner) forEach(n int, fn func(i int) error) error {
 // collected concurrently — each carries its own derived seed, so the
 // dataset and the learned tree are identical to a sequential pass.
 func (r *Runner) Model() (*core.Model, error) {
-	r.modelOnce.Do(func() {
-		defer func() {
-			if r.modelErr == nil {
-				r.modelReady.Store(true)
-			}
-		}()
-		if r.cfg.Model != nil {
-			r.model = r.cfg.Model
-			return
-		}
-		names := workloads.TrainingNames()
-		runs := make([]*core.TrainingRun, len(names))
-		err := r.forEach(len(names), func(i int) error {
-			w, err := r.workload(names[i])
-			if err != nil {
-				return err
-			}
-			run, err := core.CollectTrainingRun(w.Prog, w.Entry, collector.Options{
-				// Training samples at the same class-based periods used in
-				// production, so the learned rule internalises the sampling
-				// noise the estimators actually carry at analysis time.
-				Class: w.Class,
-				Scale: w.Scale, Seed: r.cfg.Seed + int64(100+i),
-				Repeat:         w.Repeat,
-				PerInstruction: r.cfg.PerInstruction,
-				Context:        r.cfg.Ctx,
-				Layout:         w.Layout,
-			})
-			if err != nil {
-				return err
-			}
-			r.noteCollected("corpus/" + names[i])
-			runs[i] = run
-			return nil
-		})
-		if err != nil {
-			r.modelErr = err
-			return
-		}
-		r.model, r.modelErr = core.Train(runs, core.TrainParams{})
-	})
-	return r.model, r.modelErr
+	m, _, err := r.model.get(r.train)
+	return m, err
 }
 
-// TrainedModel returns the resolved model without forcing training:
-// ok is false until an experiment has needed the model and obtained it
-// successfully. Callers constructing one Runner per invocation harvest
-// the model here and feed it back through Config.Model so later
-// invocations skip the corpus collection.
-func (r *Runner) TrainedModel() (m *core.Model, ok bool) {
-	if !r.modelReady.Load() {
-		return nil, false
+// train collects the training corpus and learns the model.
+func (r *Runner) train() (*core.Model, error) {
+	names := workloads.TrainingNames()
+	runs := make([]*core.TrainingRun, len(names))
+	err := r.forEach(len(names), func(i int) error {
+		w, err := r.workload(names[i])
+		if err != nil {
+			return err
+		}
+		run, err := core.CollectTrainingRun(w.Prog, w.Entry, collector.Options{
+			// Training samples at the same class-based periods used in
+			// production, so the learned rule internalises the sampling
+			// noise the estimators actually carry at analysis time.
+			Class: w.Class,
+			Scale: w.Scale, Seed: r.cfg.Seed + int64(100+i),
+			Repeat:         w.Repeat,
+			PerInstruction: r.cfg.PerInstruction,
+			Context:        r.ctx,
+			Layout:         w.Layout,
+		})
+		if err != nil {
+			return err
+		}
+		r.noteCollected("corpus/" + names[i])
+		runs[i] = run
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return r.model, true
+	return core.Train(runs, core.TrainParams{})
 }
 
 // WorkloadEval is one workload's full evaluation: runtime model plus
@@ -386,7 +390,7 @@ func (r *Runner) evalWorkload(w *workloads.Workload) (*WorkloadEval, error) {
 			Class: w.Class, Scale: w.Scale, Seed: r.cfg.Seed + 7,
 			Repeat:         w.Repeat,
 			PerInstruction: r.cfg.PerInstruction,
-			Context:        r.cfg.Ctx,
+			Context:        r.ctx,
 			Layout:         w.Layout,
 		},
 		KernelLivePatched: true,
@@ -429,41 +433,34 @@ func (r *Runner) evalWorkload(w *workloads.Workload) (*WorkloadEval, error) {
 }
 
 // eval returns the named workload's evaluation through the keyed run
-// cache, collecting it at most once per Runner. Concurrent requesters
+// cache, collecting it at most once per cache. Concurrent requesters
 // of one name share a single collection; because every evaluation run
 // derives the same seed from the config alone, a cached result is
 // bit-identical to a fresh one — caching changes which run produced
 // the bytes, never the bytes.
 func (r *Runner) eval(name string) (*WorkloadEval, error) {
 	r.evalMu.Lock()
-	if r.evals == nil {
-		r.evals = map[string]*evalSlot{}
-	}
-	slot := r.evals[name]
-	if slot == nil {
-		slot = &evalSlot{}
-		r.evals[name] = slot
+	m := r.evals[name]
+	if m == nil {
+		m = &memo[*WorkloadEval]{}
+		r.evals[name] = m
 	}
 	r.evalMu.Unlock()
-	fresh := false
-	slot.once.Do(func() {
-		fresh = true
+	ev, fresh, err := m.get(func() (*WorkloadEval, error) {
 		w, err := r.workload(name)
 		if err != nil {
-			slot.err = err
-			return
+			return nil, err
 		}
 		ev, err := r.evalWorkload(w)
 		if err != nil {
-			slot.err = fmt.Errorf("harness: evaluating %s: %w", name, err)
-			return
+			return nil, fmt.Errorf("harness: evaluating %s: %w", name, err)
 		}
-		slot.ev = ev
+		return ev, nil
 	})
-	if !fresh && slot.err == nil {
+	if err == nil && !fresh {
 		r.noteReused(1)
 	}
-	return slot.ev, slot.err
+	return ev, err
 }
 
 // evalNamed evaluates registry workloads by name on the worker pool,
@@ -502,38 +499,10 @@ func (r *Runner) evalNamedOne(name string) (*WorkloadEval, error) {
 	return r.eval(name)
 }
 
-// SuiteEvals evaluates the full SPEC-like suite once, caching results.
-// The per-workload runs execute concurrently; the cached slice is in
-// suite order regardless of scheduling.
+// SuiteEvals evaluates the full SPEC-like suite through the keyed run
+// cache, in suite order regardless of scheduling.
 func (r *Runner) SuiteEvals() ([]*WorkloadEval, error) {
-	first := false
-	r.suiteOnce.Do(func() {
-		first = true
-		if r.cfg.Suite != nil {
-			r.suite = r.cfg.Suite
-			r.suiteReady.Store(true)
-			return
-		}
-		r.suite, r.suiteErr = r.evalNamed(workloads.SPECNames())
-		if r.suiteErr == nil {
-			r.suiteReady.Store(true)
-		}
-	})
-	if !first && r.suiteErr == nil {
-		r.noteReused(len(r.suite))
-	}
-	return r.suite, r.suiteErr
-}
-
-// EvaluatedSuite returns the suite evaluations without forcing the
-// runs: ok is false until an experiment has needed the suite and
-// obtained it successfully. The per-invocation-Runner counterpart of
-// TrainedModel.
-func (r *Runner) EvaluatedSuite() (evals []*WorkloadEval, ok bool) {
-	if !r.suiteReady.Load() {
-		return nil, false
-	}
-	return r.suite, true
+	return r.evalNamed(workloads.SPECNames())
 }
 
 // ExperimentNames lists every regenerable experiment: the paper's

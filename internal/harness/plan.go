@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -162,15 +163,20 @@ type Plan struct {
 	Workloads []string
 }
 
+// ErrUnknownExperiment reports an experiment name the registry does
+// not know.
+var ErrUnknownExperiment = errors.New("harness: unknown experiment")
+
 // PlanFor computes the shared collection plan for the named
-// experiments. Unknown names fail here, before any collection starts.
+// experiments. Unknown names fail here, before any collection starts,
+// with an error wrapping ErrUnknownExperiment.
 func PlanFor(names ...string) (*Plan, error) {
 	plan := &Plan{}
 	seen := map[string]bool{}
 	for _, name := range names {
 		exp, ok := experimentByName(name)
 		if !ok {
-			return nil, fmt.Errorf("harness: unknown experiment %q (known: %v)", name, ExperimentNames())
+			return nil, fmt.Errorf("%w %q (known: %v)", ErrUnknownExperiment, name, ExperimentNames())
 		}
 		plan.Experiments = append(plan.Experiments, name)
 		plan.Model = plan.Model || exp.model
@@ -203,7 +209,7 @@ type Report struct {
 	Plan *Plan
 	// Collected is the number of (workload, config) collection runs
 	// executed during this call; Reused counts requests served from
-	// the keyed run or suite cache instead of collecting again.
+	// the keyed run cache instead of collecting again.
 	Collected, Reused int
 	// CollectWall is the wall time of the shared collection phase.
 	CollectWall time.Duration

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"strings"
 	"sync"
 	"time"
 
@@ -17,29 +16,32 @@ import (
 // active profiling model, usable for any number of runs. Construct one
 // with [New]; the zero value is not usable.
 //
+// A session owns one experiment run cache for its whole life: the
+// corpus-trained model and every workload evaluation that
+// [Session.Train] and the experiment calls need are collected at most
+// once per session and shared by all later calls, concurrent ones
+// included. Running an experiment never changes the model
+// [Session.Profile] uses; only Train installs it.
+//
 // A Session is safe for concurrent use — [Session.Profile] calls may
-// run in parallel (each run owns its machine and PMU state) — with two
-// caveats. [Session.Train] installs the learned model for subsequent
-// calls, so profiles racing with a Train may use either model. And the
-// session-level option targets are shared across runs: a [WithRawOutput]
-// writer receives the interleaved streams of concurrent runs (useless
-// for replay — serialize profiles, or give each run its own session),
-// and [WithSinks] implementations observe concurrent Sample calls and
-// must be safe for that themselves.
+// run in parallel (each run owns its machine and PMU state) — with
+// three caveats. [Session.Train] installs the learned model for
+// subsequent calls, so profiles racing with a Train may use either
+// model. The session-level option targets are shared across runs: a
+// [WithRawOutput] writer receives the interleaved streams of
+// concurrent runs (useless for replay — serialize profiles, or give
+// each run its own session), and [WithSinks] implementations observe
+// concurrent Sample calls and must be safe for that themselves. And
+// concurrent experiment calls render to the one [WithExperimentOutput]
+// writer, so their tables interleave.
 type Session struct {
 	cfg config
+	// exp is the experiment harness and its run cache; each call runs
+	// on a view carrying that call's context.
+	exp *harness.Runner
 
 	mu    sync.Mutex
 	model *Model
-	// expModel and expSuite cache the two expensive shared
-	// computations of the experiment harness — the corpus-trained
-	// model and the SPEC-suite evaluations: the harness produces them
-	// on first need, the session harvests them, and later runner
-	// invocations skip the collections. expModel is kept separate
-	// from model so running an experiment never silently changes what
-	// Profile uses.
-	expModel *Model
-	expSuite []*harness.WorkloadEval
 }
 
 // New builds a Session from functional options. Defaults: seed 1, all
@@ -52,7 +54,15 @@ func New(opts ...Option) (*Session, error) {
 			return nil, err
 		}
 	}
-	return &Session{cfg: cfg, model: cfg.model}, nil
+	exp := harness.New(harness.Config{
+		Out:            cfg.expOut,
+		Fast:           cfg.fastFactor > 0,
+		FastFactor:     cfg.fastFactor,
+		Seed:           cfg.seed,
+		Parallelism:    cfg.parallelism,
+		PerInstruction: cfg.perInstruction,
+	})
+	return &Session{cfg: cfg, exp: exp, model: cfg.model}, nil
 }
 
 // currentModel resolves the active model: installed by option or
@@ -132,56 +142,19 @@ func (s *Session) Replay(ctx context.Context, w *Workload, r io.Reader) (*Profil
 // the paper's Figure 1 pipeline — and installs it as the session's
 // active model for subsequent Profile and Replay calls. The corpus
 // runs execute on the session's worker pool; the dataset and the
-// learned tree are identical at any parallelism. Cancelling ctx stops
-// the corpus collection promptly.
+// learned tree are identical at any parallelism. The model comes from
+// the session's run cache, so it is trained at most once per session
+// and is the very model the session's experiments use. Cancelling ctx
+// stops the corpus collection promptly.
 func (s *Session) Train(ctx context.Context) (*Model, error) {
-	r := s.runner(ctx)
-	m, err := r.Model()
+	m, err := s.exp.WithContext(ctx).Model()
 	if err != nil {
 		return nil, err
 	}
-	s.harvest(r)
 	s.mu.Lock()
 	s.model = m
 	s.mu.Unlock()
 	return m, nil
-}
-
-// runner maps the session configuration onto an experiment harness
-// bound to ctx. The harness is per call (a context binds at
-// construction), but the expensive state — the corpus-trained model —
-// is carried across calls through expModel and harvest.
-func (s *Session) runner(ctx context.Context) *harness.Runner {
-	s.mu.Lock()
-	trained, suite := s.expModel, s.expSuite
-	s.mu.Unlock()
-	return harness.New(harness.Config{
-		Out:            s.cfg.expOut,
-		Fast:           s.cfg.fastFactor > 0,
-		FastFactor:     s.cfg.fastFactor,
-		Seed:           s.cfg.seed,
-		Parallelism:    s.cfg.parallelism,
-		PerInstruction: s.cfg.perInstruction,
-		Ctx:            ctx,
-		Model:          trained,
-		Suite:          suite,
-	})
-}
-
-// harvest stores the model a runner trained and the suite it
-// evaluated, so the next runner skips those collections. Called after
-// every runner use, whether or not the invocation as a whole
-// succeeded — a successfully computed cache is valid even when a
-// later table failed or was cancelled.
-func (s *Session) harvest(r *harness.Runner) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if m, ok := r.TrainedModel(); ok && s.expModel == nil {
-		s.expModel = m
-	}
-	if evals, ok := r.EvaluatedSuite(); ok && s.expSuite == nil {
-		s.expSuite = evals
-	}
 }
 
 // ExperimentNames lists every regenerable experiment: the paper's
@@ -229,35 +202,26 @@ func (s *Session) RunExperiment(ctx context.Context, name string) error {
 // collection plan: the union of required (workload, configuration)
 // runs across the batch is computed up front and each is collected
 // exactly once on the session's worker pool, then every experiment
-// renders from the shared result set in request order. Output is
-// byte-identical to running the experiments individually (a
-// multi-experiment batch separates renders with a blank line, the
-// [Session.RunAllExperiments] layout) at any parallelism. Unknown
-// names return an error matching [ErrUnknownExperiment] before any
-// collection starts. Cancelling ctx stops the worker pool and
-// in-flight collections promptly; the report still accounts for the
-// runs collected before the cancellation.
+// renders from the shared result set in request order. The run cache
+// lives as long as the session and is shared by concurrent calls, so
+// a run any earlier or concurrent call collected is not collected
+// again; a cancelled call keeps the runs it completed and caches
+// nothing it did not. Output is byte-identical to running the
+// experiments individually (a multi-experiment batch separates
+// renders with a blank line, the [Session.RunAllExperiments] layout)
+// at any parallelism. Unknown names return an error matching
+// [ErrUnknownExperiment] before any collection starts. Cancelling ctx
+// stops the worker pool and in-flight collections promptly; the
+// report still accounts for the runs collected before the
+// cancellation.
 func (s *Session) RunExperiments(ctx context.Context, names ...string) (*ExperimentReport, error) {
-	known := map[string]bool{}
-	for _, n := range ExperimentNames() {
-		known[n] = true
+	rep, err := s.exp.WithContext(ctx).RunPlan(names...)
+	if rep == nil {
+		return nil, err
 	}
-	for _, name := range names {
-		if !known[name] {
-			return nil, fmt.Errorf("%w: %q (known: %s)",
-				ErrUnknownExperiment, name, strings.Join(ExperimentNames(), ", "))
-		}
-	}
-	r := s.runner(ctx)
-	rep, err := r.RunPlan(names...)
-	s.harvest(r)
-	out := &ExperimentReport{}
-	if rep != nil {
-		out.CollectWall = rep.CollectWall
-		out.RunsCollected, out.RunsReused = rep.Collected, rep.Reused
-		for _, t := range rep.Renders {
-			out.Experiments = append(out.Experiments, ExperimentTiming{Name: t.Name, Wall: t.Wall})
-		}
+	out := &ExperimentReport{CollectWall: rep.CollectWall, RunsCollected: rep.Collected, RunsReused: rep.Reused}
+	for _, t := range rep.Renders {
+		out.Experiments = append(out.Experiments, ExperimentTiming{Name: t.Name, Wall: t.Wall})
 	}
 	return out, err
 }
@@ -265,8 +229,8 @@ func (s *Session) RunExperiments(ctx context.Context, names ...string) (*Experim
 // RunAllExperiments regenerates every experiment in paper order
 // through one shared collection plan ([Session.RunExperiments] over
 // [ExperimentNames]), so every required run is collected exactly once
-// across all tables and figures; the trained model also carries over
-// to the session's later experiment calls.
+// across all tables and figures; the whole result set stays in the
+// session's run cache for its later experiment and Train calls.
 func (s *Session) RunAllExperiments(ctx context.Context) error {
 	_, err := s.RunExperiments(ctx, ExperimentNames()...)
 	return err
