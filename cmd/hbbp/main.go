@@ -40,7 +40,7 @@
 // movements of at least -threshold percentage points as regressions.
 //
 // The time-series modes work on a profile series directory (written
-// by this command or by hbbpd -retain -save-dir), adding the epoch
+// by this command or by hbbpd -save-dir), adding the epoch
 // axis. -series DIR -epoch N appends a profile at epoch N — captured
 // from a workload run, or merged from stored profile files when
 // -merge is also given — then applies the -retain ladder (e.g.
@@ -171,14 +171,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			}
 			// Resolve the ladder before any work — a bad spec must not
 			// cost a collection pass or touch the store.
-			if *retain == "default" {
-				retention = hbbp.DefaultRetention()
-			} else if *retain != "" {
-				var err error
-				if retention, err = hbbp.ParseRetention(*retain); err != nil {
-					fmt.Fprintf(stderr, "hbbp: -retain: %v\n", err)
-					return 2
-				}
+			var err error
+			if retention, err = hbbp.ParseRetention(*retain); err != nil {
+				fmt.Fprintf(stderr, "hbbp: -retain: %v\n", err)
+				return 2
 			}
 			if *merge != "" {
 				// Append pre-captured profiles: no collection run.
@@ -214,16 +210,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 				return 2
 			}
 		}
-		if *threshold < 0 {
-			fmt.Fprintf(stderr, "hbbp: -threshold %g is negative\n", *threshold)
+		th, ok := shareThreshold(*threshold, stderr)
+		if !ok {
 			return 2
-		}
-		// An explicit 0 means "flag every movement": the smallest
-		// positive threshold, not the library default a zero would
-		// otherwise select.
-		th := *threshold / 100
-		if *threshold == 0 {
-			th = math.SmallestNonzeroFloat64
 		}
 		return runDiff(names[0], names[1], th, *topN, stdout, stderr)
 	}
@@ -330,6 +319,55 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
+// shareThreshold converts a -threshold in percentage points into the
+// share fraction DiffProfiles takes, refusing a negative one. An
+// explicit 0 means "flag every movement": the smallest positive
+// threshold, not the library default a zero would otherwise select.
+func shareThreshold(pp float64, stderr io.Writer) (float64, bool) {
+	if pp < 0 {
+		fmt.Fprintf(stderr, "hbbp: -threshold %g is negative\n", pp)
+		return 0, false
+	}
+	if pp == 0 {
+		return math.SmallestNonzeroFloat64, true
+	}
+	return pp / 100, true
+}
+
+// storedPivot picks the pivot a view of a stored profile reads: mix
+// views read the op-level pivot; the functions view needs code
+// locations, which live on the block-level pivot (stored profiles keep
+// the two breakdowns separate).
+func storedPivot(p *hbbp.StoredProfile, view string) *hbbp.PivotTable {
+	if view == "functions" {
+		return hbbp.StoredBlockPivot(p)
+	}
+	return hbbp.StoredPivot(p)
+}
+
+// loadStoredList loads the -merge file list. The whole list is
+// validated before anything is opened: a malformed invocation is a
+// usage error (exit 2), not a half-completed merge. A file that fails
+// to load exits 1; 0 means every profile loaded.
+func loadStoredList(names []string, stderr io.Writer) ([]*hbbp.StoredProfile, int) {
+	for i := range names {
+		names[i] = strings.TrimSpace(names[i])
+		if names[i] == "" {
+			fmt.Fprintln(stderr, "hbbp: -merge: empty file name in list")
+			return nil, 2
+		}
+	}
+	profiles := make([]*hbbp.StoredProfile, 0, len(names))
+	for _, name := range names {
+		sp, ok := loadStored(name, stderr)
+		if !ok {
+			return nil, 1
+		}
+		profiles = append(profiles, sp)
+	}
+	return profiles, 0
+}
+
 // loadStored opens and decodes one stored profile, translating the
 // classified decode errors into actionable messages: a version
 // mismatch or truncation is the user's file, not their invocation, so
@@ -362,36 +400,16 @@ func loadStored(name string, stderr io.Writer) (*hbbp.StoredProfile, bool) {
 }
 
 // runMerge implements -merge: load, merge, summarize, render the
-// selected view of the merged fleet mix. Mix views read the op-level
-// pivot; the functions view needs code locations, which live on the
-// block-level pivot (stored profiles keep the two breakdowns
-// separate).
+// selected view of the merged fleet mix.
 func runMerge(names []string, view string, render func(*hbbp.PivotTable) string, stdout, stderr io.Writer) int {
-	// Validate the whole list before opening anything: a malformed
-	// invocation is a usage error, not a half-completed merge.
-	for i := range names {
-		names[i] = strings.TrimSpace(names[i])
-		if names[i] == "" {
-			fmt.Fprintln(stderr, "hbbp: -merge: empty file name in list")
-			return 2
-		}
-	}
-	profiles := make([]*hbbp.StoredProfile, 0, len(names))
-	for _, name := range names {
-		sp, ok := loadStored(name, stderr)
-		if !ok {
-			return 1
-		}
-		profiles = append(profiles, sp)
+	profiles, code := loadStoredList(names, stderr)
+	if code != 0 {
+		return code
 	}
 	merged := hbbp.MergeProfiles(profiles...)
 	fmt.Fprintf(stderr, "merged %d profiles: %d runs of %d workloads, %d blocks, %d retired instructions\n",
 		len(profiles), merged.TotalRuns(), len(merged.Workloads), len(merged.Blocks), merged.TotalMass())
-	tab := hbbp.StoredPivot(merged)
-	if view == "functions" {
-		tab = hbbp.StoredBlockPivot(merged)
-	}
-	fmt.Fprint(stdout, render(tab))
+	fmt.Fprint(stdout, render(storedPivot(merged, view)))
 	return 0
 }
 
@@ -428,7 +446,7 @@ func openSeries(dir string, stderr io.Writer) (*hbbp.ProfileSeries, bool) {
 		return nil, false
 	case errors.Is(err, hbbp.ErrSeriesMagic):
 		fmt.Fprintf(stderr, "hbbp: %s: %v\n", dir, err)
-		fmt.Fprintf(stderr, "hbbp: %s does not hold a profile series (expecting a directory written by -series -epoch or hbbpd -retain)\n", dir)
+		fmt.Fprintf(stderr, "hbbp: %s does not hold a profile series (expecting a directory written by -series -epoch or hbbpd -save-dir)\n", dir)
 		return nil, false
 	case errors.Is(err, hbbp.ErrSeriesWindowMismatch):
 		fmt.Fprintf(stderr, "hbbp: %s: %v\n", dir, err)
@@ -469,20 +487,9 @@ func appendToSeries(dir string, epoch uint64, profiles []*hbbp.StoredProfile, re
 // runSeriesAppendFiles implements -series -epoch -merge FILES: append
 // pre-captured stored profiles at one epoch without a collection run.
 func runSeriesAppendFiles(dir string, epoch uint64, names []string, retention hbbp.RetentionPolicy, stdout, stderr io.Writer) int {
-	profiles := make([]*hbbp.StoredProfile, 0, len(names))
-	for i := range names {
-		names[i] = strings.TrimSpace(names[i])
-		if names[i] == "" {
-			fmt.Fprintln(stderr, "hbbp: -merge: empty file name in list")
-			return 2
-		}
-	}
-	for _, name := range names {
-		sp, ok := loadStored(name, stderr)
-		if !ok {
-			return 1
-		}
-		profiles = append(profiles, sp)
+	profiles, code := loadStoredList(names, stderr)
+	if code != 0 {
+		return code
 	}
 	return appendToSeries(dir, epoch, profiles, retention, stdout, stderr)
 }
@@ -527,11 +534,7 @@ func runSeriesQuery(dir string, since, until int64, view string, render func(*hb
 	}
 	fmt.Fprintf(stderr, "window [%d, %d]: %d windows (%s), %d runs, %d retired instructions\n",
 		lo, hi, len(spans), spanList(spans), merged.TotalRuns(), merged.TotalMass())
-	tab := hbbp.StoredPivot(merged)
-	if view == "functions" {
-		tab = hbbp.StoredBlockPivot(merged)
-	}
-	fmt.Fprint(stdout, render(tab))
+	fmt.Fprint(stdout, render(storedPivot(merged, view)))
 	return 0
 }
 
@@ -539,13 +542,9 @@ func runSeriesQuery(dir string, since, until int64, view string, render func(*hb
 // the windowed regression check: merge two epoch windows of one
 // series and print the movement report between them.
 func runSeriesDiff(dir, spec string, thresholdPP float64, topN int, stdout, stderr io.Writer) int {
-	if thresholdPP < 0 {
-		fmt.Fprintf(stderr, "hbbp: -threshold %g is negative\n", thresholdPP)
+	th, ok := shareThreshold(thresholdPP, stderr)
+	if !ok {
 		return 2
-	}
-	th := thresholdPP / 100
-	if thresholdPP == 0 {
-		th = math.SmallestNonzeroFloat64
 	}
 	parts := strings.Split(spec, ",")
 	if len(parts) != 2 {

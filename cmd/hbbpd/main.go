@@ -27,25 +27,27 @@
 // already admitted to the ingest queue are merged and acked before
 // connections close, bounded by -drain-timeout. On exit it prints one
 // accounting line per tenant — merged, duplicates, shed, rejected,
-// corrupt — and, when -save-dir is set, writes each tenant/epoch
-// aggregate as a stored profile (atomically: temp file plus rename,
-// so a full disk or a crash never leaves a truncated profile behind).
+// corrupt — and, when -save-dir is set, saves each tenant's series
+// (see below).
 //
 // Overload behavior is explicit: when the bounded ingest queue stays
 // full past -enqueue-wait, the server refuses the profile with a
 // retryable overload nack and counts the shed against the tenant;
 // nothing is dropped silently and memory stays bounded.
 //
-// With -retain, the daemon also bounds its memory along the time
-// axis: completed epochs (those -epoch-lag behind a tenant's newest)
-// roll out of their live aggregators into a per-tenant profile series
-// downsampled by the given ladder — e.g. "1:8,4:4,16:0" keeps the
-// last 8 epochs raw, the 16 before those at 4 epochs per window, and
-// everything older at 16. Rolling is lossless: windowed queries over
+// Each tenant has one time axis: completed epochs (those -epoch-lag
+// behind a tenant's newest) roll out of their live aggregators into a
+// per-tenant profile series. -retain bounds the daemon's memory along
+// that axis by downsampling the series with the given ladder — e.g.
+// "1:8,4:4,16:0" keeps the last 8 epochs raw, the 16 before those at 4
+// epochs per window, and everything older at 16; without it every
+// epoch stays a raw window. Rolling is lossless: windowed queries over
 // the series merge bit-identical to the flat merge of the acked
-// profiles. On shutdown with -save-dir, each tenant's series is saved
-// to DIR/TENANT.series/ (readable by hbbp -series); without -retain
-// the historical per-epoch profile files are written instead.
+// profiles. On shutdown with -save-dir, each tenant's series — rolled
+// windows and live epochs alike — is saved to DIR/TENANT.series/
+// (atomically per file, index last), readable by hbbp -series; one
+// epoch reads back with hbbp -series DIR/TENANT.series -since E
+// -until E.
 package main
 
 import (
@@ -90,10 +92,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	readTimeout := fs.Duration("read-timeout", 0, "per-frame read deadline (0 = default 30s)")
 	writeTimeout := fs.Duration("write-timeout", 0, "per-frame write deadline (0 = default 10s)")
 	statsEvery := fs.Duration("stats-every", 0, "print an accounting snapshot this often (0 = only at exit)")
-	saveDir := fs.String("save-dir", "", "write each tenant/epoch aggregate (or, with -retain, each tenant's series) to this directory on shutdown")
+	saveDir := fs.String("save-dir", "", "save each tenant's series to DIR/TENANT.series/ in this directory on shutdown")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight ingests to drain")
-	retain := fs.String("retain", "", "roll completed epochs into a downsampled series by this WIDTH:KEEP,... ladder (e.g. 1:8,4:4,16:0; \"default\" = "+hbbp.DefaultRetention().String()+"); empty keeps every epoch live")
-	epochLag := fs.Uint64("epoch-lag", 1, "epochs behind a tenant's newest before an epoch is considered complete and rolled (with -retain)")
+	retain := fs.String("retain", "", "roll completed epochs into a downsampled series by this WIDTH:KEEP,... ladder (e.g. 1:8,4:4,16:0; \"default\" = "+hbbp.DefaultRetention().String()+"); empty keeps every epoch raw")
+	epochLag := fs.Uint64("epoch-lag", 1, "epochs behind a tenant's newest before an epoch is considered complete and rolled into its series")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -101,15 +103,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var retention hbbp.RetentionPolicy
-	if *retain == "default" {
-		retention = hbbp.DefaultRetention()
-	} else if *retain != "" {
-		var err error
-		if retention, err = hbbp.ParseRetention(*retain); err != nil {
-			fmt.Fprintf(stderr, "hbbpd: -retain: %v\n", err)
-			return 2
-		}
+	retention, err := hbbp.ParseRetention(*retain)
+	if err != nil {
+		fmt.Fprintf(stderr, "hbbpd: -retain: %v\n", err)
+		return 2
 	}
 
 	if *saveDir != "" {
@@ -201,13 +198,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	stats := s.Stats()
 	printStats(stdout, stats)
 	if *saveDir != "" {
-		var err error
-		if len(retention.Levels) > 0 {
-			err = saveSeries(s, stats, *saveDir, stderr)
-		} else {
-			err = saveSnapshots(s, stats, *saveDir, stderr)
-		}
-		if err != nil {
+		if err := saveSeries(s, stats, *saveDir, stderr); err != nil {
 			fmt.Fprintf(stderr, "hbbpd: %v\n", err)
 			code = 1
 		}
@@ -274,28 +265,6 @@ func formatStats(st hbbp.FleetServerStats) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// saveSnapshots writes every tenant/epoch aggregate to dir, each via
-// an atomic temp-file-plus-rename so no partial profile can survive a
-// failure. Stats() already reports tenants and epochs sorted (the
-// fleetserver tests pin that), so the walk is deterministic as-is.
-// The first error aborts the walk.
-func saveSnapshots(s *hbbp.FleetServer, st hbbp.FleetServerStats, dir string, stderr io.Writer) error {
-	for _, ts := range st.Tenants {
-		for _, epoch := range ts.Epochs {
-			p := s.Snapshot(ts.Tenant, epoch)
-			if p == nil {
-				continue
-			}
-			path := filepath.Join(dir, fmt.Sprintf("%s-epoch%d.hbbprof", safeName(ts.Tenant), epoch))
-			if err := hbbp.SaveProfileFile(path, p); err != nil {
-				return fmt.Errorf("saving %s: %w", path, err)
-			}
-			fmt.Fprintf(stderr, "hbbpd: saved %s/%d to %s\n", ts.Tenant, epoch, path)
-		}
-	}
-	return nil
 }
 
 // saveSeries writes each tenant's full time axis — rolled windows

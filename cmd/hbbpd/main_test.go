@@ -91,7 +91,7 @@ func sendProfiles(t *testing.T, addr, tenant, agent string, epoch uint64, n int)
 // TestDaemonIngestAndGracefulExit drives the daemon end to end: serve
 // on an ephemeral port, ingest real profiles over the wire, shut down
 // via context (the signal path), and check the exit code, the
-// accounting summary and the atomically saved aggregates.
+// accounting summary and the atomically saved series.
 func TestDaemonIngestAndGracefulExit(t *testing.T) {
 	dir := t.TempDir()
 	addr, stdout, stderr, stop, exited := startDaemon(t, "-save-dir", dir)
@@ -115,16 +115,16 @@ func TestDaemonIngestAndGracefulExit(t *testing.T) {
 		t.Errorf("no drain message:\n%s", stderr.String())
 	}
 
-	// The saved aggregate must load and equal the offline merge.
-	path := filepath.Join(dir, "acme-epoch3.hbbprof")
-	f, err := os.Open(path)
+	// The saved series must reopen, and its epoch-3 window must equal
+	// the offline merge.
+	sdir := filepath.Join(dir, "acme.series")
+	series, err := hbbp.OpenSeries(sdir)
 	if err != nil {
-		t.Fatalf("saved aggregate missing: %v", err)
+		t.Fatalf("saved series does not open: %v", err)
 	}
-	defer f.Close()
-	got, err := hbbp.LoadProfile(f)
-	if err != nil {
-		t.Fatalf("saved aggregate does not load: %v", err)
+	got, spans := series.Window(3, 3)
+	if len(spans) != 1 || spans[0] != (hbbp.SeriesSpan{Start: 3, End: 3}) {
+		t.Fatalf("saved series spans for epoch 3 = %v, want one raw window", spans)
 	}
 	var a, b bytes.Buffer
 	if err := hbbp.SaveProfile(&a, got); err != nil {
@@ -136,14 +136,16 @@ func TestDaemonIngestAndGracefulExit(t *testing.T) {
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Error("saved aggregate diverges from offline merge of the sent profiles")
 	}
-	// No temp debris from the atomic write.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), ".hbbprof-") {
-			t.Errorf("atomic write left temp file %s", e.Name())
+	// No temp debris from the atomic writes.
+	for _, d := range []string{dir, sdir} {
+		entries, err := os.ReadDir(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if strings.HasPrefix(e.Name(), ".hbbprof-") {
+				t.Errorf("atomic write left temp file %s in %s", e.Name(), d)
+			}
 		}
 	}
 }

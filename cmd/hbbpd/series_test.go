@@ -68,6 +68,49 @@ func TestDaemonRetainRollsAndSavesSeries(t *testing.T) {
 	}
 }
 
+// TestDaemonSavesRawSeriesWithoutRetain pins the save path without
+// -retain: epochs that rolled before shutdown and the epoch still live
+// at it land in the saved series alike, as one raw window each, equal
+// to the offline merge of that epoch's acked profiles.
+func TestDaemonSavesRawSeriesWithoutRetain(t *testing.T) {
+	saveDir := t.TempDir()
+	addr, _, stderr, stop, exited := startDaemon(t, "-save-dir", saveDir)
+	sent := map[uint64][]*hbbp.StoredProfile{}
+	for epoch := uint64(0); epoch < 3; epoch++ {
+		sent[epoch] = sendProfiles(t, addr, "acme", "agent-1", epoch, 2)
+	}
+	stop()
+	if code := <-exited; code != 0 {
+		t.Fatalf("daemon exited %d; stderr:\n%s", code, stderr.String())
+	}
+
+	series, err := hbbp.OpenSeries(filepath.Join(saveDir, "acme.series"))
+	if err != nil {
+		t.Fatalf("reopening saved series: %v", err)
+	}
+	spans := series.Spans()
+	if len(spans) != 3 {
+		t.Fatalf("saved series spans = %v, want three raw windows", spans)
+	}
+	for i, span := range spans {
+		e := uint64(i)
+		if span != (hbbp.SeriesSpan{Start: e, End: e}) {
+			t.Fatalf("window %d spans %v, want raw epoch %d", i, span, e)
+		}
+		got, _ := series.At(i)
+		var a, b bytes.Buffer
+		if err := hbbp.SaveProfile(&a, got); err != nil {
+			t.Fatal(err)
+		}
+		if err := hbbp.SaveProfile(&b, hbbp.MergeProfiles(sent[e]...)); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Errorf("saved epoch %d diverges from the offline merge of its acked profiles", e)
+		}
+	}
+}
+
 // TestDaemonRetainBadSpecFailsFast pins the usage contract: a
 // malformed ladder is refused before the listener opens.
 func TestDaemonRetainBadSpecFailsFast(t *testing.T) {

@@ -79,9 +79,9 @@
 // (losslessly — merging is exact, so any re-grouping equals the flat
 // merge bit for bit), windowed queries merge any epoch range, and
 // [ProfileSeries.Trend] flags ops and functions whose retirement share
-// moves monotonically across consecutive windows. Servers roll
-// completed epochs into a series online (FleetServerConfig.Retention),
-// and [OpenSeries] reloads what [ProfileSeries.Save] persisted.
+// moves monotonically across consecutive windows. Servers roll each
+// tenant's completed epochs into its series (folded by
+// FleetServerConfig.Retention); [OpenSeries] reloads a saved series.
 //
 // The telemetry layer watches all of the above at production cost:
 // every instrumented subsystem — ingest server and client, merge

@@ -1,23 +1,27 @@
 package fleetserver
 
 import (
+	"math"
+
 	"hbbp/internal/profstore"
 	"hbbp/internal/tsstore"
 )
 
 // Epoch rolling: the time axis of the ingest tier.
 //
-// Without retention, a tenant's epochs map grows one aggregator per
-// epoch forever — fine for a test run, unbounded for a daemon. With
-// Config.Retention set, each merge advances the tenant's epoch clock
-// and rolls every completed epoch (older than the clock by at least
-// EpochLag) out of its live aggregator into a tsstore.Series, which
-// the ladder then downsamples. Rolling preserves the ingest tier's
-// keystone invariant: a rolled epoch's snapshot is bit-identical to
-// the flat merge of its acked profiles (the Aggregator contract), and
-// tsstore folding is lossless by construction, so any windowed query
-// remains bit-identical to the flat merge of the acked profiles in
-// those epochs — before, during and after folds.
+// Every tenant owns one tsstore.Series. Each merge advances the
+// tenant's epoch clock and rolls every completed epoch (older than the
+// clock by at least EpochLag) out of its live aggregator into that
+// series, which Config.Retention then downsamples; the zero retention
+// folds nothing, so every rolled epoch stays a raw [e, e] window. A
+// tenant's state therefore has one shape: the series, at most
+// EpochLag live aggregators once merges settle, and the agent ledger.
+// Rolling preserves the ingest tier's keystone invariant: a rolled
+// epoch's snapshot is bit-identical to the flat merge of its acked
+// profiles (the Aggregator contract), and tsstore folding is lossless
+// by construction, so any windowed query remains bit-identical to the
+// flat merge of the acked profiles in those epochs — before, during
+// and after folds.
 //
 // A late profile for an already-rolled epoch is not refused: it lands
 // in a fresh aggregator for that epoch and rolls again on the next
@@ -26,18 +30,14 @@ import (
 // — dedup is per (agent, seq), independent of epochs.
 
 // roll folds the tenant's completed epochs into its series and
-// downsamples. Called by ingest workers after each merge; a no-op
-// unless rolling is configured.
+// downsamples. Called by ingest workers after each merge.
 func (s *Server) roll(t *tenant, epoch uint64) {
-	if !s.cfg.rolling() {
-		return
-	}
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	if epoch > t.maxEpoch {
 		t.maxEpoch = epoch
 	}
 	if t.maxEpoch < s.cfg.EpochLag {
-		t.mu.Unlock()
 		return
 	}
 	horizon := t.maxEpoch - s.cfg.EpochLag // newest complete epoch
@@ -51,9 +51,6 @@ func (s *Server) roll(t *tenant, epoch uint64) {
 			continue
 		}
 		delete(t.epochs, e)
-		if t.series == nil {
-			t.series = &tsstore.Series{}
-		}
 		// Snapshot under t.mu: every new merge acquires the epoch via
 		// acquireEpoch, which also needs t.mu, so nothing can slip into
 		// this aggregator between the snapshot and the delete.
@@ -63,16 +60,15 @@ func (s *Server) roll(t *tenant, epoch uint64) {
 	if rolled {
 		t.series.Downsample(s.cfg.Retention, horizon)
 	}
-	t.mu.Unlock()
 }
 
-// SeriesSnapshot returns the tenant's full time axis as a series:
-// every rolled window plus every still-live epoch appended as a raw
-// window (snapshotting its aggregator), so the result covers all
-// merged state regardless of roll timing. Returns an empty series for
-// an unknown tenant. The returned series is the caller's own — safe
-// to downsample, save or query without further locking.
-func (s *Server) SeriesSnapshot(tenantName string) *tsstore.Series {
+// view returns the tenant's time axis as the caller's own series: a
+// copy of its rolled windows, plus every live epoch inside
+// [since, until] appended as a raw window (snapshotting its
+// aggregator). Live epochs outside the range are left alone, so a
+// query pays only for the epochs it can see. An unknown tenant yields
+// an empty series. Every read goes through here.
+func (s *Server) view(tenantName string, since, until uint64) *tsstore.Series {
 	s.mu.Lock()
 	t := s.tenants[tenantName]
 	s.mu.Unlock()
@@ -81,16 +77,23 @@ func (s *Server) SeriesSnapshot(tenantName string) *tsstore.Series {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var out *tsstore.Series
-	if t.series != nil {
-		out = t.series.Clone()
-	} else {
-		out = &tsstore.Series{}
-	}
+	out := t.series.Clone()
 	for e, ent := range t.epochs {
-		out.AppendEpoch(e, ent.agg.Snapshot())
+		if since <= e && e <= until {
+			out.AppendEpoch(e, ent.agg.Snapshot())
+		}
 	}
 	return out
+}
+
+// SeriesSnapshot returns the tenant's full time axis as a series:
+// every rolled window plus every still-live epoch appended as a raw
+// window, so the result covers all merged state regardless of roll
+// timing. Returns an empty series for an unknown tenant. The returned
+// series is the caller's own — safe to downsample, save or query
+// without further locking.
+func (s *Server) SeriesSnapshot(tenantName string) *tsstore.Series {
+	return s.view(tenantName, 0, math.MaxUint64)
 }
 
 // Window merges the tenant's state over the inclusive epoch range
@@ -100,5 +103,22 @@ func (s *Server) SeriesSnapshot(tenantName string) *tsstore.Series {
 // in those spans. A nil profile is never returned; an empty overlap
 // (or unknown tenant) yields an empty profile and no spans.
 func (s *Server) Window(tenantName string, since, until uint64) (*profstore.Profile, []tsstore.Span) {
-	return s.SeriesSnapshot(tenantName).Window(since, until)
+	return s.view(tenantName, since, until).Window(since, until)
+}
+
+// Snapshot returns the merged profile for one tenant and epoch — a
+// canonical profile bit-identical to profstore.Merge over exactly the
+// profiles acked into that pair, whether the epoch is still live or
+// already rolled into the tenant's series as a raw window. It returns
+// nil if nothing has been merged there, or once retention has folded
+// the epoch into a wider window, beyond per-epoch recovery; query
+// those through [Server.Window] or [Server.SeriesSnapshot]. Safe
+// during ingestion; see profstore.Aggregator.Snapshot for the
+// consistency contract.
+func (s *Server) Snapshot(tenantName string, epoch uint64) *profstore.Profile {
+	p, spans := s.Window(tenantName, epoch, epoch)
+	if len(spans) != 1 || spans[0] != (tsstore.Span{Start: epoch, End: epoch}) {
+		return nil
+	}
+	return p
 }

@@ -183,18 +183,27 @@ func TestSeriesSnapshotCoversEverything(t *testing.T) {
 	}
 }
 
-// TestRollingOffKeepsHistoricalBehavior pins the default: without
-// retention, every epoch's aggregator stays live and per-epoch
-// Snapshot still answers for all of them.
-func TestRollingOffKeepsHistoricalBehavior(t *testing.T) {
+// TestZeroRetentionRollsEpochsRaw pins the zero retention: epochs
+// still roll into the series, but nothing folds, so each rolled epoch
+// stays a raw [e, e] window and per-epoch Snapshot still answers for
+// all of them.
+func TestZeroRetentionRollsEpochsRaw(t *testing.T) {
 	s := startServer(t, Config{})
 	sent := sendEpochs(t, s, "acme", 10, 1, 7)
 	ts := tenantStats(t, s, "acme")
-	if len(ts.Epochs) != 10 {
-		t.Fatalf("live epochs = %v, want all 10", ts.Epochs)
+	// Default lag 1: each ack follows its batch's roll, so once the
+	// sends return only the newest epoch is live and 0..8 are raw
+	// windows.
+	if len(ts.Epochs) != 1 || ts.Epochs[0] != 9 {
+		t.Fatalf("live epochs = %v, want [9]", ts.Epochs)
 	}
-	if len(ts.Windows) != 0 {
-		t.Fatalf("windows = %v, want none without retention", ts.Windows)
+	if len(ts.Windows) != 9 {
+		t.Fatalf("windows = %v, want 9 raw epochs", ts.Windows)
+	}
+	for i, w := range ts.Windows {
+		if w != (tsstore.Span{Start: uint64(i), End: uint64(i)}) {
+			t.Fatalf("window %d = %v, want raw epoch %d", i, w, i)
+		}
 	}
 	for e := uint64(0); e < 10; e++ {
 		got := s.Snapshot("acme", e)
@@ -205,7 +214,7 @@ func TestRollingOffKeepsHistoricalBehavior(t *testing.T) {
 			t.Fatalf("epoch %d snapshot diverges", e)
 		}
 	}
-	// Window still works without retention: it sees the live epochs.
+	// Window sees the raw windows as it saw the live epochs.
 	got, spans := s.Window("acme", 3, 6)
 	var flat []*profstore.Profile
 	for e := uint64(3); e <= 6; e++ {
@@ -215,6 +224,59 @@ func TestRollingOffKeepsHistoricalBehavior(t *testing.T) {
 		t.Fatalf("spans = %v", spans)
 	}
 	if !bytes.Equal(saveBytes(t, got), saveBytes(t, profstore.Merge(flat...))) {
-		t.Fatal("windowed query over live epochs diverges")
+		t.Fatal("windowed query over raw windows diverges")
+	}
+}
+
+// TestSnapshotOfRolledEpoch pins Snapshot's reach into the series: a
+// rolled epoch that is still raw answers with the merge of every
+// profile acked at it, a late arrival included; a folded epoch
+// answers nil.
+func TestSnapshotOfRolledEpoch(t *testing.T) {
+	s := startServer(t, rollConfig())
+	// 4 epochs: 0..2 rolled, still raw (the raw band keeps 2 epochs
+	// behind the horizon and [0,3] has not aged past it); 3 is live.
+	sent := sendEpochs(t, s, "acme", 4, 2, 8)
+	check := func(e uint64) {
+		t.Helper()
+		got := s.Snapshot("acme", e)
+		if got == nil {
+			t.Fatalf("no snapshot for rolled epoch %d (windows %v)", e, tenantStats(t, s, "acme").Windows)
+		}
+		if !bytes.Equal(saveBytes(t, got), saveBytes(t, profstore.Merge(sent[e]...))) {
+			t.Fatalf("epoch %d snapshot diverges from the offline merge of its acked profiles", e)
+		}
+	}
+	if ts := tenantStats(t, s, "acme"); len(ts.Windows) == 0 || ts.Windows[0] != (tsstore.Span{Start: 0, End: 0}) {
+		t.Fatalf("epoch 0 is not a rolled raw window: windows %v, live %v", ts.Windows, ts.Epochs)
+	}
+	check(1)
+
+	// A late profile for rolled epoch 1 merges into its raw window.
+	ctx := context.Background()
+	c, err := Dial(ctx, s.Addr().String(), ClientConfig{Tenant: "acme", Agent: "straggler"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	late := testProfile(rand.New(rand.NewSource(9)), "llvm")
+	if err := c.Send(ctx, 1, late); err != nil {
+		t.Fatalf("late send: %v", err)
+	}
+	sent[1] = append(sent[1], late)
+	check(1)
+
+	// Later epochs age [0,3] past the raw band: it folds 4:1.
+	rng := rand.New(rand.NewSource(10))
+	for e := uint64(4); e < 12; e++ {
+		if err := c.Send(ctx, e, testProfile(rng, "gcc")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Close()
+	if ts := tenantStats(t, s, "acme"); len(ts.Windows) == 0 || ts.Windows[0] != (tsstore.Span{Start: 0, End: 3}) {
+		t.Fatalf("epochs 0-3 did not fold: windows %v", ts.Windows)
+	}
+	if got := s.Snapshot("acme", 1); got != nil {
+		t.Fatal("Snapshot answered for an epoch folded into a wider window")
 	}
 }

@@ -1,7 +1,11 @@
 // Package fleetserver is the fault-tolerant fleet ingest tier: a
 // server that accepts stored profiles over the fleetwire protocol and
 // merges them into per-tenant/epoch aggregators, and a retrying client
-// agents use to deliver profiles across flaky networks.
+// agents use to deliver profiles across flaky networks. Each tenant
+// has one time axis: completed epochs roll out of their aggregators
+// into the tenant's tsstore.Series, and every read (Snapshot, Window,
+// SeriesSnapshot) sees that series plus the still-live epochs it asks
+// for (series.go).
 //
 // The design contract mirrors the collector's LOST records
 // (internal/collector/sink.go): the tier degrades by shedding load
@@ -96,18 +100,19 @@ type Config struct {
 	// process-wide registry instead.
 	Telemetry *telemetry.Registry
 
-	// Retention, when non-empty, turns on epoch rolling: each tenant's
-	// completed epochs (see EpochLag) fold out of their live
-	// aggregators into a tsstore.Series downsampled by this ladder, so
-	// a long-lived daemon's memory is bounded by the ladder's window
-	// count instead of growing with every epoch ever seen. Empty (the
-	// zero value) keeps the historical behavior: every epoch's
-	// aggregator lives until shutdown.
+	// Retention is the downsampling ladder for each tenant's series:
+	// every completed epoch (see EpochLag) rolls out of its live
+	// aggregator into the tenant's tsstore.Series, and this ladder
+	// folds old windows coarser, so a long-lived daemon's memory is
+	// bounded by the ladder's window count instead of growing with
+	// every epoch ever seen. The zero value folds nothing: every rolled
+	// epoch stays a raw [e, e] window.
 	Retention tsstore.Retention
 	// EpochLag is how many epochs behind a tenant's newest epoch an
 	// epoch must be before it is considered complete and rolled into
 	// the series; defaults to 1 (the newest epoch is always live,
-	// everything older rolls). Only meaningful with Retention set.
+	// everything older rolls). Once its merges settle, a tenant keeps
+	// at most EpochLag live epochs.
 	EpochLag uint64
 
 	// testIngestDelay slows every merge — the chaos suite's lever for
@@ -144,9 +149,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// rolling reports whether epoch rolling is configured.
-func (c Config) rolling() bool { return len(c.Retention.Levels) > 0 }
-
 // tenant is one tenant's aggregation state and drop accounting.
 type tenant struct {
 	name string
@@ -155,10 +157,10 @@ type tenant struct {
 	epochs map[uint64]*epochEntry
 	agents map[string]*agentState
 	// series holds completed epochs rolled out of their aggregators,
-	// downsampled by the configured retention; nil when rolling is off.
-	// maxEpoch is the highest epoch this tenant has ever merged into —
-	// the clock the roll horizon is measured against.
-	series   *tsstore.Series
+	// downsampled by the configured retention. maxEpoch is the highest
+	// epoch this tenant has ever merged into — the clock the roll
+	// horizon is measured against.
+	series   tsstore.Series
 	maxEpoch uint64
 
 	// The ledger counters live in the server's telemetry registry
@@ -643,31 +645,6 @@ func (s *Server) processBatch(j *job) []fleetwire.BatchVerdict {
 	return verdicts
 }
 
-// Snapshot returns the merged profile for one tenant and epoch — a
-// canonical profile bit-identical to profstore.Merge over exactly the
-// profiles acked into that pair — or nil if nothing has been merged
-// there. Safe during ingestion; see profstore.Aggregator.Snapshot for
-// the consistency contract. With epoch rolling configured the answer
-// covers only a still-live epoch: rolled epochs live in the tenant's
-// series, where folding may have merged them beyond per-epoch
-// recovery — query those through [Server.Window] or
-// [Server.SeriesSnapshot].
-func (s *Server) Snapshot(tenantName string, epoch uint64) *profstore.Profile {
-	s.mu.Lock()
-	tn := s.tenants[tenantName]
-	s.mu.Unlock()
-	if tn == nil {
-		return nil
-	}
-	tn.mu.Lock()
-	ent := tn.epochs[epoch]
-	tn.mu.Unlock()
-	if ent == nil {
-		return nil
-	}
-	return ent.agg.Snapshot()
-}
-
 // TenantStats is one tenant's ingest ledger: what merged and every
 // way a profile or frame was refused or lost, each refusal counted
 // exactly where it happened.
@@ -695,7 +672,7 @@ type TenantStats struct {
 	// ascending.
 	Epochs []uint64
 	// Windows lists the retained series windows rolled out of live
-	// aggregators, ascending; empty unless epoch rolling is configured.
+	// aggregators, ascending.
 	Windows []tsstore.Span
 }
 
@@ -740,9 +717,7 @@ func (s *Server) Stats() Stats {
 		for e := range t.epochs {
 			ts.Epochs = append(ts.Epochs, e)
 		}
-		if t.series != nil {
-			ts.Windows = t.series.Spans()
-		}
+		ts.Windows = t.series.Spans()
 		t.mu.Unlock()
 		sort.Slice(ts.Epochs, func(i, j int) bool { return ts.Epochs[i] < ts.Epochs[j] })
 		st.Tenants = append(st.Tenants, ts)

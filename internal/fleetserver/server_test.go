@@ -368,7 +368,7 @@ func TestSendAfterClose(t *testing.T) {
 
 // TestStatsSorted pins the deterministic ordering of the stats view.
 func TestStatsSorted(t *testing.T) {
-	s := startServer(t, Config{})
+	s := startServer(t, Config{EpochLag: 16})
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(6))
 	for _, tenant := range []string{"zeta", "alpha", "mid"} {

@@ -77,11 +77,14 @@ func (r Retention) String() string {
 // pairs, e.g. "1:8,4:4,16:0" — keep 8 raw epochs, then 4 windows of 4,
 // then 16:1 unbounded. KEEP 0 is only valid on the last level (keep
 // everything older at that width). The empty string is the empty
-// (fold-nothing) retention.
+// (fold-nothing) retention, and "default" is [DefaultRetention].
 func ParseRetention(spec string) (Retention, error) {
 	var r Retention
-	if strings.TrimSpace(spec) == "" {
+	switch strings.TrimSpace(spec) {
+	case "":
 		return r, nil
+	case "default":
+		return DefaultRetention(), nil
 	}
 	for _, part := range strings.Split(spec, ",") {
 		ws, ks, ok := strings.Cut(strings.TrimSpace(part), ":")

@@ -294,6 +294,10 @@ func TestRetentionValidateAndParse(t *testing.T) {
 			t.Errorf("ParseRetention(%q) = %v, want mention of %q", spec, err, want)
 		}
 	}
+	// "default" names the standard ladder.
+	if r, err := ParseRetention("default"); err != nil || r.String() != DefaultRetention().String() {
+		t.Errorf("ParseRetention(\"default\") = %v, %v; want %v", r, err, DefaultRetention())
+	}
 	// Round trip through String.
 	r, err := ParseRetention("1:8,4:4,16:0")
 	if err != nil {

@@ -60,7 +60,7 @@ func DefaultRetention() RetentionPolicy { return tsstore.DefaultRetention() }
 
 // ParseRetention reads a ladder spec of comma-separated WIDTH:KEEP
 // pairs, e.g. "1:8,4:4,16:0". The empty string is the fold-nothing
-// policy.
+// policy, and "default" is [DefaultRetention].
 func ParseRetention(spec string) (RetentionPolicy, error) {
 	return tsstore.ParseRetention(spec)
 }
