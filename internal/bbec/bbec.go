@@ -1,9 +1,14 @@
 // Package bbec turns raw PMU samples into basic block execution count
-// (BBEC) estimates — the EBS and LBR estimators of Section III.
+// (BBEC) estimates — the EBS and LBR estimators of Section III — and
+// detects the LBR entry[0] anomaly.
 //
 // Both estimators return per-block expected execution counts in the same
 // units the ground truth uses, so the downstream HBBP chooser and the
-// error metrics can compare them directly.
+// error metrics can compare them directly. The LBR estimator and the
+// bias statistics also come in streaming form (Accumulator): a
+// collection feeds it stacks while the run executes, and only the
+// propagation of the bias flag, which needs the final biased set, is
+// left for the end.
 package bbec
 
 import (
@@ -86,51 +91,85 @@ const DefaultMaxStreamBytes = 1024
 // It returns the per-block estimates and the number of streams dropped
 // because an endpoint was unmapped.
 func FromLBR(p *program.Program, stacks [][]Branch, period uint64, opts LBROptions) (counts []float64, droppedStreams int) {
-	maxSpan := opts.MaxStreamBytes
-	if maxSpan == 0 {
-		maxSpan = DefaultMaxStreamBytes
-	}
-	archDepth := opts.ArchDepth
-	if archDepth == 0 {
-		archDepth = 16
-	}
-	weights := make([]float64, p.NumBlocks())
+	a := newLBRAcc(p, opts)
 	for _, stack := range stacks {
-		if len(stack) < 2 {
-			continue
+		a.add(p, stack)
+	}
+	return a.counts(p, period)
+}
+
+// lbrAcc is FromLBR's state between stacks.
+type lbrAcc struct {
+	opts    LBROptions // with the zero-means-default fields resolved
+	weights []float64  // accumulated stream weight per block, in address order
+	dropped int
+}
+
+func newLBRAcc(p *program.Program, opts LBROptions) lbrAcc {
+	return lbrAcc{opts: opts.resolved(), weights: make([]float64, p.NumBlocks())}
+}
+
+// resolved fills in the fields whose zero value means a default.
+func (o LBROptions) resolved() LBROptions {
+	if o.MaxStreamBytes == 0 {
+		o.MaxStreamBytes = DefaultMaxStreamBytes
+	}
+	if o.ArchDepth == 0 {
+		o.ArchDepth = 16
+	}
+	return o
+}
+
+// add credits one stack's streams. A block's weight receives its terms
+// in stack order and, within a stack, in stream order, so the sums do
+// not depend on how the stacks were batched.
+func (a *lbrAcc) add(p *program.Program, stack []Branch) {
+	w := a.weight(stack)
+	for i := 1; i < len(stack); i++ {
+		from, to := stack[i-1].To, stack[i].From
+		lo, hi := p.BlockRange(from, to)
+		a.credit(p, w, from, to, lo, hi)
+	}
+}
+
+// weight is the weight of each of a stack's streams.
+func (a *lbrAcc) weight(stack []Branch) float64 {
+	return 1 / float64(max(len(stack)-1, a.opts.ArchDepth-1))
+}
+
+// credit adds w to the blocks of the stream <from, to>, which are
+// Blocks()[lo:hi], or counts the stream dropped.
+func (a *lbrAcc) credit(p *program.Program, w float64, from, to uint64, lo, hi int) {
+	if to < from || to-from > a.opts.MaxStreamBytes || lo == hi {
+		a.dropped++
+		return
+	}
+	if a.opts.KernelLivePatched {
+		for k := range a.weights[lo:hi] {
+			a.weights[lo+k] += w
 		}
-		norm := len(stack) - 1
-		if norm < archDepth-1 {
-			norm = archDepth - 1
-		}
-		w := 1 / float64(norm)
-		for i := 1; i < len(stack); i++ {
-			from, to := stack[i-1].To, stack[i].From
-			if to < from || to-from > maxSpan {
-				droppedStreams++
-				continue
-			}
-			blocks := p.BlocksBetween(from, to)
-			if blocks == nil {
-				droppedStreams++
-				continue
-			}
-			for j, blk := range blocks {
-				weights[blk.ID] += w
-				if !opts.KernelLivePatched && blk.TraceJump && j < len(blocks)-1 {
-					// Static text shows an unconditional JMP here, yet
-					// the stream continues past it: treat the rest as
-					// unreliable.
-					break
-				}
-			}
+		return
+	}
+	blocks := p.Blocks()[lo:hi]
+	for k, blk := range blocks {
+		a.weights[lo+k] += w
+		if blk.TraceJump && k < len(blocks)-1 {
+			// Static text shows an unconditional JMP here, yet
+			// the stream continues past it: treat the rest as
+			// unreliable.
+			break
 		}
 	}
-	counts = make([]float64, p.NumBlocks())
-	for id, w := range weights {
-		counts[id] = w * float64(period)
+}
+
+// counts scales the weights by the period into per-block estimates,
+// indexed by block ID.
+func (a *lbrAcc) counts(p *program.Program, period uint64) ([]float64, int) {
+	counts := make([]float64, p.NumBlocks())
+	for k, blk := range p.Blocks() {
+		counts[blk.ID] = a.weights[k] * float64(period)
 	}
-	return counts, droppedStreams
+	return counts, a.dropped
 }
 
 // BiasStat records how often one branch source appeared in sampled
@@ -217,59 +256,110 @@ func DefaultBiasOptions() BiasOptions {
 // mis-normalised weight. The flag therefore propagates to every block
 // observed in streams ending at or starting just after a biased branch.
 func DetectBias(p *program.Program, stacks [][]Branch, opts BiasOptions) BiasReport {
-	if opts.Threshold == 0 {
-		opts = DefaultBiasOptions()
-	}
-	depth := opts.Depth
-	if depth == 0 {
-		depth = 16
-	}
-	stats := make(map[uint64]*BiasStat)
+	a := newBiasAcc(p, opts)
 	for _, stack := range stacks {
-		for i, rec := range stack {
-			s := stats[rec.From]
-			if s == nil {
-				s = &BiasStat{}
-				stats[rec.From] = s
+		a.add(p, stack)
+	}
+	return a.report(p, stacks)
+}
+
+// biasAcc is DetectBias's state between stacks: the per-source counts
+// and each block's stream coverage. Only the share of that coverage
+// threatened by a biased branch waits for the last stack, because the
+// biased set is known only then.
+type biasAcc struct {
+	opts  BiasOptions      // with the zero-means-default fields resolved
+	index map[uint64]int32 // branch source -> its position in stats
+	stats []BiasStat       // per source, in order of first sighting
+	total []float64        // streams covering each block, in address order
+}
+
+func newBiasAcc(p *program.Program, opts BiasOptions) biasAcc {
+	return biasAcc{opts: opts.resolved(), index: make(map[uint64]int32), total: make([]float64, p.NumBlocks())}
+}
+
+// resolved fills in the fields whose zero value means a default.
+func (o BiasOptions) resolved() BiasOptions {
+	if o.Threshold == 0 {
+		o = DefaultBiasOptions()
+	}
+	if o.Depth == 0 {
+		o.Depth = 16
+	}
+	if o.DamageShare == 0 {
+		o.DamageShare = DefaultBiasOptions().DamageShare
+	}
+	return o
+}
+
+// add counts one stack's sources and its streams' coverage.
+func (a *biasAcc) add(p *program.Program, stack []Branch) {
+	a.count(stack)
+	for i := 1; i < len(stack); i++ {
+		a.cover(p.BlockRange(stack[i-1].To, stack[i].From))
+	}
+}
+
+// count counts one stack's branch sources.
+func (a *biasAcc) count(stack []Branch) {
+	for i, rec := range stack {
+		k, ok := a.index[rec.From]
+		if !ok {
+			k = int32(len(a.stats))
+			a.index[rec.From] = k
+			a.stats = append(a.stats, BiasStat{})
+		}
+		s := &a.stats[k]
+		s.Copies++
+		// First occurrence within this stack? Stacks are at most the
+		// architectural depth, so a linear scan of the preceding
+		// entries beats a per-stack seen map.
+		first := true
+		for j := 0; j < i; j++ {
+			if stack[j].From == rec.From {
+				first = false
+				break
 			}
-			s.Copies++
-			// First occurrence within this stack? Stacks are at most the
-			// architectural depth, so a linear scan of the preceding
-			// entries beats a per-stack seen map.
-			first := true
-			for j := 0; j < i; j++ {
-				if stack[j].From == rec.From {
-					first = false
-					break
-				}
-			}
-			if first {
-				s.Present++
-				if i == 0 {
-					s.Entry0++
-				}
+		}
+		if first {
+			s.Present++
+			if i == 0 {
+				s.Entry0++
 			}
 		}
 	}
-	branches := make(map[uint64]BiasStat, len(stats))
-	for addr, s := range stats {
-		branches[addr] = *s
+}
+
+// cover counts one stream over the blocks Blocks()[lo:hi].
+func (a *biasAcc) cover(lo, hi int) {
+	for k := range a.total[lo:hi] {
+		a.total[lo+k]++
+	}
+}
+
+// report judges every source and propagates the flag. stacks must be
+// the stacks added, in order; only those holding a biased branch are
+// walked again. It leaves the accumulator unchanged.
+func (a *biasAcc) report(p *program.Program, stacks [][]Branch) BiasReport {
+	branches := make(map[uint64]BiasStat, len(a.index))
+	for addr, k := range a.index {
+		branches[addr] = a.stats[k]
 	}
 	report := BiasReport{
 		BlockBias: make([]bool, p.NumBlocks()),
 		Branches:  branches,
 	}
-	biased := make(map[uint64]bool)
-	for addr, s := range stats {
-		if s.Present < opts.MinPresent {
+	var biased []uint64
+	for addr, s := range branches {
+		if s.Present < a.opts.MinPresent {
 			continue
 		}
 		got := s.Entry0Fraction()
-		want := s.ExpectedEntry0Fraction(depth)
-		if got <= opts.FloorFraction || got <= opts.Threshold*want {
+		want := s.ExpectedEntry0Fraction(a.opts.Depth)
+		if got <= a.opts.FloorFraction || got <= a.opts.Threshold*want {
 			continue
 		}
-		biased[addr] = true
+		biased = append(biased, addr)
 		if blk := p.BlockAt(addr); blk != nil {
 			report.BlockBias[blk.ID] = true
 		}
@@ -283,33 +373,88 @@ func DetectBias(p *program.Program, stacks [][]Branch, opts BiasOptions) BiasRep
 	// block whose coverage comes mostly from such stacks is
 	// systematically undercounted and gets the flag; blocks with
 	// plenty of coverage away from biased branches do not.
-	damageShare := opts.DamageShare
-	if damageShare == 0 {
-		damageShare = DefaultBiasOptions().DamageShare
-	}
+	// The biased set is a handful of sources (two to six on the
+	// short-block and suite programs measured), so a scan of it beats
+	// a map lookup for every stack entry.
 	threatened := make([]float64, p.NumBlocks())
-	total := make([]float64, p.NumBlocks())
 	for _, stack := range stacks {
 		hasBiased := false
+	entries:
 		for _, rec := range stack {
-			if biased[rec.From] {
-				hasBiased = true
-				break
-			}
-		}
-		for i := 1; i < len(stack); i++ {
-			for _, blk := range p.BlocksBetween(stack[i-1].To, stack[i].From) {
-				total[blk.ID]++
-				if hasBiased {
-					threatened[blk.ID]++
+			for _, addr := range biased {
+				if rec.From == addr {
+					hasBiased = true
+					break entries
 				}
 			}
 		}
+		if !hasBiased {
+			continue
+		}
+		for i := 1; i < len(stack); i++ {
+			lo, hi := p.BlockRange(stack[i-1].To, stack[i].From)
+			for k := range threatened[lo:hi] {
+				threatened[lo+k]++
+			}
+		}
 	}
-	for id := range total {
-		if total[id] > 0 && threatened[id]/total[id] > damageShare {
-			report.BlockBias[id] = true
+	for k, blk := range p.Blocks() {
+		if a.total[k] > 0 && threatened[k]/a.total[k] > a.opts.DamageShare {
+			report.BlockBias[blk.ID] = true
 		}
 	}
 	return report
+}
+
+// Accumulator is the streaming form of FromLBR and DetectBias: it takes
+// LBR stacks in arrival order, as a collection delivers them, and keeps
+// both estimators' state between stacks, so a run's stacks can be
+// credited while the run executes. Its results are bit-identical to
+// FromLBR and DetectBias over the same stacks.
+//
+// Add must not run concurrently with anything else on the accumulator;
+// once adding is done, LBR, Bias and Matches only read it and may be
+// called from any number of goroutines.
+type Accumulator struct {
+	p      *program.Program
+	lbr    lbrAcc
+	bias   biasAcc
+	stacks int // stacks added
+}
+
+// NewAccumulator returns an empty accumulator for stacks sampled from p.
+func NewAccumulator(p *program.Program, lbr LBROptions, bias BiasOptions) *Accumulator {
+	return &Accumulator{p: p, lbr: newLBRAcc(p, lbr), bias: newBiasAcc(p, bias)}
+}
+
+// Add credits stacks, which follow every stack added before.
+func (a *Accumulator) Add(stacks [][]Branch) {
+	for _, stack := range stacks {
+		a.bias.count(stack)
+		w := a.lbr.weight(stack)
+		for i := 1; i < len(stack); i++ {
+			from, to := stack[i-1].To, stack[i].From
+			lo, hi := a.p.BlockRange(from, to)
+			a.bias.cover(lo, hi)
+			a.lbr.credit(a.p, w, from, to, lo, hi)
+		}
+	}
+	a.stacks += len(stacks)
+}
+
+// Matches reports whether the accumulator holds exactly what a fresh
+// one would after adding n stacks sampled from p under these options.
+func (a *Accumulator) Matches(p *program.Program, lbr LBROptions, bias BiasOptions, n int) bool {
+	return a.p == p && a.stacks == n && a.lbr.opts == lbr.resolved() && a.bias.opts == bias.resolved()
+}
+
+// LBR returns what FromLBR returns for the stacks added.
+func (a *Accumulator) LBR(period uint64) (counts []float64, droppedStreams int) {
+	return a.lbr.counts(a.p, period)
+}
+
+// Bias returns what DetectBias returns for the stacks added; stacks
+// must be those stacks, in order.
+func (a *Accumulator) Bias(stacks [][]Branch) BiasReport {
+	return a.bias.report(a.p, stacks)
 }

@@ -161,6 +161,11 @@ type Result struct {
 	EBSIPs []uint64
 	// Stacks are the LBR snapshots from the branch counter.
 	Stacks [][]bbec.Branch
+	// Estimate holds the LBR estimator and bias statistics credited
+	// with Stacks while the run executed (see streamLBROptions). It is
+	// nil for a replayed result, and read-only: any number of analyses
+	// may read it at once.
+	Estimate *bbec.Accumulator
 	// EBSPeriod and LBRPeriod are the effective (scaled) periods the
 	// samples were taken with.
 	EBSPeriod, LBRPeriod uint64
@@ -178,11 +183,21 @@ type Result struct {
 	LostEBS, LostLBR uint64
 }
 
+// streamLBROptions are the LBR estimator options a collection credits
+// its stacks under while the run executes: the kernel text re-patched
+// from the live image and the default stream bounds, as
+// core.DefaultOptions analyzes. An analysis under other options walks
+// Result.Stacks again.
+var streamLBROptions = bbec.LBROptions{KernelLivePatched: true}
+
 // Collect runs entry under the PMU configuration described above,
 // dispatching every sample straight to the sinks, and returns the
-// result assembled from the built-in sink outputs. Extra listeners
-// (e.g. an SDE instrumenter producing reference data in the same run)
-// observe the identical execution.
+// result assembled from the built-in sink outputs. While the run
+// executes, a second goroutine credits the LBR stacks to the LBR
+// estimator and the bias statistics (Result.Estimate); Collect joins it
+// before returning, on every path. Extra listeners (e.g. an SDE
+// instrumenter producing reference data in the same run) observe the
+// identical execution.
 func Collect(p *program.Program, entry *program.Function, opt Options, extra ...cpu.Listener) (*Result, error) {
 	ebsPeriod, lbrPeriod := opt.effectivePeriods()
 
@@ -235,6 +250,11 @@ func Collect(p *program.Program, entry *program.Function, opt Options, extra ...
 		return nil, fmt.Errorf("collector: %w", err)
 	}
 
+	// The LBR estimator runs beside the machine; every return below
+	// joins it first.
+	lbr.estimate(bbec.NewAccumulator(p, streamLBROptions, bbec.DefaultBiasOptions()))
+	defer lbr.finish()
+
 	listeners := append([]cpu.Listener{unit}, extra...)
 	stats, err := cpu.Run(p, entry, cpu.Config{
 		Seed: opt.Seed, Repeat: opt.Repeat,
@@ -261,6 +281,7 @@ func Collect(p *program.Program, entry *program.Function, opt Options, extra ...
 	return &Result{
 		EBSIPs:    ebs.IPs,
 		Stacks:    lbr.Stacks,
+		Estimate:  lbr.finish(),
 		EBSPeriod: ebsPeriod,
 		LBRPeriod: lbrPeriod,
 		Scale:     opt.EffectiveScale(),

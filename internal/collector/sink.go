@@ -56,6 +56,11 @@ type LBRSink struct {
 	// into a few large allocations takes them off the garbage
 	// collector's object ledger entirely.
 	arena []bbec.Branch
+
+	// est, when non-nil, credits the stacks on a goroutine of its own
+	// while the run goes on; fed counts the stacks handed to it.
+	est *estimator
+	fed int
 }
 
 // lbrArenaSize is the slab granularity, in branch records.
@@ -81,6 +86,70 @@ func (k *LBRSink) Sample(s *perffile.Sample) {
 		stack[i] = bbec.Branch{From: br.From, To: br.To}
 	}
 	k.Stacks = append(k.Stacks, stack)
+	if k.est != nil && len(k.Stacks)-k.fed == estimatorBatch {
+		k.feed()
+	}
+}
+
+// feed hands the stacks not yet fed to the estimator. Retained stacks
+// are never written again, and a later append that moves Stacks leaves
+// the old backing array as it was, so the batch is shared, not copied.
+func (k *LBRSink) feed() {
+	n := len(k.Stacks)
+	k.est.batches <- k.Stacks[k.fed:n:n]
+	k.fed = n
+}
+
+// estimate starts crediting the sink's stacks to acc while the run
+// executes. The caller must call finish once the run is over, on every
+// path.
+func (k *LBRSink) estimate(acc *bbec.Accumulator) {
+	k.est = &estimator{acc: acc, batches: make(chan [][]bbec.Branch, estimatorQueue), done: make(chan struct{})}
+	go k.est.run()
+}
+
+// finish hands over the last stacks, waits for the estimator to credit
+// everything it was given and returns its accumulator (nil when none
+// was started). It may be called more than once.
+func (k *LBRSink) finish() *bbec.Accumulator {
+	e := k.est
+	if e == nil {
+		return nil
+	}
+	if len(k.Stacks) > k.fed {
+		k.feed()
+	}
+	k.est = nil
+	close(e.batches)
+	<-e.done
+	return e.acc
+}
+
+// estimator is the goroutine that credits an LBRSink's stacks to an
+// accumulator in arrival order.
+type estimator struct {
+	acc     *bbec.Accumulator
+	batches chan [][]bbec.Branch
+	done    chan struct{}
+}
+
+// estimatorBatch is how many stacks the sink hands over at a time. A
+// short-block run delivers a few thousand stacks; a batch this size
+// keeps the hand-off cost per stack small while the estimator stays
+// close behind the run, so little is left to credit when it ends.
+const estimatorBatch = 128
+
+// estimatorQueue bounds the batches waiting for the estimator. A batch
+// is a slice header onto stacks the sink retains anyway, so a deep
+// queue costs next to nothing, and the run stalls on the estimator only
+// when it falls this many batches behind.
+const estimatorQueue = 64
+
+func (e *estimator) run() {
+	defer close(e.done)
+	for batch := range e.batches {
+		e.acc.Add(batch)
+	}
 }
 
 // Lost accumulates drops on the branch counter.

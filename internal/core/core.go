@@ -226,16 +226,13 @@ func AnalyzeReplay(p *program.Program, model *Model, rd io.Reader, opts Options)
 // Analyze computes the HBBP profile from an existing collection. It
 // consumes the sink outputs (EBS IPs, LBR stacks) in place — no
 // copies, no reparse — and works identically on a live Result and on
-// one reconstructed from a perffile via AnalyzeReplay.
+// one reconstructed from a perffile via AnalyzeReplay. It never writes
+// to res, so one Result may be analyzed any number of times, at once.
 func Analyze(p *program.Program, model *Model, res *collector.Result, kernelLivePatched bool) (*Profile, error) {
 	if model == nil {
 		model = DefaultModel()
 	}
-	ebsEst, _ := bbec.FromEBS(p, res.EBSIPs, res.EBSPeriod)
-	lbrEst, _ := bbec.FromLBR(p, res.Stacks, res.LBRPeriod,
-		bbec.LBROptions{KernelLivePatched: kernelLivePatched})
-	normalizeLBRMass(p, ebsEst, lbrEst)
-	bias := bbec.DetectBias(p, res.Stacks, bbec.DefaultBiasOptions())
+	ebsEst, lbrEst, bias := estimate(p, res, kernelLivePatched)
 	hybrid, choices := model.Hybrid(p, ebsEst, lbrEst, bias.BlockBias)
 	// Low-support guard: an EBS value resting on a handful of samples
 	// is noise; fall back to the LBR value there. The threshold is in
@@ -260,6 +257,26 @@ func Analyze(p *program.Program, model *Model, res *collector.Result, kernelLive
 		Bias:       bias,
 		Collection: res,
 	}, nil
+}
+
+// estimate is the estimator sequence of an analysis: both BBEC
+// estimates, the LBR mass normalization and bias detection. The LBR
+// estimate and the bias statistics come from res.Estimate when the
+// collection credited them for p under the same options; otherwise
+// (replay, kernelLivePatched false, a hand-built Result) the same
+// accumulator walks res.Stacks here. It never writes to res.
+func estimate(p *program.Program, res *collector.Result, kernelLivePatched bool) (ebs, lbr []float64, bias bbec.BiasReport) {
+	ebs, _ = bbec.FromEBS(p, res.EBSIPs, res.EBSPeriod)
+	lbrOpts := bbec.LBROptions{KernelLivePatched: kernelLivePatched}
+	biasOpts := bbec.DefaultBiasOptions()
+	acc := res.Estimate
+	if acc == nil || !acc.Matches(p, lbrOpts, biasOpts, len(res.Stacks)) {
+		acc = bbec.NewAccumulator(p, lbrOpts, biasOpts)
+		acc.Add(res.Stacks)
+	}
+	lbr, _ = acc.LBR(res.LBRPeriod)
+	normalizeLBRMass(p, ebs, lbr)
+	return ebs, lbr, acc.Bias(res.Stacks)
 }
 
 // normalizeLBRMass rescales the LBR estimate so each module's total

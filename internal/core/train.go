@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"hbbp/internal/bbec"
 	"hbbp/internal/collector"
 	"hbbp/internal/cpu"
 	"hbbp/internal/metrics"
@@ -32,11 +31,7 @@ func CollectTrainingRun(p *program.Program, entry *program.Function, opt collect
 	if err != nil {
 		return nil, fmt.Errorf("core: training run %s: %w", p.Name, err)
 	}
-	ebsEst, _ := bbec.FromEBS(p, res.EBSIPs, res.EBSPeriod)
-	lbrEst, _ := bbec.FromLBR(p, res.Stacks, res.LBRPeriod,
-		bbec.LBROptions{KernelLivePatched: true})
-	normalizeLBRMass(p, ebsEst, lbrEst)
-	bias := bbec.DetectBias(p, res.Stacks, bbec.DefaultBiasOptions())
+	ebsEst, lbrEst, bias := estimate(p, res, true)
 	return &TrainingRun{
 		Prog: p,
 		Ref:  oracle.Exec,

@@ -269,9 +269,12 @@ func (r *BranchRing) PushRepeated(pattern []Branch, reps uint64) {
 }
 
 // At returns the record age positions back from the newest (age 0 =
-// newest). The caller must ensure age < Len().
+// newest). The caller must ensure age < Len(). A PMI reads the ring up
+// to twice its depth, so the wrap is one conditional add, not a
+// modulo: with head < len(buf) and age < Len() <= len(buf), the index
+// head-1-age lies in [-len(buf), len(buf)).
 func (r *BranchRing) At(age int) Branch {
-	idx := (r.head - 1 - age) % len(r.buf)
+	idx := r.head - 1 - age
 	if idx < 0 {
 		idx += len(r.buf)
 	}

@@ -147,8 +147,8 @@ const (
 	moduleGap  = uint64(0x10000)
 )
 
-// Finish lays the program out, encodes module code, builds the sorted
-// block index and validates the result.
+// Finish lays the program out, encodes module code, builds the block
+// map and validates the result.
 func (b *Builder) Finish() (*Program, error) {
 	if b.err != nil {
 		return nil, b.err
@@ -188,6 +188,7 @@ func (b *Builder) Finish() (*Program, error) {
 	p.blocks = make([]*Block, len(p.byID))
 	copy(p.blocks, p.byID)
 	sortBlocksByAddr(p.blocks)
+	p.index()
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}

@@ -12,7 +12,6 @@ package program
 
 import (
 	"fmt"
-	"sort"
 
 	"hbbp/internal/isa"
 )
@@ -224,13 +223,84 @@ func (m *Module) LiveText() []byte {
 }
 
 // Program is a complete static program: one or more modules plus the
-// sorted block index used to resolve sampled IPs.
+// block map used to resolve sampled IPs.
 type Program struct {
 	Name    string
 	Modules []*Module
 
 	blocks []*Block // all blocks, sorted by address after Layout
 	byID   []*Block // dense ID -> block
+
+	// The block map, built by Finish: ends holds each block's end
+	// address in address order, and spans and lines index every
+	// module's code by line (see seek).
+	ends  []uint64
+	spans []span
+	lines []int32
+}
+
+// lineShift sets the block map's line size, 1<<lineShift bytes. A line
+// records the first block that ends past its first byte, so a lookup
+// scans forward over the blocks that end inside the line: on the
+// short-block workloads that scan averages under two steps at 16-byte
+// lines, and a line costs 4 bytes of index per 16 bytes of code.
+const lineShift = 4
+
+// span is one module's part of the block map: its code range
+// [lo, hi) and the position of its first line in lines.
+type span struct {
+	lo, hi uint64
+	line   int
+}
+
+// index builds the block map over the address-sorted blocks. Every
+// byte of a module's code belongs to one of its blocks (layout packs
+// them back to back), so the block a lookup inside a span lands on
+// contains the address, and one outside every span has no block.
+func (p *Program) index() {
+	p.ends = make([]uint64, len(p.blocks))
+	for i, b := range p.blocks {
+		p.ends[i] = b.End()
+	}
+	mods := make([]*Module, 0, len(p.Modules))
+	for _, m := range p.Modules {
+		if m.Size() > 0 {
+			mods = append(mods, m)
+		}
+	}
+	// Spans are kept in address order; there are a handful of modules.
+	for i := 1; i < len(mods); i++ {
+		for j := i; j > 0 && mods[j-1].Base > mods[j].Base; j-- {
+			mods[j-1], mods[j] = mods[j], mods[j-1]
+		}
+	}
+	i := 0
+	for _, m := range mods {
+		s := span{lo: m.Base, hi: m.Base + m.Size(), line: len(p.lines)}
+		for a := s.lo; a < s.hi; a += 1 << lineShift {
+			for p.ends[i] <= a {
+				i++
+			}
+			p.lines = append(p.lines, int32(i))
+		}
+		p.spans = append(p.spans, s)
+	}
+}
+
+// seek returns the address-order index of the block containing addr,
+// or -1 when addr lies outside every module: one line read, then a
+// forward scan past the blocks that end at or before addr.
+func (p *Program) seek(addr uint64) int {
+	for _, s := range p.spans {
+		if addr-s.lo < s.hi-s.lo {
+			i := int(p.lines[s.line+int((addr-s.lo)>>lineShift)])
+			for p.ends[i] <= addr {
+				i++
+			}
+			return i
+		}
+	}
+	return -1
 }
 
 // Blocks returns all blocks in address order.
@@ -245,8 +315,7 @@ func (p *Program) BlockByID(id int) *Block { return p.byID[id] }
 // BlockAt returns the block containing addr, or nil when the address
 // falls outside every block (e.g. inter-module padding).
 func (p *Program) BlockAt(addr uint64) *Block {
-	i := sort.Search(len(p.blocks), func(i int) bool { return p.blocks[i].End() > addr })
-	if i < len(p.blocks) && p.blocks[i].Contains(addr) {
+	if i := p.seek(addr); i >= 0 {
 		return p.blocks[i]
 	}
 	return nil
@@ -260,21 +329,26 @@ func (p *Program) BlockAt(addr uint64) *Block {
 // exactly the address-contiguous run. It returns nil when either address
 // is unmapped or to precedes from.
 func (p *Program) BlocksBetween(from, to uint64) []*Block {
+	i, j := p.BlockRange(from, to)
+	if i == j {
+		return nil
+	}
+	return p.blocks[i:j]
+}
+
+// BlockRange is BlocksBetween as positions in Blocks(): the stream's
+// blocks are Blocks()[i:j], and i == j when BlocksBetween returns nil.
+// Each endpoint costs one block-map lookup (a line read and a short
+// forward scan), with no pointer chase.
+func (p *Program) BlockRange(from, to uint64) (i, j int) {
 	if to < from {
-		return nil
+		return 0, 0
 	}
-	// One binary search per endpoint: the first block whose end exceeds
-	// the address is both the containment candidate and the slice
-	// bound, and the search for to only scans the tail past from.
-	i := sort.Search(len(p.blocks), func(k int) bool { return p.blocks[k].End() > from })
-	if i == len(p.blocks) || !p.blocks[i].Contains(from) {
-		return nil
+	i, j = p.seek(from), p.seek(to)
+	if i < 0 || j < 0 {
+		return 0, 0
 	}
-	j := i + sort.Search(len(p.blocks)-i, func(k int) bool { return p.blocks[i+k].End() > to })
-	if j == len(p.blocks) || !p.blocks[j].Contains(to) {
-		return nil
-	}
-	return p.blocks[i : j+1]
+	return i, j + 1
 }
 
 // FuncByName looks a function up by name across all modules.
