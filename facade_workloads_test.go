@@ -122,6 +122,76 @@ func TestNewWorkloadCustomSpec(t *testing.T) {
 	}
 }
 
+// TestNewWorkloadCarriesTables pins that a one-off spec builds through
+// the registry's own path: the workload carries an execution layout
+// and an instrumentation profile derived from its own program, and
+// profiling it matches profiling the same spec registered and looked
+// up.
+func TestNewWorkloadCarriesTables(t *testing.T) {
+	spec := ShapeSpec{
+		Name:        "facade-oneoff-tables",
+		Description: "one-off spec checked against its registered twin",
+		Class:       ClassSeconds,
+		Scale:       500,
+		TargetInst:  100_000,
+		Synth: &SynthSpec{
+			Name: "facade-oneoff-tables", Seed: 7, Funcs: 4,
+			Profile: SynthProfile{
+				MeanBlockLen: 5, DiamondFrac: 0.3, LoopFrac: 0.2, CallFrac: 0.2,
+				Mix: MixProfile{Base: 0.8, SSEScalar: 0.2},
+			},
+			OuterTrips: 8, LeafFrac: 0.6,
+		},
+	}
+	oneOff, err := NewWorkload(spec)
+	if err != nil {
+		t.Fatalf("NewWorkload: %v", err)
+	}
+	if oneOff.Layout == nil || oneOff.Layout.Program() != oneOff.Prog {
+		t.Error("one-off workload lacks a layout derived from its own program")
+	}
+	if oneOff.SDE == nil || oneOff.SDE.Program() != oneOff.Prog {
+		t.Error("one-off workload lacks an instrumentation profile derived from its own program")
+	}
+	// The registry is process-wide: a repeated run (-count) finds the
+	// spec registered already.
+	if _, err := LookupWorkload(spec.Name); errors.Is(err, ErrUnknownWorkload) {
+		if err := RegisterWorkload(spec); err != nil {
+			t.Fatalf("RegisterWorkload: %v", err)
+		}
+	}
+	registered, err := LookupWorkload(spec.Name)
+	if err != nil {
+		t.Fatalf("LookupWorkload: %v", err)
+	}
+	s, err := New(WithSeed(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Profile(context.Background(), oneOff)
+	if err != nil {
+		t.Fatalf("Profile(one-off): %v", err)
+	}
+	want, err := s.Profile(context.Background(), registered)
+	if err != nil {
+		t.Fatalf("Profile(registered): %v", err)
+	}
+	for _, f := range []struct {
+		name      string
+		got, want any
+	}{
+		{"BBECs", got.BBECs, want.BBECs},
+		{"EBS", got.EBS, want.EBS},
+		{"LBR", got.LBR, want.LBR},
+		{"Choices", got.Choices, want.Choices},
+		{"Collection.Stats", got.Collection.Stats, want.Collection.Stats},
+	} {
+		if !reflect.DeepEqual(f.got, f.want) {
+			t.Errorf("one-off and registered profiles differ in %s", f.name)
+		}
+	}
+}
+
 // TestWorkloadBuildErrorSentinel pins the satellite contract: a
 // workload whose calibration dry run cannot complete surfaces
 // ErrWorkloadBuild through the façade instead of panicking.

@@ -87,10 +87,6 @@ func (ev *BlockEvent) span() (from, to int) {
 // Block returns the retired block.
 func (ev *BlockEvent) Block() *program.Block { return ev.lay.prog.BlockByID(int(ev.idx)) }
 
-// BlockID returns the retired block's ID without touching the block
-// itself — the O(1) identity listeners index per-block state with.
-func (ev *BlockEvent) BlockID() int { return int(ev.idx) }
-
 // Ring returns the privilege level the block retired at.
 func (ev *BlockEvent) Ring() program.Ring { return ev.table[ev.idx].ring }
 
@@ -413,7 +409,7 @@ type entry struct {
 // Layout is immutable afterwards and safe to share across any number
 // of concurrent Machines of the same program, so callers that run one
 // workload many times (the experiment harness, the workload registry's
-// snapshotted images) pay the derivation and its allocations once
+// compiled images) pay the derivation and its allocations once
 // instead of per run. Execution is bit-identical with or without a
 // shared layout.
 type Layout struct {

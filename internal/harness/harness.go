@@ -71,7 +71,15 @@ type Runner struct {
 	// with an error wrapping ctx.Err(). A run that completes under a
 	// context is bit-identical to one without.
 	ctx context.Context
+	// call, when non-nil, counts this view's own collection activity
+	// beside the shared tally, so a RunPlan report leaves out what
+	// concurrent calls on other views did.
+	call *callTally
 }
+
+// callTally counts the collection runs one call executed and the
+// requests it served from the cache.
+type callTally struct{ collected, reused atomic.Int64 }
 
 // runCache is the state every view of one Runner shares.
 type runCache struct {
@@ -133,6 +141,9 @@ func (r *Runner) noteCollected(key string) {
 	r.statsMu.Lock()
 	r.collectCounts[key]++
 	r.statsMu.Unlock()
+	if r.call != nil {
+		r.call.collected.Add(1)
+	}
 }
 
 // noteReused records n requests served from the cache.
@@ -141,6 +152,9 @@ func (r *Runner) noteReused(n int) {
 	r.statsMu.Lock()
 	r.reused += n
 	r.statsMu.Unlock()
+	if r.call != nil {
+		r.call.reused.Add(int64(n))
+	}
 }
 
 // Collections reports the runner's collection activity so far:
@@ -379,12 +393,7 @@ func (r *Runner) evalWorkload(w *workloads.Workload) (*WorkloadEval, error) {
 	if err != nil {
 		return nil, err
 	}
-	var ref *sde.Instrumenter
-	if w.SDE != nil {
-		ref = sde.NewFromStatic(w.SDE)
-	} else {
-		ref = sde.New(w.Prog)
-	}
+	ref := sde.NewFromStatic(w.SDE)
 	prof, err := core.Run(w.Prog, w.Entry, model, core.Options{
 		Collector: collector.Options{
 			Class: w.Class, Scale: w.Scale, Seed: r.cfg.Seed + 7,

@@ -208,8 +208,10 @@ type Report struct {
 	// Plan is the resolved collection plan.
 	Plan *Plan
 	// Collected is the number of (workload, config) collection runs
-	// executed during this call; Reused counts requests served from
-	// the keyed run cache instead of collecting again.
+	// this call executed; Reused counts this call's requests served
+	// from the keyed run cache instead of collecting again. Runs a
+	// concurrent call on the same cache executes count there, not
+	// here.
 	Collected, Reused int
 	// CollectWall is the wall time of the shared collection phase.
 	CollectWall time.Duration
@@ -266,10 +268,11 @@ func (r *Runner) RunPlan(names ...string) (*Report, error) {
 		return nil, err
 	}
 	rep := &Report{Plan: plan}
-	collected0, reused0 := r.Collections()
+	// Count on a view of this call alone: the shared tally also moves
+	// with every concurrent call on the same cache.
+	r = &Runner{runCache: r.runCache, ctx: r.ctx, call: &callTally{}}
 	finish := func() {
-		collected1, reused1 := r.Collections()
-		rep.Collected, rep.Reused = collected1-collected0, reused1-reused0
+		rep.Collected, rep.Reused = int(r.call.collected.Load()), int(r.call.reused.Load())
 	}
 	start := time.Now()
 	if err := r.collect(plan); err != nil {

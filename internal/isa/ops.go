@@ -348,14 +348,3 @@ func ByExt(e Ext) []Op {
 	sort.Slice(ops, func(i, j int) bool { return ops[i].String() < ops[j].String() })
 	return ops
 }
-
-// CondBranches returns the conditional branch opcodes.
-func CondBranches() []Op {
-	var ops []Op
-	for op := Op(1); op < numOps; op++ {
-		if infoTable[op].Cat == CatCondBranch {
-			ops = append(ops, op)
-		}
-	}
-	return ops
-}

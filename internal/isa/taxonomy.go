@@ -92,19 +92,6 @@ func Synchronization() Taxonomy {
 	}
 }
 
-// ByCategory splits instructions by behavioural category.
-func ByCategory() Taxonomy {
-	groups := make([]Group, 0, int(numCategory))
-	for c := Category(0); c < numCategory; c++ {
-		cat := c
-		groups = append(groups, Group{
-			Name:  cat.String(),
-			Match: func(in Info) bool { return in.Cat == cat },
-		})
-	}
-	return Taxonomy{Name: "category", Groups: groups}
-}
-
 // MemoryAccess groups instructions by whether they read or write memory,
 // one of the secondary attributes the analyzer derives.
 func MemoryAccess() Taxonomy {

@@ -1,6 +1,7 @@
 package program
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 
@@ -294,5 +295,49 @@ func TestFuncHelpers(t *testing.T) {
 	}
 	if p.TotalStaticInsts() == 0 {
 		t.Error("TotalStaticInsts zero")
+	}
+}
+
+// TestModuleLiveText pins the copy-on-write live text: an unpatched
+// module's live text aliases its static code, and a trace-point
+// module's live text is a copy with NOPs over the trace JMP while the
+// static code stays as built.
+func TestModuleLiveText(t *testing.T) {
+	b := NewBuilder("livetext-test")
+	umod := b.Module("main", RingUser)
+	ub := b.Block(b.Function(umod, "main"), isa.MOV, isa.ADD)
+	b.Return(ub)
+	kmod := b.Module("kernel", RingKernel)
+	kf := b.Function(kmod, "sys_traced")
+	pre := b.Block(kf, isa.MOV)
+	post := b.Block(kf, isa.SUB)
+	b.TracePoint(pre, post)
+	b.Return(post)
+	if _, err := b.Finish(); err != nil {
+		t.Fatalf("Finish: %v", err)
+	}
+
+	if utext := umod.LiveText(); &utext[0] != &umod.Code[0] {
+		t.Error("unpatched module's live text should alias the static code (no copy)")
+	}
+
+	static := append([]byte(nil), kmod.Code...)
+	ktext := kmod.LiveText()
+	if &ktext[0] == &kmod.Code[0] {
+		t.Fatal("patched module's live text must be a copy, not the static code")
+	}
+	if !bytes.Equal(kmod.Code, static) {
+		t.Error("LiveText modified the module's static code")
+	}
+	nop := isa.AppendEncode(nil, isa.NOP)[0]
+	off := pre.LastAddr() - kmod.Base
+	jmp := pre.Ops[len(pre.Ops)-1].Bytes()
+	for i := 0; i < jmp; i++ {
+		if ktext[off+uint64(i)] != nop {
+			t.Fatalf("live text byte %d of the trace JMP = %#x, want NOP %#x", i, ktext[off+uint64(i)], nop)
+		}
+	}
+	if !bytes.Equal(ktext[:off], static[:off]) || !bytes.Equal(ktext[off+uint64(jmp):], static[off+uint64(jmp):]) {
+		t.Error("live text differs from the static code outside the trace JMP")
 	}
 }

@@ -77,7 +77,7 @@ type blockProfile struct {
 // it walks every block once; the table is immutable afterwards and
 // safe to share across any number of concurrent Instrumenters of the
 // same program, so callers that instrument one workload many times
-// (the experiment harness, the workload registry's snapshotted images)
+// (the experiment harness, the workload registry's compiled images)
 // pay the derivation once instead of per run.
 type Static struct {
 	prog   *program.Program

@@ -64,10 +64,10 @@ func BenchmarkWorkloadConstructionParallel(b *testing.B) {
 }
 
 // BenchmarkBuildSnapshotReset measures the steady-state cost of
-// checking one workload out of an already-compiled, already-calibrated
-// registry entry — the copy-on-write reset path the planner leans on.
-// No synthesis, no calibration, no layout derivation: a Build is a
-// snapshot checkout plus one Workload allocation.
+// building one workload from an already-compiled, already-calibrated
+// registry entry — the path the planner leans on. No synthesis, no
+// calibration, no table derivation: a Build is a memo read plus one
+// Workload allocation.
 func BenchmarkBuildSnapshotReset(b *testing.B) {
 	reg := NewRegistry()
 	for _, spec := range builtinSpecs() {

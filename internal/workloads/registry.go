@@ -23,16 +23,16 @@ var (
 
 // Registry maps workload names to shape specs and compiles them to
 // runnable Workloads on demand. It owns compilation and calibration:
-// each entry's program image is compiled at most once and snapshotted
-// (builds hand out the shared immutable image — the copy-on-write
-// reset is O(1) because runs never mutate a finished program), its
-// execution layout and instrumentation profile tables are derived
-// once alongside, and the dry-run repeat count is resolved at most
-// once. All of it is memoized behind per-entry synchronization, so
-// any number of goroutines may Build concurrently — harness workers
-// construct workloads inside the pool instead of serializing
-// construction in the caller, and repeated builds of one entry skip
-// synthesis and calibration entirely.
+// each entry is compiled, its execution layout and instrumentation
+// profile tables derived and its dry-run repeat count resolved at most
+// once, behind one per-entry memo, and every build hands out that one
+// immutable image (runs never mutate a finished program). Any number
+// of goroutines may Build concurrently — harness workers construct
+// workloads inside the pool instead of serializing construction in
+// the caller, and repeated builds of one entry skip synthesis,
+// derivation and calibration entirely. BuildSpec compiles a one-off
+// spec through the same path, unmemoized, so workloads from either
+// carry the derived tables.
 //
 // A Registry is safe for concurrent use.
 type Registry struct {
@@ -40,36 +40,30 @@ type Registry struct {
 	entries map[string]*regEntry
 }
 
-// regEntry pairs a spec with its memoized compiled image and
-// calibration.
+// image is one compiled workload program with the tables derived from
+// it. It is immutable, so every run of the workload may share it.
+type image struct {
+	prog   *program.Program
+	entry  *program.Function
+	layout *cpu.Layout
+	sde    *sde.Static
+}
+
+// compileImage compiles spec and derives its execution layout and
+// instrumentation profile — the one build path of registered entries
+// and one-off specs alike.
+func compileImage(spec *ShapeSpec) image {
+	prog, entry := spec.compile()
+	return image{prog: prog, entry: entry, layout: cpu.NewLayout(prog), sde: sde.NewStatic(prog)}
+}
+
+// regEntry pairs a spec with its memoized image and calibration.
 type regEntry struct {
 	spec   ShapeSpec
 	once   sync.Once
+	img    image
 	repeat int
 	err    error
-
-	// imgOnce memoizes the compiled image and its derived execution
-	// tables: the snapshot hands the same immutable program to every
-	// build, and the layout/instrumentation tables ride along so
-	// repeated runs skip their derivation passes too.
-	imgOnce sync.Once
-	img     *program.Snapshot
-	entryFn *program.Function
-	layout  *cpu.Layout
-	sdeProf *sde.Static
-}
-
-// image compiles the entry's program exactly once and returns the
-// shared snapshot with its derived tables.
-func (e *regEntry) image() (*program.Snapshot, *program.Function, *cpu.Layout, *sde.Static) {
-	e.imgOnce.Do(func() {
-		prog, entry := e.spec.compile()
-		e.img = program.NewSnapshot(prog)
-		e.entryFn = entry
-		e.layout = cpu.NewLayout(prog)
-		e.sdeProf = sde.NewStatic(prog)
-	})
-	return e.img, e.entryFn, e.layout, e.sdeProf
 }
 
 // NewRegistry returns an empty registry. Use [Default] for the
@@ -143,78 +137,71 @@ func (r *Registry) Lookup(name string) (ShapeSpec, bool) {
 	return e.spec.clone(), true
 }
 
-// Build compiles the named spec into a runnable workload. The first
-// build compiles and snapshots the image and pays the calibration dry
-// run; every later build checks the shared snapshot out in O(1). The
-// returned workload's program is the shared immutable image — runs
-// never mutate a finished program (execution state lives in the
-// machine, live-text patching copies), so concurrent runs of the same
-// entry are safe. Unknown names match [ErrUnknown]; failed
+// Build returns the named spec as a runnable workload. The first
+// build compiles the image, derives its tables and pays the
+// calibration dry run; every later build hands the same image out in
+// O(1). Runs never mutate a finished program (execution state lives in
+// the machine, live-text patching copies), so concurrent runs of the
+// same entry are safe. Unknown names match [ErrUnknown]; failed
 // calibrations match [ErrBuild].
 func (r *Registry) Build(name string) (*Workload, error) {
 	e, ok := r.entry(name)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknown, name)
 	}
-	snap, entry, layout, sdeProf := e.image()
-	repeat, err := r.calibrated(e)
+	img, repeat, err := r.built(e)
 	if err != nil {
 		return nil, err
 	}
-	return &Workload{
-		Name:        e.spec.Name,
-		Prog:        snap.Checkout(),
-		Entry:       entry,
-		Image:       snap,
-		Layout:      layout,
-		SDE:         sdeProf,
-		Repeat:      repeat,
-		Class:       e.spec.Class,
-		Scale:       e.spec.Scale,
-		SDEBug:      e.spec.SDEBug,
-		Description: e.spec.Description,
-	}, nil
+	return newWorkload(&e.spec, img, repeat), nil
 }
 
 // BuildSpec compiles an unregistered spec (a caller-authored custom
-// workload). Calibration is not memoized — one-off builds pay their
-// own dry run — and RepeatOf resolves against this registry.
+// workload) through the same path as a registered entry, so the
+// workload carries its layout and instrumentation tables too. Nothing
+// is memoized — one-off builds pay their own compilation and dry run —
+// and RepeatOf resolves against this registry.
 func (r *Registry) BuildSpec(spec ShapeSpec) (*Workload, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
-	prog, entry := spec.compile()
-	repeat, err := r.resolveVolume(&spec, prog, entry, nil)
+	img := compileImage(&spec)
+	repeat, err := r.resolveVolume(&spec, img)
 	if err != nil {
 		return nil, err
 	}
+	return newWorkload(&spec, img, repeat), nil
+}
+
+// newWorkload assembles the workload spec describes from its compiled
+// image and resolved repeat count.
+func newWorkload(spec *ShapeSpec, img image, repeat int) *Workload {
 	return &Workload{
 		Name:        spec.Name,
-		Prog:        prog,
-		Entry:       entry,
+		Prog:        img.prog,
+		Entry:       img.entry,
+		Layout:      img.layout,
+		SDE:         img.sde,
 		Repeat:      repeat,
 		Class:       spec.Class,
 		Scale:       spec.Scale,
 		SDEBug:      spec.SDEBug,
 		Description: spec.Description,
-	}, nil
+	}
 }
 
 // resolveVolume turns a spec's volume policy into a repeat count — the
 // single definition of the Repeat/RepeatOf/TargetInst switch, shared
-// by registered entries (through calibrated's memoization) and one-off
-// BuildSpec compilations. prog and entry, when non-nil, are a
-// compiled image the caller already has (the entry's snapshot, or a
-// fresh BuildSpec compilation); calibration compiles its own dry-run
-// image otherwise. layout, when non-nil, is prog's shared dispatch
-// table, so the dry run reuses it too.
+// by registered entries (through built's memo) and one-off BuildSpec
+// compilations. A calibration dry run executes img, the spec's own
+// compiled image, with its shared layout.
 //
 // The dry run is deliberately context-free: its result memoizes
 // process-wide for registered entries, and honouring a caller's
 // context would let the first (cancelled) builder poison the cache
 // for everyone after it. Promptness is bounded instead by the
 // calibration retirement guard.
-func (r *Registry) resolveVolume(spec *ShapeSpec, prog *program.Program, entry *program.Function, layout *cpu.Layout) (int, error) {
+func (r *Registry) resolveVolume(spec *ShapeSpec, img image) (int, error) {
 	switch {
 	case spec.Repeat > 0:
 		return spec.Repeat, nil
@@ -227,13 +214,10 @@ func (r *Registry) resolveVolume(spec *ShapeSpec, prog *program.Program, entry *
 			return 0, fmt.Errorf("%w: %s calibrates against %q",
 				ErrUnknown, spec.Name, spec.RepeatOf)
 		}
-		return r.calibrated(ref)
+		_, repeat, err := r.built(ref)
+		return repeat, err
 	default:
-		if prog == nil {
-			prog, entry = spec.compile()
-		}
-		dry := &Workload{Name: spec.Name, Prog: prog, Entry: entry, Layout: layout}
-		per, err := dry.InstructionsPerRun()
+		per, err := newWorkload(spec, img, 1).InstructionsPerRun()
 		if err != nil {
 			return 0, fmt.Errorf("%s calibration: %w", spec.Name, err)
 		}
@@ -248,15 +232,14 @@ func (r *Registry) resolveVolume(spec *ShapeSpec, prog *program.Program, entry *
 	}
 }
 
-// calibrated resolves a registered entry's repeat count exactly once,
-// memoized behind the entry's sync.Once. The dry run executes the
-// entry's snapshotted image with its shared layout.
-func (r *Registry) calibrated(e *regEntry) (int, error) {
+// built compiles a registered entry's image and resolves its repeat
+// count exactly once, memoized behind the entry's sync.Once.
+func (r *Registry) built(e *regEntry) (image, int, error) {
 	e.once.Do(func() {
-		snap, entry, layout, _ := e.image()
-		e.repeat, e.err = r.resolveVolume(&e.spec, snap.Program(), entry, layout)
+		e.img = compileImage(&e.spec)
+		e.repeat, e.err = r.resolveVolume(&e.spec, e.img)
 	})
-	return e.repeat, e.err
+	return e.img, e.repeat, e.err
 }
 
 // Default returns the registry holding every built-in workload: the

@@ -49,22 +49,19 @@ import (
 type Workload struct {
 	// Name identifies the workload (e.g. "povray", "test40").
 	Name string
-	// Prog is the static program. Registry-built workloads share one
-	// immutable snapshotted image per entry (see Image); runs never
-	// mutate a finished program, so sharing is safe at any concurrency.
+	// Prog is the static program. Every build of one registry entry
+	// shares one immutable image; runs never mutate a finished
+	// program, so sharing is safe at any concurrency.
 	Prog *program.Program
 	// Entry is the function invoked Repeat times per run.
 	Entry *program.Function
-	// Image, when non-nil, is the snapshot Prog was checked out of —
-	// the copy-on-write handle for live-text materialization. Nil for
-	// one-off BuildSpec workloads, which own a fresh image.
-	Image *program.Snapshot
-	// Layout, when non-nil, is the program's precomputed execution
-	// dispatch table, shared by every build of the same registry entry
-	// (see cpu.NewLayout). Nil makes each run derive its own.
+	// Layout is Prog's precomputed execution dispatch table (see
+	// cpu.NewLayout). Registry builds and BuildSpec both set it; it is
+	// nil only on a hand-assembled Workload, whose runs then derive
+	// their own.
 	Layout *cpu.Layout
-	// SDE, when non-nil, is the program's precomputed instrumentation
-	// profile table, shared like Layout (see sde.NewStatic).
+	// SDE is Prog's precomputed instrumentation profile table (see
+	// sde.NewStatic), set and shared like Layout.
 	SDE *sde.Static
 	// Repeat is the calibrated invocation count for a full run.
 	Repeat int

@@ -183,9 +183,10 @@ type ExperimentReport struct {
 	// every (workload, configuration) run the batch needs, each
 	// collected exactly once.
 	CollectWall time.Duration
-	// RunsCollected counts collection runs the plan executed;
-	// RunsReused counts requests the run cache satisfied without
-	// collecting again.
+	// RunsCollected counts collection runs this call's plan executed;
+	// RunsReused counts this call's requests the run cache satisfied
+	// without collecting again. A concurrent call's runs are counted
+	// in its own report, not this one.
 	RunsCollected, RunsReused int
 }
 

@@ -60,10 +60,12 @@ func LookupWorkload(name string) (*Workload, error) {
 }
 
 // NewWorkload compiles a caller-authored [ShapeSpec] into a runnable
-// workload without registering it. The spec's Synth shape goes through
-// the same generic generator as the built-in workloads; calibration
-// (TargetInst) pays its own dry run, and RepeatOf may reference any
-// registered workload. Failures match [ErrWorkloadBuild].
+// workload without registering it. The spec goes through the same
+// build path as a registered one: the same generic generator for its
+// Synth shape, and the same derived execution and instrumentation
+// tables, so profiling it matches profiling the spec registered.
+// Calibration (TargetInst) pays its own dry run, and RepeatOf may
+// reference any registered workload. Failures match [ErrWorkloadBuild].
 func NewWorkload(spec ShapeSpec) (*Workload, error) {
 	return workloads.Default().BuildSpec(spec)
 }
