@@ -63,12 +63,12 @@ func BenchmarkFigure3(b *testing.B) { benchExperiment(b, "figure3") }
 // BenchmarkFigure4 regenerates Figure 4 (Test40 per-mnemonic errors).
 func BenchmarkFigure4(b *testing.B) { benchExperiment(b, "figure4") }
 
-// BenchmarkRunAllExperiments regenerates every experiment through one
-// shared collection plan on a fresh runner — the one-pass evaluation
-// engine end to end. Compare against the sum of the per-experiment
-// benchmarks above: the planner collects the union of required runs
-// exactly once where the per-experiment path re-collects the corpus
-// and overlapping workloads for every table.
+// BenchmarkRunAllExperiments regenerates every experiment on one fresh
+// runner: all builders at once over one run cache, within one run
+// budget. Compare against the sum of the per-experiment benchmarks
+// above: the shared cache collects every required run exactly once
+// where the per-experiment path re-collects the corpus and overlapping
+// workloads for every table.
 func BenchmarkRunAllExperiments(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -8,17 +8,15 @@
 //	experiments -list-workloads
 //
 // NAME is one of table1..table8, figure1..figure4, or "all" (default).
-// -only takes a comma-separated subset (e.g. -only table1,figure2) and
-// regenerates it through one shared collection plan: the union of runs
-// the subset needs is collected exactly once, then every experiment
-// renders from the shared results. -fast trims workload repeats for a
-// quick smoke run; the numbers keep their shape but carry more
-// sampling noise. -parallel bounds the worker pool evaluating
-// independent runs (0 = all cores, 1 = sequential); the rendered
-// numbers are identical at any setting — workload construction itself
-// happens inside the worker pool, through the concurrency-safe spec
-// registry. -list-workloads prints that registry (the workload set the
-// experiments draw from) and exits.
+// -only takes a comma-separated subset (e.g. -only table1,figure2):
+// the subset builds at once, every run it needs is collected exactly
+// once through the shared run cache, and the experiments render in the
+// order given. -fast trims workload repeats for a quick smoke run; the
+// numbers keep their shape but carry more sampling noise. -parallel is
+// the run budget: how many collection runs execute at once (0 = all
+// cores, 1 = one at a time); the rendered numbers are identical at any
+// setting. -list-workloads prints the workload registry (the workload
+// set the experiments draw from) and exits.
 //
 // -cpuprofile FILE and -memprofile FILE write pprof profiles of the
 // experiment run itself (go tool pprof reads them) — the knob used to
@@ -42,10 +40,10 @@ func main() {
 	experiment := flag.String("experiment", "all",
 		"experiment to run: "+strings.Join(hbbp.ExperimentNames(), ", ")+", or all")
 	only := flag.String("only", "",
-		"comma-separated experiment subset sharing one collection plan (overrides -experiment)")
+		"comma-separated experiment subset, built at once over one run cache (overrides -experiment)")
 	fast := flag.Bool("fast", false, "reduced repeats for a quick run")
 	seed := flag.Int64("seed", 1, "base random seed")
-	parallel := flag.Int("parallel", 0, "worker pool size (0 = all cores, 1 = sequential)")
+	parallel := flag.Int("parallel", 0, "collection runs at once (0 = all cores, 1 = one at a time)")
 	listWorkloads := flag.Bool("list-workloads", false, "list the workload registry and exit")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (after the run) to this file")
@@ -128,7 +126,7 @@ func main() {
 		report.RunsCollected, report.RunsReused, report.CollectWall.Round(time.Millisecond))
 	fmt.Fprintf(os.Stderr, "done in %v\n", time.Since(start).Round(time.Millisecond))
 	// The run's telemetry: every non-zero counter and histogram the
-	// instrumented layers (planner, series store)
+	// instrumented layers (experiment harness, series store)
 	// accumulated, in stable order.
 	if snap := hbbp.RenderTelemetry(hbbp.TelemetrySnapshot()); snap != "" {
 		fmt.Fprintf(os.Stderr, "telemetry:\n%s", snap)

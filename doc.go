@@ -39,7 +39,7 @@
 // reproduces the paper's tables and figures.
 //
 // All entry points take a [context.Context]; cancelling it stops
-// collection runs, replay passes and the experiment worker pool
+// collection runs, replay passes and experiment builds
 // promptly, returning an error that wraps ctx.Err(). A run that
 // completes under a context is bit-identical to one run without:
 // cancellation polls never perturb the simulation.

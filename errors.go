@@ -25,6 +25,9 @@ var (
 	// ErrUnsupportedVersion reports a replay stream written in a format
 	// version this library cannot read.
 	ErrUnsupportedVersion = perffile.ErrUnsupportedVersion
+	// ErrCorruptRecord reports a replay stream holding a record no
+	// writer produces: an unknown record type or an implausible size.
+	ErrCorruptRecord = perffile.ErrCorruptRecord
 	// ErrRetireLimit reports a run aborted by the retirement guard
 	// (Workload misconfiguration, runaway loops).
 	ErrRetireLimit = cpu.ErrRetireLimit

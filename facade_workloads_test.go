@@ -7,11 +7,18 @@ package hbbp
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
+
+// registrations numbers the specs tests add to the process-wide
+// registry, so each run of a test registers a name of its own and the
+// tests can repeat under -count=N.
+var registrations atomic.Int64
 
 // TestWorkloadsEnumeration pins the registry listing the façade
 // exposes: sorted, described, and covering every workload family.
@@ -99,18 +106,19 @@ func TestNewWorkloadCustomSpec(t *testing.T) {
 		t.Fatalf("NewWorkload leaked into the registry: %v", err)
 	}
 	// ...while RegisterWorkload makes the spec a first-class citizen.
+	name := fmt.Sprintf("facade-registered-%d", registrations.Add(1))
 	reg := spec
-	reg.Name = "facade-registered"
-	reg.Synth = &SynthSpec{Name: "facade-registered", Seed: 99, Funcs: 2, OuterTrips: 4}
+	reg.Name = name
+	reg.Synth = &SynthSpec{Name: name, Seed: 99, Funcs: 2, OuterTrips: 4}
 	if err := RegisterWorkload(reg); err != nil {
 		t.Fatalf("RegisterWorkload: %v", err)
 	}
-	if _, err := LookupWorkload("facade-registered"); err != nil {
+	if _, err := LookupWorkload(name); err != nil {
 		t.Errorf("registered spec not buildable: %v", err)
 	}
 	found := false
 	for _, info := range Workloads() {
-		if info.Name == "facade-registered" {
+		if info.Name == name {
 			found = true
 		}
 	}

@@ -136,11 +136,21 @@ func StoredMix(sp *profstore.Profile, s Scope) metrics.Mix {
 	return mix
 }
 
-// GroupBy aggregates a mix into named buckets using a taxonomy.
+// GroupBy aggregates a mix into named buckets using a taxonomy. Each
+// bucket sums through metrics.Mix.Total, so it does not depend on map
+// order.
 func GroupBy(mix metrics.Mix, tax isa.Taxonomy) map[string]float64 {
-	out := make(map[string]float64)
+	buckets := make(map[string]metrics.Mix)
 	for op, n := range mix {
-		out[tax.Classify(op)] += n
+		b := tax.Classify(op)
+		if buckets[b] == nil {
+			buckets[b] = make(metrics.Mix)
+		}
+		buckets[b][op] = n
+	}
+	out := make(map[string]float64, len(buckets))
+	for b, m := range buckets {
+		out[b] = m.Total()
 	}
 	return out
 }
@@ -149,9 +159,9 @@ func GroupBy(mix metrics.Mix, tax isa.Taxonomy) map[string]float64 {
 // one of the derived analyses the paper mentions (approximate FLOP
 // rates).
 func FLOPs(mix metrics.Mix) float64 {
-	var total float64
+	flops := make(metrics.Mix, len(mix))
 	for op, n := range mix {
-		total += n * float64(op.Info().FLOPs)
+		flops[op] = n * float64(op.Info().FLOPs)
 	}
-	return total
+	return flops.Total()
 }

@@ -2,6 +2,7 @@ package analyzer
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"hbbp/internal/isa"
@@ -146,6 +147,30 @@ func TestFLOPs(t *testing.T) {
 	// VADDPS = 8 FLOPs, ADDSS = 1.
 	if got := FLOPs(mix); got != 10*8+5 {
 		t.Errorf("FLOPs = %v, want 85", got)
+	}
+}
+
+// TestGroupByAndFLOPsAreRepeatable pins that the bucket sums and the
+// FLOP total do not depend on map iteration order: 1,000 calls on one
+// 60-op mix with values spanning many orders of magnitude return the
+// same bits.
+func TestGroupByAndFLOPsAreRepeatable(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	mix := metrics.Mix{}
+	for _, op := range isa.All()[:60] {
+		mix[op] = rng.Float64() * math.Pow(10, float64(rng.Intn(16)))
+	}
+	tax := isa.ByExtension()
+	groups, flops := GroupBy(mix, tax), FLOPs(mix)
+	for i := 0; i < 1000; i++ {
+		if got := FLOPs(mix); math.Float64bits(got) != math.Float64bits(flops) {
+			t.Fatalf("call %d: FLOPs = %b, first call %b", i, got, flops)
+		}
+		for b, v := range GroupBy(mix, tax) {
+			if math.Float64bits(v) != math.Float64bits(groups[b]) {
+				t.Fatalf("call %d: GroupBy[%s] = %b, first call %b", i, b, v, groups[b])
+			}
+		}
 	}
 }
 

@@ -6,7 +6,9 @@ import (
 	"errors"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestWithContextCancelledViewLeavesCacheClean proves a cancelled call
@@ -115,5 +117,93 @@ func TestWithContextConcurrentPlans(t *testing.T) {
 		if n != 1 {
 			t.Errorf("%s collected %d times, want 1", key, n)
 		}
+	}
+}
+
+// TestRunBudgetBoundsRunsInFlight starts many runs at once on several
+// views of one Runner with Parallelism 3: at no point may more than
+// three hold the budget, whichever view they run on.
+func TestRunBudgetBoundsRunsInFlight(t *testing.T) {
+	const budget, runs = 3, 48
+	r := New(Config{Parallelism: budget})
+	var inFlight, peak atomic.Int64
+	var wg sync.WaitGroup
+	for i := range runs {
+		v := r
+		if i%2 == 1 {
+			v = r.WithContext(context.Background())
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			err := v.run(func() error {
+				n := inFlight.Add(1)
+				for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+				}
+				time.Sleep(time.Millisecond)
+				inFlight.Add(-1)
+				return nil
+			})
+			if err != nil {
+				t.Errorf("run: %v", err)
+			}
+		}()
+	}
+	wg.Wait()
+	if p := peak.Load(); p > budget || p == 0 {
+		t.Errorf("peak runs in flight = %d, want 1..%d", p, budget)
+	}
+}
+
+// TestRunBudgetCancelledWaiterGivesUp fills the budget, then asks for
+// a run on a view that is cancelled before and one cancelled while it
+// waits: both return context.Canceled without running their work, and
+// the budget is whole again once the holders finish.
+func TestRunBudgetCancelledWaiterGivesUp(t *testing.T) {
+	const budget = 2
+	r := New(Config{Parallelism: budget})
+	release := make(chan struct{})
+	held := make(chan struct{}, budget)
+	var holders sync.WaitGroup
+	for range budget {
+		holders.Add(1)
+		go func() {
+			defer holders.Done()
+			_ = r.run(func() error {
+				held <- struct{}{}
+				<-release
+				return nil
+			})
+		}()
+	}
+	for range budget {
+		<-held
+	}
+
+	ran := func() error { t.Error("a cancelled view ran its work"); return nil }
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := r.WithContext(cancelled).run(ran); !errors.Is(err, context.Canceled) {
+		t.Errorf("pre-cancelled view returned %v, want context.Canceled", err)
+	}
+
+	waiting, cancelWaiting := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- r.WithContext(waiting).run(ran) }()
+	time.Sleep(10 * time.Millisecond)
+	cancelWaiting()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("view cancelled while waiting returned %v, want context.Canceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("view cancelled while waiting for the budget never returned")
+	}
+
+	close(release)
+	holders.Wait()
+	if err := r.run(func() error { return nil }); err != nil {
+		t.Errorf("run after the holders finished: %v", err)
 	}
 }

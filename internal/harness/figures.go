@@ -193,7 +193,7 @@ func (f *Figure4Result) Render() string {
 // test40PerMnemonic computes the shared Figure 3/4 data: top-20
 // mnemonics by reference count with per-method errors.
 func (r *Runner) test40PerMnemonic() ([]Figure4Row, error) {
-	ev, err := r.evalNamedOne("test40")
+	ev, err := r.eval("test40")
 	if err != nil {
 		return nil, err
 	}

@@ -43,9 +43,10 @@ type Config struct {
 	FastFactor float64
 	// Seed is the base seed for all runs.
 	Seed int64
-	// Parallelism bounds the worker pool evaluating independent runs
-	// (training corpus, suite workloads, per-table workload sets).
-	// Zero means GOMAXPROCS; 1 restores strictly sequential execution.
+	// Parallelism is the run budget: how many collection runs
+	// (training corpus runs and workload evaluations) execute at once
+	// across the Runner and every view of it, whichever calls ask for
+	// them. Zero means GOMAXPROCS; 1 runs one collection at a time.
 	// Every run carries its own derived seed and results are assembled
 	// in workload order, so the outputs are identical at any setting.
 	Parallelism int
@@ -59,17 +60,18 @@ type Config struct {
 // Runner executes experiments through a keyed run cache: the trained
 // model and every workload evaluation (the SPEC suite's included) are
 // collected at most once per cache and shared by all experiments that
-// request them. A Runner returned by New carries no context; the views
-// WithContext returns share its cache and collection tally and carry
-// one call's context each. A Runner and its views are safe for
-// concurrent use.
+// request them, and at most Config.Parallelism collections run at
+// once. A Runner returned by New carries no context; the views
+// WithContext returns share its cache, run budget and collection tally
+// and carry one call's context each. A Runner and its views are safe
+// for concurrent use.
 type Runner struct {
 	*runCache
-	// ctx, when non-nil, cancels this view's work in flight: the worker
-	// pool stops dispatching new runs and every running collection
-	// aborts at its next context poll, so a method returns promptly
-	// with an error wrapping ctx.Err(). A run that completes under a
-	// context is bit-identical to one without.
+	// ctx, when non-nil, cancels this view's work in flight: no new
+	// run starts, a wait for the run budget gives up, and every running
+	// collection aborts at its next context poll, so a method returns
+	// promptly with an error wrapping ctx.Err(). A run that completes
+	// under a context is bit-identical to one without.
 	ctx context.Context
 	// call, when non-nil, counts this view's own collection activity
 	// beside the shared tally, so a RunPlan report leaves out what
@@ -94,14 +96,15 @@ type runCache struct {
 	evalMu sync.Mutex
 	evals  map[string]*memo[*WorkloadEval]
 
-	// statsMu guards the collection accounting below. collectCounts
-	// tallies, per key, how many collection runs actually executed
-	// (evaluations under their workload name, training runs under
-	// "corpus/<name>"); reused counts requests served from the cache
-	// instead of collecting again.
+	// slots is the run budget: a slot is held around exactly one
+	// collection run. Capacity is Config.Parallelism.
+	slots chan struct{}
+
+	// statsMu guards collectCounts, which tallies per key how many
+	// collection runs actually executed (evaluations under their
+	// workload name, training runs under "corpus/<name>").
 	statsMu       sync.Mutex
 	collectCounts map[string]int
-	reused        int
 }
 
 // memo caches one result. A successful computation is kept for the
@@ -146,34 +149,17 @@ func (r *Runner) noteCollected(key string) {
 	}
 }
 
-// noteReused records n requests served from the cache.
-func (r *Runner) noteReused(n int) {
-	runcacheHits.Add(uint64(n))
-	r.statsMu.Lock()
-	r.reused += n
-	r.statsMu.Unlock()
+// noteReused records one request served from the cache.
+func (r *Runner) noteReused() {
+	runcacheHits.Inc()
 	if r.call != nil {
-		r.call.reused.Add(int64(n))
+		r.call.reused.Add(1)
 	}
-}
-
-// Collections reports the runner's collection activity so far:
-// collected is the number of (workload, config) collection runs that
-// actually executed — training corpus runs and workload evaluations —
-// and reused is the number of requests served from the keyed run
-// cache instead of collecting again.
-func (r *Runner) Collections() (collected, reused int) {
-	r.statsMu.Lock()
-	defer r.statsMu.Unlock()
-	for _, n := range r.collectCounts {
-		collected += n
-	}
-	return collected, r.reused
 }
 
 // CollectionCounts returns a copy of the per-key collection tally:
 // workload evaluations under their name, training corpus runs under
-// "corpus/<name>". The planner's exactly-once guarantee means every
+// "corpus/<name>". The run cache's exactly-once guarantee means every
 // value is 1 after any sequence of experiments, concurrent ones
 // included, on one Runner and its views.
 func (r *Runner) CollectionCounts() map[string]int {
@@ -195,17 +181,22 @@ func New(cfg Config) *Runner {
 	if out == nil {
 		out = io.Discard
 	}
+	budget := cfg.Parallelism
+	if budget <= 0 {
+		budget = runtime.GOMAXPROCS(0)
+	}
 	return &Runner{runCache: &runCache{
 		cfg:           cfg,
 		out:           out,
 		evals:         map[string]*memo[*WorkloadEval]{},
+		slots:         make(chan struct{}, budget),
 		collectCounts: map[string]int{},
 	}}
 }
 
-// WithContext returns a view of r that shares its run cache and
-// collection tally and runs under ctx: cancelling ctx stops the view's
-// worker pool and its collections in flight. Results a view completes
+// WithContext returns a view of r that shares its run cache, run
+// budget and collection tally and runs under ctx: cancelling ctx stops
+// the view's waiting and running collections. Results a view completes
 // stay cached for every other view; a cancelled or failed run caches
 // nothing.
 func (r *Runner) WithContext(ctx context.Context) *Runner {
@@ -226,26 +217,14 @@ func (r *Runner) scaled(w *workloads.Workload) *workloads.Workload {
 
 // workload compiles one registry workload with the fast factor
 // applied. Construction is concurrency-safe (the registry memoizes
-// calibration behind per-entry synchronization), so workers call this
-// from inside the pool.
+// calibration behind per-entry synchronization), so concurrent runs
+// call this under their own budget slots.
 func (r *Runner) workload(name string) (*workloads.Workload, error) {
 	w, err := workloads.Default().Build(name)
 	if err != nil {
 		return nil, fmt.Errorf("harness: %w", err)
 	}
 	return r.scaled(w), nil
-}
-
-// workers resolves the configured pool width for n independent items.
-func (r *Runner) workers(n int) int {
-	w := r.cfg.Parallelism
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	return w
 }
 
 // ctxErr reports the view's cancellation error, wrapped for
@@ -260,48 +239,32 @@ func (r *Runner) ctxErr() error {
 	return nil
 }
 
-// forEach runs fn(i) for every i in [0, n) on a bounded worker pool
-// and returns the lowest-index error. Callers communicate results by
-// writing to per-index slots, so assembly order — and therefore every
-// rendered table — is independent of scheduling. A cancelled view
-// context stops the dispatch of further items; items already
-// running abort at their own context polls inside the collection.
+// forEach runs fn(i) for every i in [0, n) at once — item 0 on the
+// calling goroutine, every other item on its own — and returns the
+// lowest-index error. Callers communicate results by writing to
+// per-index slots, so assembly order — and therefore every rendered
+// table — is independent of scheduling. How many collections run at
+// once is bounded by the run budget, not here. Once the view's context
+// is cancelled, items not yet started are skipped; items already
+// running abort at their own context polls.
 func (r *Runner) forEach(n int, fn func(i int) error) error {
-	if n == 0 {
-		return nil
-	}
-	workers := r.workers(n)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := r.ctxErr(); err != nil {
-				return err
-			}
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	errs := make([]error, n)
-	idx := make(chan int)
+	do := func(i int) {
+		if errs[i] = r.ctxErr(); errs[i] == nil {
+			errs[i] = fn(i)
+		}
+	}
 	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	for i := 1; i < n; i++ {
+		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idx {
-				if err := r.ctxErr(); err != nil {
-					errs[i] = err
-					continue
-				}
-				errs[i] = fn(i)
-			}
+			do(i)
 		}()
 	}
-	for i := 0; i < n; i++ {
-		idx <- i
+	if n > 0 {
+		do(0)
 	}
-	close(idx)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
@@ -311,10 +274,33 @@ func (r *Runner) forEach(n int, fn func(i int) error) error {
 	return nil
 }
 
+// run holds one run-budget slot around fn, which performs exactly one
+// collection run. A view waiting for a slot gives up when its context
+// is cancelled. fn must not wait on a memo of the run cache: a run
+// holding a slot that waits for a computation needing slots could wait
+// on itself once the budget is full.
+func (r *Runner) run(fn func() error) error {
+	if err := r.ctxErr(); err != nil {
+		return err
+	}
+	var done <-chan struct{}
+	if r.ctx != nil {
+		done = r.ctx.Done()
+	}
+	select {
+	case r.slots <- struct{}{}:
+	case <-done:
+		return r.ctxErr()
+	}
+	defer func() { <-r.slots }()
+	return fn()
+}
+
 // Model returns the HBBP model used across experiments, training it on
 // the corpus on first use (the Figure 1 pipeline). The corpus runs are
-// collected concurrently — each carries its own derived seed, so the
-// dataset and the learned tree are identical to a sequential pass.
+// collected concurrently within the run budget — each carries its own
+// derived seed, so the dataset and the learned tree are identical to a
+// sequential pass.
 func (r *Runner) Model() (*core.Model, error) {
 	m, _, err := r.model.get(r.train)
 	return m, err
@@ -325,27 +311,30 @@ func (r *Runner) train() (*core.Model, error) {
 	names := workloads.TrainingNames()
 	runs := make([]*core.TrainingRun, len(names))
 	err := r.forEach(len(names), func(i int) error {
-		w, err := r.workload(names[i])
-		if err != nil {
-			return err
-		}
-		run, err := core.CollectTrainingRun(w.Prog, w.Entry, collector.Options{
-			// Training samples at the same class-based periods used in
-			// production, so the learned rule internalises the sampling
-			// noise the estimators actually carry at analysis time.
-			Class: w.Class,
-			Scale: w.Scale, Seed: r.cfg.Seed + int64(100+i),
-			Repeat:         w.Repeat,
-			PerInstruction: r.cfg.PerInstruction,
-			Context:        r.ctx,
-			Layout:         w.Layout,
+		return r.run(func() error {
+			w, err := r.workload(names[i])
+			if err != nil {
+				return err
+			}
+			run, err := core.CollectTrainingRun(w.Prog, w.Entry, collector.Options{
+				// Training samples at the same class-based periods used
+				// in production, so the learned rule internalises the
+				// sampling noise the estimators actually carry at
+				// analysis time.
+				Class: w.Class,
+				Scale: w.Scale, Seed: r.cfg.Seed + int64(100+i),
+				Repeat:         w.Repeat,
+				PerInstruction: r.cfg.PerInstruction,
+				Context:        r.ctx,
+				Layout:         w.Layout,
+			})
+			if err != nil {
+				return err
+			}
+			r.noteCollected("corpus/" + names[i])
+			runs[i] = run
+			return nil
 		})
-		if err != nil {
-			return err
-		}
-		r.noteCollected("corpus/" + names[i])
-		runs[i] = run
-		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -385,14 +374,10 @@ type WorkloadEval struct {
 	refBBECs []float64
 }
 
-// evalWorkload runs one already-scaled workload once with both the PMU
-// collection and the instrumentation reference attached and scores
-// every method.
-func (r *Runner) evalWorkload(w *workloads.Workload) (*WorkloadEval, error) {
-	model, err := r.Model()
-	if err != nil {
-		return nil, err
-	}
+// evalWorkload runs one already-scaled workload once under model with
+// both the PMU collection and the instrumentation reference attached
+// and scores every method.
+func (r *Runner) evalWorkload(w *workloads.Workload, model *core.Model) (*WorkloadEval, error) {
 	ref := sde.NewFromStatic(w.SDE)
 	prof, err := core.Run(w.Prog, w.Entry, model, core.Options{
 		Collector: collector.Options{
@@ -446,7 +431,8 @@ func (r *Runner) evalWorkload(w *workloads.Workload) (*WorkloadEval, error) {
 // of one name share a single collection; because every evaluation run
 // derives the same seed from the config alone, a cached result is
 // bit-identical to a fresh one — caching changes which run produced
-// the bytes, never the bytes.
+// the bytes, never the bytes. The model is resolved before the run
+// takes its budget slot, so a full budget never waits on training.
 func (r *Runner) eval(name string) (*WorkloadEval, error) {
 	r.evalMu.Lock()
 	m := r.evals[name]
@@ -455,35 +441,35 @@ func (r *Runner) eval(name string) (*WorkloadEval, error) {
 		r.evals[name] = m
 	}
 	r.evalMu.Unlock()
-	ev, fresh, err := m.get(func() (*WorkloadEval, error) {
-		w, err := r.workload(name)
+	ev, fresh, err := m.get(func() (ev *WorkloadEval, err error) {
+		model, err := r.Model()
 		if err != nil {
 			return nil, err
 		}
-		ev, err := r.evalWorkload(w)
-		if err != nil {
-			return nil, fmt.Errorf("harness: evaluating %s: %w", name, err)
-		}
-		return ev, nil
+		err = r.run(func() error {
+			w, err := r.workload(name)
+			if err != nil {
+				return err
+			}
+			if ev, err = r.evalWorkload(w, model); err != nil {
+				return fmt.Errorf("harness: evaluating %s: %w", name, err)
+			}
+			return nil
+		})
+		return ev, err
 	})
 	if err == nil && !fresh {
-		r.noteReused(1)
+		r.noteReused()
 	}
 	return ev, err
 }
 
-// evalNamed evaluates registry workloads by name on the worker pool,
+// evalNamed evaluates registry workloads by name concurrently,
 // returning results in input order. Each evaluation goes through the
 // keyed run cache, so names an earlier experiment already collected
-// are served without another run; construction of fresh entries
-// happens inside each worker, and every run carries the same derived
+// are served without another run; every run carries the same derived
 // seed, so results are bit-identical at any parallelism.
 func (r *Runner) evalNamed(names []string) ([]*WorkloadEval, error) {
-	// Resolve the shared model before fanning out so every worker hits
-	// the cache instead of contending on the lazy training pass.
-	if _, err := r.Model(); err != nil {
-		return nil, err
-	}
 	evs := make([]*WorkloadEval, len(names))
 	err := r.forEach(len(names), func(i int) error {
 		ev, err := r.eval(names[i])
@@ -499,15 +485,6 @@ func (r *Runner) evalNamed(names []string) ([]*WorkloadEval, error) {
 	return evs, nil
 }
 
-// evalNamedOne evaluates a single registry workload through the keyed
-// run cache.
-func (r *Runner) evalNamedOne(name string) (*WorkloadEval, error) {
-	if _, err := r.Model(); err != nil {
-		return nil, err
-	}
-	return r.eval(name)
-}
-
 // SuiteEvals evaluates the full SPEC-like suite through the keyed run
 // cache, in suite order regardless of scheduling.
 func (r *Runner) SuiteEvals() ([]*WorkloadEval, error) {
@@ -517,7 +494,7 @@ func (r *Runner) SuiteEvals() ([]*WorkloadEval, error) {
 // ExperimentNames lists every regenerable experiment: the paper's
 // tables and figures in paper order, then the reproduction's own
 // fleet-scale experiment. The list is derived from the experiment
-// registry, the same source of truth Run and the planner use.
+// registry, the same source of truth Run uses.
 func ExperimentNames() []string {
 	names := make([]string, len(experiments))
 	for i, e := range experiments {

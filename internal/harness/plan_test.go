@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -63,12 +64,12 @@ func TestPlannedRunAllBitIdentical(t *testing.T) {
 	}
 }
 
-// TestPlanCollectsExactlyOnce proves the planner's core guarantee with
-// the collection tally recorded at the actual collection sites: after
-// RunAll, every (workload, config) pair — each corpus run and each
-// evaluated workload — was collected exactly once, at any parallelism,
-// and running the full set again on the same Runner collects nothing
-// new.
+// TestPlanCollectsExactlyOnce proves the run cache's core guarantee
+// with the collection tally recorded at the actual collection sites:
+// after RunAll, every (workload, config) pair — each corpus run and
+// each evaluated workload — was collected exactly once, at any
+// parallelism, and running the full set again on the same Runner
+// collects nothing new and is served from the cache.
 func TestPlanCollectsExactlyOnce(t *testing.T) {
 	for _, parallelism := range []int{1, 4} {
 		_, r := runAllPlanned(t, parallelism)
@@ -81,12 +82,9 @@ func TestPlanCollectsExactlyOnce(t *testing.T) {
 				t.Errorf("parallelism %d: %s collected %d times, want exactly 1", parallelism, key, n)
 			}
 		}
-		collected, reusedBefore := r.Collections()
-		if collected != len(counts) {
-			t.Errorf("parallelism %d: Collections() = %d, want %d", parallelism, collected, len(counts))
-		}
 		// A second full pass on the same Runner must be pure cache.
-		if err := r.RunAll(); err != nil {
+		rep, err := r.RunPlan(ExperimentNames()...)
+		if err != nil {
 			t.Fatalf("parallelism %d: second RunAll: %v", parallelism, err)
 		}
 		for key, n := range r.CollectionCounts() {
@@ -94,44 +92,31 @@ func TestPlanCollectsExactlyOnce(t *testing.T) {
 				t.Errorf("parallelism %d: %s collected %d times after second RunAll, want 1", parallelism, key, n)
 			}
 		}
-		if _, reusedAfter := r.Collections(); reusedAfter <= reusedBefore {
-			t.Errorf("parallelism %d: second RunAll reused nothing (%d -> %d)",
-				parallelism, reusedBefore, reusedAfter)
+		if rep.Collected != 0 || rep.Reused == 0 {
+			t.Errorf("parallelism %d: second RunAll collected %d and reused %d, want 0 collected and some reused",
+				parallelism, rep.Collected, rep.Reused)
 		}
 	}
 }
 
-// TestPlanForUnions checks plan computation: request order preserved,
-// workload unions deduplicated in first-request order, requirements
-// OR-ed, and unknown names rejected with the frozen error text before
-// any collection could start.
-func TestPlanForUnions(t *testing.T) {
-	plan, err := PlanFor("table5", "figure3", "table8", "figure1")
-	if err != nil {
-		t.Fatal(err)
+// TestRunPlanUnknownName checks that an unknown name is rejected with
+// the frozen error text before anything is collected, even when the
+// known names around it need runs.
+func TestRunPlanUnknownName(t *testing.T) {
+	r := New(goldenConfig(2))
+	rep, err := r.RunPlan("table5", "table9")
+	if !errors.Is(err, ErrUnknownExperiment) {
+		t.Fatalf("unknown experiment returned %v, want errors.Is(ErrUnknownExperiment)", err)
 	}
-	if want := []string{"table5", "figure3", "table8", "figure1"}; !reflect.DeepEqual(plan.Experiments, want) {
-		t.Errorf("Experiments = %v, want %v", plan.Experiments, want)
+	want := fmt.Sprintf("harness: unknown experiment %q (known: %v)", "table9", ExperimentNames())
+	if err.Error() != want {
+		t.Errorf("unknown-name error = %q, want %q", err, want)
 	}
-	// test40 is needed by both table5 and figure3 but planned once;
-	// table8's pair follows in first-request order.
-	if want := []string{"test40", "clforward-before", "clforward-after"}; !reflect.DeepEqual(plan.Workloads, want) {
-		t.Errorf("Workloads = %v, want %v", plan.Workloads, want)
+	if rep != nil && rep.Collected != 0 {
+		t.Errorf("rejected call collected %d runs, want 0", rep.Collected)
 	}
-	if !plan.Model {
-		t.Error("figure1 should set Model")
-	}
-	if plan.Suite {
-		t.Error("no requested experiment needs the suite")
-	}
-
-	if _, err := PlanFor("table5", "table9"); err == nil {
-		t.Fatal("unknown experiment accepted")
-	} else {
-		want := fmt.Sprintf("harness: unknown experiment %q (known: %v)", "table9", ExperimentNames())
-		if err.Error() != want {
-			t.Errorf("unknown-name error = %q, want %q", err, want)
-		}
+	if counts := r.CollectionCounts(); len(counts) != 0 {
+		t.Errorf("rejected call collected %v, want nothing", counts)
 	}
 }
 
@@ -157,10 +142,10 @@ func TestRunPlanReport(t *testing.T) {
 	if rep.Collected == 0 {
 		t.Errorf("first plan collected nothing")
 	}
-	if rep.Reused != 2 {
-		// table5 and figure3 each re-request test40 at render time,
-		// after the collect phase already ran it.
-		t.Errorf("first plan Reused = %d, want 2", rep.Reused)
+	if rep.Reused != 1 {
+		// table5 and figure3 both read test40: one of them collects
+		// it, the other is served from the cache.
+		t.Errorf("first plan Reused = %d, want 1", rep.Reused)
 	}
 	rep2, err := r.RunPlan("table5", "figure4")
 	if err != nil {

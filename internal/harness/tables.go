@@ -27,10 +27,9 @@ type Table1Result struct {
 	Rows []Table1Row
 }
 
-// table1Extras is the non-SPEC benchmark set of Table 1, declared once
-// so the table builder and the experiment registry's plan cannot
-// drift apart. Order matters: the renderer treats the last entry
-// (hydro-post) as its own row.
+// table1Extras is the non-SPEC benchmark set of Table 1. Order
+// matters: the builder treats the last entry (hydro-post) as its own
+// row.
 var table1Extras = []string{
 	"test40",
 	"fitter-sse",
@@ -172,7 +171,7 @@ type Table3Result struct {
 // Table3 profiles Fitter-SSE and reports the fit_track function's
 // blocks plus the main driver's, numbered from 1 as in the paper.
 func (r *Runner) Table3() (*Table3Result, error) {
-	ev, err := r.evalNamedOne(workloads.FitterSSE.WorkloadName())
+	ev, err := r.eval(workloads.FitterSSE.WorkloadName())
 	if err != nil {
 		return nil, err
 	}

@@ -26,7 +26,7 @@ type Table5Result struct {
 
 // Table5 evaluates Test40.
 func (r *Runner) Table5() (*Table5Result, error) {
-	ev, err := r.evalNamedOne("test40")
+	ev, err := r.eval("test40")
 	if err != nil {
 		return nil, err
 	}
@@ -198,7 +198,7 @@ type Table7Result struct {
 
 // Table7 runs the kernel-prime workload.
 func (r *Runner) Table7() (*Table7Result, error) {
-	ev, err := r.evalNamedOne("kernel-prime")
+	ev, err := r.eval("kernel-prime")
 	if err != nil {
 		return nil, err
 	}
@@ -294,9 +294,8 @@ type Table8Result struct {
 	TotalAfter  float64
 }
 
-// table8Workloads is the CLForward build pair, declared once so the
-// table builder and the experiment registry's plan cannot drift
-// apart. Order matters: the renderer reads before-fix at index 0.
+// table8Workloads is the CLForward build pair. Order matters: the
+// builder reads before-fix at index 0.
 var table8Workloads = []string{"clforward-before", "clforward-after"}
 
 // Table8 profiles both CLForward builds and renders the ext x packing

@@ -8,6 +8,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"hbbp/internal/isa"
@@ -31,13 +32,27 @@ func Error(ref, measured float64) float64 {
 // (possibly fractional for PMU-estimated mixes).
 type Mix map[isa.Op]float64
 
-// Total returns the instruction total of the mix.
+// Total returns the instruction total of the mix, added in ascending
+// op order (see inOrder).
 func (m Mix) Total() float64 {
 	var t float64
-	for _, v := range m {
-		t += v
-	}
+	m.inOrder(func(_ isa.Op, v float64) { t += v })
 	return t
+}
+
+// inOrder calls fn for every op of the mix in ascending op order. Every
+// sum over a mix adds in this order, not map order, so one mix always
+// sums to the same bits.
+func (m Mix) inOrder(fn func(op isa.Op, v float64)) {
+	var buf [isa.NumOps + 1]isa.Op
+	ops := buf[:0]
+	for op := range m {
+		ops = append(ops, op)
+	}
+	slices.Sort(ops)
+	for _, op := range ops {
+		fn(op, m[op])
+	}
 }
 
 // TopN returns the n most-executed mnemonics in descending count order,
@@ -73,9 +88,9 @@ func AvgWeightedError(ref, measured Mix) float64 {
 		return 0
 	}
 	var sum float64
-	for op, vref := range ref {
+	ref.inOrder(func(op isa.Op, vref float64) {
 		sum += Error(vref, measured[op]) * vref / total
-	}
+	})
 	return sum
 }
 

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -124,5 +125,33 @@ func TestQuickAvgWeightedBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// spreadMix is a fixed 60-op mix whose values span many orders of
+// magnitude, so adding them in a different order changes the last
+// bits of the sum.
+func spreadMix(seed int64) Mix {
+	rng := rand.New(rand.NewSource(seed))
+	m := Mix{}
+	for _, op := range isa.All()[:60] {
+		m[op] = rng.Float64() * math.Pow(10, float64(rng.Intn(16)))
+	}
+	return m
+}
+
+// TestMixSumsAreRepeatable pins that the sums over a mix do not depend
+// on map iteration order: 1,000 calls on the same mixes return the
+// same bits.
+func TestMixSumsAreRepeatable(t *testing.T) {
+	ref, meas := spreadMix(1), spreadMix(2)
+	total, avg := ref.Total(), AvgWeightedError(ref, meas)
+	for i := 0; i < 1000; i++ {
+		if got := ref.Total(); math.Float64bits(got) != math.Float64bits(total) {
+			t.Fatalf("call %d: Total = %b, first call %b", i, got, total)
+		}
+		if got := AvgWeightedError(ref, meas); math.Float64bits(got) != math.Float64bits(avg) {
+			t.Fatalf("call %d: AvgWeightedError = %b, first call %b", i, got, avg)
+		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 
 // validFile serializes a small well-formed perffile for corruption
 // tests.
-func validFile(t *testing.T) []byte {
+func validFile(t testing.TB) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf)
@@ -176,5 +176,24 @@ func TestPayloadLengthLies(t *testing.T) {
 	binary.LittleEndian.PutUint16(raw[nameLen:], 500)
 	if err := drain(raw); !errors.Is(err, ErrTruncatedRecord) {
 		t.Fatalf("lying COMM name length: got %v, want errors.Is(ErrTruncatedRecord)", err)
+	}
+}
+
+// TestCorruptRecordIsTyped asserts that a record header no writer
+// produces — an unknown type or an implausible size — is rejected
+// through both readers as ErrCorruptRecord.
+func TestCorruptRecordIsTyped(t *testing.T) {
+	header := validFile(t)[:len(Magic)+4]
+	for name, rec := range map[string][]byte{
+		"unknown type":     {9, 0, 0, 0, 0},
+		"implausible size": {byte(RecordSample), 0xff, 0xff, 0xff, 0xff},
+	} {
+		raw := append(append([]byte{}, header...), rec...)
+		if err := drain(raw); !errors.Is(err, ErrCorruptRecord) {
+			t.Errorf("%s via Next: got %v, want errors.Is(ErrCorruptRecord)", name, err)
+		}
+		if err := Visit(bytes.NewReader(raw), acceptAll{}); !errors.Is(err, ErrCorruptRecord) {
+			t.Errorf("%s via Visit: got %v, want errors.Is(ErrCorruptRecord)", name, err)
+		}
 	}
 }

@@ -220,6 +220,9 @@ var (
 	// ErrUnsupportedVersion reports a valid header whose format version
 	// this package cannot read.
 	ErrUnsupportedVersion = errors.New("perffile: unsupported version")
+	// ErrCorruptRecord reports a record header no writer produces: an
+	// unknown record type or an implausible record size.
+	ErrCorruptRecord = errors.New("perffile: corrupt record")
 )
 
 // NewReader validates the header and returns a Reader.
@@ -271,7 +274,7 @@ func (r *Reader) readRecord() (RecordType, []byte, error) {
 	t := RecordType(hdr[0])
 	n := binary.LittleEndian.Uint32(hdr[1:])
 	if n > 1<<24 {
-		return 0, nil, fmt.Errorf("perffile: implausible record size %d", n)
+		return 0, nil, fmt.Errorf("%w: implausible record size %d", ErrCorruptRecord, n)
 	}
 	if cap(r.buf) < int(n) {
 		r.buf = make([]byte, n)
@@ -304,7 +307,7 @@ func (r *Reader) Next() (any, error) {
 	case RecordLost:
 		return parseLost(payload)
 	}
-	return nil, fmt.Errorf("perffile: unknown record type %d", uint8(t))
+	return nil, fmt.Errorf("%w: unknown record type %d", ErrCorruptRecord, uint8(t))
 }
 
 func parseComm(b []byte) (*Comm, error) {

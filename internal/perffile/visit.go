@@ -73,7 +73,7 @@ func (r *Reader) Visit(v Visitor) error {
 				return err
 			}
 		default:
-			return fmt.Errorf("perffile: unknown record type %d", uint8(t))
+			return fmt.Errorf("%w: unknown record type %d", ErrCorruptRecord, uint8(t))
 		}
 	}
 }

@@ -40,12 +40,13 @@ func WithSeed(seed int64) Option {
 	}
 }
 
-// WithParallelism bounds the worker pool evaluating independent runs
-// (the training corpus, suite workloads and per-table workload sets).
-// Zero, the default, uses all cores; 1 restores strictly sequential
-// execution. Every run carries its own derived seed and results are
-// assembled in workload order, so outputs are identical at any
-// setting.
+// WithParallelism sets the session's run budget: how many collection
+// runs (training corpus runs and experiment workload evaluations)
+// execute at once across all of the session's Train and experiment
+// calls, concurrent calls included. Zero, the default, uses all cores;
+// 1 runs one collection at a time. Every run carries its own derived
+// seed and results are assembled in workload order, so outputs are
+// identical at any setting.
 func WithParallelism(n int) Option {
 	return func(c *config) error {
 		if n < 0 {

@@ -141,8 +141,8 @@ func (s *Session) Replay(ctx context.Context, w *Workload, r io.Reader) (*Profil
 // Train learns the classification-tree model on the training corpus —
 // the paper's Figure 1 pipeline — and installs it as the session's
 // active model for subsequent Profile and Replay calls. The corpus
-// runs execute on the session's worker pool; the dataset and the
-// learned tree are identical at any parallelism. The model comes from
+// runs execute within the session's run budget ([WithParallelism]);
+// the dataset and the learned tree are identical at any parallelism. The model comes from
 // the session's run cache, so it is trained at most once per session
 // and is the very model the session's experiments use. Cancelling ctx
 // stops the corpus collection promptly.
@@ -162,28 +162,29 @@ func (s *Session) Train(ctx context.Context) (*Model, error) {
 // the reproduction's fleet-scale profile-store experiment ("fleet").
 func ExperimentNames() []string { return harness.ExperimentNames() }
 
-// ExperimentTiming records one experiment's render wall time within a
-// batched [Session.RunExperiments] call.
+// ExperimentTiming records one experiment's wall time within a
+// [Session.RunExperiments] call: building it, the runs it waited for
+// included, and rendering it.
 type ExperimentTiming struct {
 	Name string
 	Wall time.Duration
 }
 
-// ExperimentReport summarises a batched [Session.RunExperiments] call:
-// how long the shared collection phase and each render took, and how
-// many collection runs the shared plan executed versus served from the
-// run cache. The rendered tables themselves go to the
-// [WithExperimentOutput] writer, identically to running each
-// experiment on its own.
+// ExperimentReport summarises a [Session.RunExperiments] call: how
+// long the build phase and each experiment took, and how many
+// collection runs the call executed versus served from the run cache.
+// The rendered tables themselves go to the [WithExperimentOutput]
+// writer, identically to running each experiment on its own.
 type ExperimentReport struct {
-	// Experiments holds per-experiment render timings, in request
-	// order.
+	// Experiments holds per-experiment timings, in request order. The
+	// experiments build at once, so the timings overlap and do not add
+	// up to CollectWall. A failed call reports none.
 	Experiments []ExperimentTiming
-	// CollectWall is the wall time of the shared collection phase —
-	// every (workload, configuration) run the batch needs, each
-	// collected exactly once.
+	// CollectWall is the wall time of the build phase, in which every
+	// requested experiment builds at once and each (workload,
+	// configuration) run they need is collected exactly once.
 	CollectWall time.Duration
-	// RunsCollected counts collection runs this call's plan executed;
+	// RunsCollected counts collection runs this call executed;
 	// RunsReused counts this call's requests the run cache satisfied
 	// without collecting again. A concurrent call's runs are counted
 	// in its own report, not this one.
@@ -193,28 +194,29 @@ type ExperimentReport struct {
 // RunExperiment regenerates one table or figure of the paper,
 // rendering it to the [WithExperimentOutput] writer. Unknown names
 // return an error matching [ErrUnknownExperiment]. Cancelling ctx
-// stops the worker pool and in-flight collections promptly.
+// stops the call's waiting and in-flight collections promptly.
 func (s *Session) RunExperiment(ctx context.Context, name string) error {
 	_, err := s.RunExperiments(ctx, name)
 	return err
 }
 
-// RunExperiments regenerates the named experiments through one shared
-// collection plan: the union of required (workload, configuration)
-// runs across the batch is computed up front and each is collected
-// exactly once on the session's worker pool, then every experiment
-// renders from the shared result set in request order. The run cache
-// lives as long as the session and is shared by concurrent calls, so
-// a run any earlier or concurrent call collected is not collected
-// again; a cancelled call keeps the runs it completed and caches
-// nothing it did not. Output is byte-identical to running the
-// experiments individually (a multi-experiment batch separates
-// renders with a blank line, the [Session.RunAllExperiments] layout)
-// at any parallelism. Unknown names return an error matching
-// [ErrUnknownExperiment] before any collection starts. Cancelling ctx
-// stops the worker pool and in-flight collections promptly; the
-// report still accounts for the runs collected before the
-// cancellation.
+// RunExperiments regenerates the named experiments. Unknown names
+// return an error matching [ErrUnknownExperiment] before any
+// collection starts. Every requested experiment then builds at once,
+// each asking the session's run cache for the (workload,
+// configuration) runs it reads; the cache collects each run exactly
+// once, within the session's run budget ([WithParallelism]), and
+// lives as long as the session, so a run any earlier or concurrent
+// call collected is not collected again. Once every build succeeds,
+// the experiments render in request order (a multi-experiment batch
+// separates renders with a blank line, the
+// [Session.RunAllExperiments] layout), byte-identical to running them
+// individually at any parallelism. If a build fails, nothing is
+// written and the first failing experiment in request order names the
+// error. Cancelling ctx stops the call's waiting and in-flight
+// collections promptly; a cancelled call keeps the runs it completed
+// and caches nothing it did not, and its report still counts the runs
+// collected before the cancellation.
 func (s *Session) RunExperiments(ctx context.Context, names ...string) (*ExperimentReport, error) {
 	rep, err := s.exp.WithContext(ctx).RunPlan(names...)
 	if rep == nil {
@@ -228,10 +230,10 @@ func (s *Session) RunExperiments(ctx context.Context, names ...string) (*Experim
 }
 
 // RunAllExperiments regenerates every experiment in paper order
-// through one shared collection plan ([Session.RunExperiments] over
-// [ExperimentNames]), so every required run is collected exactly once
-// across all tables and figures; the whole result set stays in the
-// session's run cache for its later experiment and Train calls.
+// ([Session.RunExperiments] over [ExperimentNames]), so every required
+// run is collected exactly once across all tables and figures; the
+// whole result set stays in the session's run cache for its later
+// experiment and Train calls.
 func (s *Session) RunAllExperiments(ctx context.Context) error {
 	_, err := s.RunExperiments(ctx, ExperimentNames()...)
 	return err
