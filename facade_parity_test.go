@@ -318,26 +318,3 @@ func runCacheMisses() float64 {
 	}
 	return 0
 }
-
-// TestPerInstructionReferenceParity asserts the façade option maps
-// onto the reference dispatch and stays bit-identical to the fast
-// path — the PR 2 invariant surfaced publicly.
-func TestPerInstructionReferenceParity(t *testing.T) {
-	w := testWorkload(t, "test40").Scaled(0.1)
-	run := func(opts ...Option) *Profile {
-		s, err := New(append([]Option{WithSeed(9)}, opts...)...)
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		prof, err := s.Profile(context.Background(), w)
-		if err != nil {
-			t.Fatalf("Profile: %v", err)
-		}
-		return prof
-	}
-	fast := run()
-	ref := run(WithPerInstructionReference())
-	if !reflect.DeepEqual(fast, ref) {
-		t.Errorf("block fast path and per-instruction reference disagree through the façade")
-	}
-}

@@ -135,33 +135,3 @@ func StoredMix(sp *profstore.Profile, s Scope) metrics.Mix {
 	}
 	return mix
 }
-
-// GroupBy aggregates a mix into named buckets using a taxonomy. Each
-// bucket sums through metrics.Mix.Total, so it does not depend on map
-// order.
-func GroupBy(mix metrics.Mix, tax isa.Taxonomy) map[string]float64 {
-	buckets := make(map[string]metrics.Mix)
-	for op, n := range mix {
-		b := tax.Classify(op)
-		if buckets[b] == nil {
-			buckets[b] = make(metrics.Mix)
-		}
-		buckets[b][op] = n
-	}
-	out := make(map[string]float64, len(buckets))
-	for b, m := range buckets {
-		out[b] = m.Total()
-	}
-	return out
-}
-
-// FLOPs estimates total floating-point operations implied by a mix,
-// one of the derived analyses the paper mentions (approximate FLOP
-// rates).
-func FLOPs(mix metrics.Mix) float64 {
-	flops := make(metrics.Mix, len(mix))
-	for op, n := range mix {
-		flops[op] = n * float64(op.Info().FLOPs)
-	}
-	return flops.Total()
-}

@@ -2,11 +2,9 @@ package analyzer
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"hbbp/internal/isa"
-	"hbbp/internal/metrics"
 	"hbbp/internal/pivot"
 	"hbbp/internal/program"
 )
@@ -128,49 +126,6 @@ func TestToMix(t *testing.T) {
 	m := ToMix(map[isa.Op]uint64{isa.MOV: 5, isa.ADD: 7})
 	if m[isa.MOV] != 5 || m[isa.ADD] != 7 {
 		t.Errorf("ToMix: %v", m)
-	}
-}
-
-func TestGroupByTaxonomy(t *testing.T) {
-	p := twoRingProgram(t)
-	mix := Mix(p, bbecsFor(p, 10, 0), Options{Scope: ScopeUser})
-	byExt := GroupBy(mix, isa.ByExtension())
-	// User block: MOV ADD RET (BASE, 3x10), DIVSS ADDSS (SSE, 2x10),
-	// VADDPS (AVX, 1x10).
-	if byExt["BASE"] != 30 || byExt["SSE"] != 20 || byExt["AVX"] != 10 {
-		t.Errorf("byExt = %v", byExt)
-	}
-}
-
-func TestFLOPs(t *testing.T) {
-	mix := metrics.Mix{isa.VADDPS: 10, isa.ADDSS: 5, isa.MOV: 100}
-	// VADDPS = 8 FLOPs, ADDSS = 1.
-	if got := FLOPs(mix); got != 10*8+5 {
-		t.Errorf("FLOPs = %v, want 85", got)
-	}
-}
-
-// TestGroupByAndFLOPsAreRepeatable pins that the bucket sums and the
-// FLOP total do not depend on map iteration order: 1,000 calls on one
-// 60-op mix with values spanning many orders of magnitude return the
-// same bits.
-func TestGroupByAndFLOPsAreRepeatable(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	mix := metrics.Mix{}
-	for _, op := range isa.All()[:60] {
-		mix[op] = rng.Float64() * math.Pow(10, float64(rng.Intn(16)))
-	}
-	tax := isa.ByExtension()
-	groups, flops := GroupBy(mix, tax), FLOPs(mix)
-	for i := 0; i < 1000; i++ {
-		if got := FLOPs(mix); math.Float64bits(got) != math.Float64bits(flops) {
-			t.Fatalf("call %d: FLOPs = %b, first call %b", i, got, flops)
-		}
-		for b, v := range GroupBy(mix, tax) {
-			if math.Float64bits(v) != math.Float64bits(groups[b]) {
-				t.Fatalf("call %d: GroupBy[%s] = %b, first call %b", i, b, v, groups[b])
-			}
-		}
 	}
 }
 

@@ -18,15 +18,16 @@ func BenchmarkCollectStreaming(b *testing.B) {
 	}
 }
 
-// BenchmarkCollectPerInstruction measures the same collection forced
-// through the per-instruction reference dispatch — the pre-fast-path
-// pipeline — so the win from block-granularity retirement with
-// counter-overflow scheduling stays visible in the numbers.
+// BenchmarkCollectPerInstruction measures the same collection through
+// ReferenceCollect, on the per-instruction reference dispatch — the
+// pre-fast-path pipeline — so the win from block-granularity
+// retirement with counter-overflow scheduling stays visible in the
+// numbers.
 func BenchmarkCollectPerInstruction(b *testing.B) {
 	p, main := mixedProgram(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Collect(p, main, Options{Class: ClassSeconds, Seed: 42, PerInstruction: true}); err != nil {
+		if _, err := ReferenceCollect(p, main, Options{Class: ClassSeconds, Seed: 42}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -95,11 +95,6 @@ type Options struct {
 	// Sinks receive every PMU sample as it is captured, after the
 	// built-in EBS and LBR sinks.
 	Sinks []SampleSink
-	// PerInstruction forces the CPU's per-instruction reference
-	// dispatch instead of the block-granularity fast path. The
-	// collection output is identical either way — parity tests flip
-	// this flag to prove it.
-	PerInstruction bool
 	// Context, when non-nil, cancels a collection in flight: the CPU
 	// polls it during the run and the replay path polls it between
 	// records, aborting with an error that wraps ctx.Err(). A run that
@@ -257,8 +252,7 @@ func Collect(p *program.Program, entry *program.Function, opt Options, extra ...
 
 	listeners := append([]cpu.Listener{unit}, extra...)
 	stats, err := cpu.Run(p, entry, cpu.Config{
-		Seed: opt.Seed, Repeat: opt.Repeat,
-		PerInstruction: opt.PerInstruction, Ctx: opt.Context,
+		Seed: opt.Seed, Repeat: opt.Repeat, Ctx: opt.Context,
 		Layout: opt.Layout,
 	}, listeners...)
 	if err != nil {

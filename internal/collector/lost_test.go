@@ -10,6 +10,7 @@ package collector
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"hbbp/internal/perffile"
@@ -75,7 +76,7 @@ func TestLostRecordsSurviveSerializeReplay(t *testing.T) {
 	// built-in accounting ignores it.
 	var unknown uint64
 	probe := lostProbe{event: 200, total: &unknown}
-	if err := Replay(bytes.NewReader(stream), probe); err != nil {
+	if err := ReplayContext(context.Background(), bytes.NewReader(stream), probe); err != nil {
 		t.Fatal(err)
 	}
 	if unknown != 3 {
@@ -108,7 +109,7 @@ func TestLostRecordsReserializeByteStable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := Replay(bytes.NewReader(in), &WriterSink{W: w}); err != nil {
+		if err := ReplayContext(context.Background(), bytes.NewReader(in), &WriterSink{W: w}); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.Flush(); err != nil {

@@ -1,11 +1,13 @@
 package collector_test
 
-// The fast-path/reference parity suite: the block-granularity
-// retirement pipeline (cpu block events + PMU counter-overflow
-// scheduling) must be bit-identical to the per-instruction reference
-// dispatch, across the workloads the evaluation leans on — including
-// kernel code with live-patched trace points. This file lives in an
-// external test package so it can drive the real workload generators.
+// The fast-path/reference parity suite: Collect's block-granularity
+// retirement pipeline (cpu block events, PMU counter-overflow
+// scheduling, the stream estimator beside the run) must be
+// bit-identical to ReferenceCollect, the same pipeline on the
+// per-instruction reference dispatch, across the workloads the
+// evaluation leans on — including kernel code with live-patched trace
+// points. This file lives in an external test package so it can drive
+// the real workload generators.
 
 import (
 	"bytes"
@@ -14,32 +16,33 @@ import (
 
 	"hbbp/internal/collector"
 	"hbbp/internal/cpu"
+	"hbbp/internal/program"
 	"hbbp/internal/sde"
 	"hbbp/internal/workloads"
 )
 
-// collectPair runs one workload twice with identical options — block
-// fast path vs per-instruction reference — with both an SDE
+// collectPair runs one workload twice with identical options — Collect
+// on the block fast path vs ReferenceCollect — with both an SDE
 // instrumenter and a counting oracle riding along, and returns
 // everything both runs produced, serialized perffiles included.
 func collectPair(t *testing.T, w *workloads.Workload, seed int64) (fast, ref *collector.Result, fastRaw, refRaw []byte,
 	fastSDE, refSDE *sde.Instrumenter, fastOracle, refOracle *cpu.CountingListener) {
 	t.Helper()
-	run := func(perInstruction bool) (*collector.Result, []byte, *sde.Instrumenter, *cpu.CountingListener) {
+	type collectFunc func(*program.Program, *program.Function, collector.Options, ...cpu.Listener) (*collector.Result, error)
+	run := func(name string, collect collectFunc) (*collector.Result, []byte, *sde.Instrumenter, *cpu.CountingListener) {
 		in := sde.New(w.Prog)
 		oracle := cpu.NewCountingListener(w.Prog)
 		var raw bytes.Buffer
-		res, err := collector.Collect(w.Prog, w.Entry, collector.Options{
-			Class: w.Class, Scale: w.Scale, Seed: seed, Repeat: w.Repeat,
-			RawOut: &raw, PerInstruction: perInstruction,
+		res, err := collect(w.Prog, w.Entry, collector.Options{
+			Class: w.Class, Scale: w.Scale, Seed: seed, Repeat: w.Repeat, RawOut: &raw,
 		}, in, oracle)
 		if err != nil {
-			t.Fatalf("%s (perInstruction=%v): %v", w.Name, perInstruction, err)
+			t.Fatalf("%s (%s): %v", w.Name, name, err)
 		}
 		return res, raw.Bytes(), in, oracle
 	}
-	fast, fastRaw, fastSDE, fastOracle = run(false)
-	ref, refRaw, refSDE, refOracle = run(true)
+	fast, fastRaw, fastSDE, fastOracle = run("fast path", collector.Collect)
+	ref, refRaw, refSDE, refOracle = run("reference", collector.ReferenceCollect)
 	return
 }
 
@@ -65,6 +68,10 @@ func TestFastPathParityAcrossWorkloads(t *testing.T) {
 				if !reflect.DeepEqual(fast.Stacks, ref.Stacks) {
 					t.Errorf("seed %d: LBR stacks diverged (%d fast, %d reference)",
 						seed, len(fast.Stacks), len(ref.Stacks))
+				}
+				if fast.EBSPeriod != ref.EBSPeriod || fast.LBRPeriod != ref.LBRPeriod || fast.Scale != ref.Scale {
+					t.Errorf("seed %d: periods or scale diverged: fast (%d, %d, %d), reference (%d, %d, %d)",
+						seed, fast.EBSPeriod, fast.LBRPeriod, fast.Scale, ref.EBSPeriod, ref.LBRPeriod, ref.Scale)
 				}
 				if fast.Stats != ref.Stats {
 					t.Errorf("seed %d: stats diverged:\nfast %+v\nref  %+v", seed, fast.Stats, ref.Stats)

@@ -216,17 +216,12 @@ func (v *ctxVisitor) VisitSample(s *perffile.Sample) error {
 	return v.sinkVisitor.VisitSample(s)
 }
 
-// Replay streams a serialized perffile through the sinks — the on-disk
-// analogue of a live run's dispatch. Sample and Lost records reach
-// every sink in file order; Comm and Mmap metadata is skipped.
-func Replay(rd io.Reader, sinks ...SampleSink) error {
-	return ReplayContext(context.Background(), rd, sinks...)
-}
-
-// ReplayContext is Replay under a context: the pass polls ctx between
-// records and aborts with an error wrapping ctx.Err() when it is
-// cancelled. A pass that completes is identical to an uncancelled
-// Replay.
+// ReplayContext streams a serialized perffile through the sinks — the
+// on-disk analogue of a live run's dispatch. Sample and Lost records
+// reach every sink in file order; Comm and Mmap metadata is skipped.
+// The pass polls ctx between records and aborts with an error wrapping
+// ctx.Err() when it is cancelled; a pass that completes is identical
+// to one under a context that is never cancelled.
 func ReplayContext(ctx context.Context, rd io.Reader, sinks ...SampleSink) error {
 	var v perffile.Visitor = sinkVisitor(sinks)
 	if ctx != nil && ctx.Done() != nil {

@@ -17,7 +17,7 @@ type recordingBlockListener struct {
 }
 
 // Retire implements Listener so the recorder can register; the machine
-// dispatches it through RetireBlock unless PerInstruction is forced.
+// dispatches it through RetireBlock.
 func (r *recordingBlockListener) Retire(ev *RetireEvent) {
 	r.events = append(r.events, *ev)
 }
@@ -58,7 +58,7 @@ func TestBlockEventsMatchPerInstructionStream(t *testing.T) {
 
 	var instRec []RetireEvent
 	lis := listenerFunc(func(ev *RetireEvent) { instRec = append(instRec, *ev) })
-	instStats, err := Run(p, main, Config{Seed: 3, Repeat: 4, PerInstruction: true}, lis)
+	instStats, err := Run(p, main, Config{Seed: 3, Repeat: 4}, lis)
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
@@ -88,7 +88,7 @@ func TestCountingListenerPathParity(t *testing.T) {
 		t.Fatalf("fast run: %v", err)
 	}
 	ref := NewCountingListener(p)
-	if _, err := Run(p, main, Config{Seed: 11, Repeat: 3, PerInstruction: true}, ref); err != nil {
+	if _, err := Run(p, main, Config{Seed: 11, Repeat: 3}, struct{ Listener }{ref}); err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
 	if !reflect.DeepEqual(fast.Exec, ref.Exec) {

@@ -25,7 +25,9 @@
 // plain Listeners receive every block as the identical per-instruction
 // replay through an adapter. When every listener is bound, the machine
 // also retires whole iterations of branch-free loops in one step, as
-// many as fit before the nearest deadline.
+// many as fit before the nearest deadline. A view of any listener that
+// exposes only Retire (struct{ Listener }{l}) is therefore the
+// per-instruction reference dispatch: never bound, never fast-forwarded.
 package cpu
 
 import (
@@ -328,11 +330,10 @@ func (r *replayListener) RetireBlock(bev *BlockEvent) {
 }
 
 // resolveListener picks the dispatch path for one listener: native
-// block listeners are used directly unless perInstruction forces the
-// per-instruction replay adapter (the reference path parity tests
-// exercise).
-func resolveListener(l Listener, perInstruction bool) BlockListener {
-	if bl, ok := l.(BlockListener); ok && !perInstruction {
+// block listeners are used directly, anything else goes through the
+// per-instruction replay adapter.
+func resolveListener(l Listener) BlockListener {
+	if bl, ok := l.(BlockListener); ok {
 		return bl
 	}
 	return &replayListener{l: l}
@@ -356,11 +357,6 @@ type Config struct {
 	// MaxRetired aborts the run after this many retirements as a guard
 	// against miswired programs. Zero means no limit.
 	MaxRetired uint64
-	// PerInstruction forces every listener down the per-instruction
-	// reference dispatch even when it implements BlockListener. Output
-	// is identical either way — parity tests flip this flag to prove
-	// the block fast path bit-exact against the reference path.
-	PerInstruction bool
 	// Ctx, when non-nil, cancels a run in flight: the machine polls it
 	// every ctxCheckInterval blocks and aborts with an error wrapping
 	// ctx.Err(). Cancellation never perturbs the execution it cuts
@@ -589,8 +585,7 @@ type Machine struct {
 }
 
 // New prepares a machine for the given program. Listeners that are
-// BoundListeners bind to the machine's state here, unless
-// cfg.PerInstruction sends every listener down the reference dispatch.
+// BoundListeners bind to the machine's state here.
 func New(p *program.Program, cfg Config, listeners ...Listener) *Machine {
 	if cfg.Repeat <= 0 {
 		cfg.Repeat = 1
@@ -610,10 +605,10 @@ func New(p *program.Program, cfg Config, listeners ...Listener) *Machine {
 	}
 	m.bev.table, m.bev.lay = layout.table, layout
 	for _, l := range listeners {
-		if bl, ok := l.(BoundListener); ok && !cfg.PerInstruction {
+		if bl, ok := l.(BoundListener); ok {
 			m.bound = append(m.bound, bl)
 		} else {
-			m.listeners = append(m.listeners, resolveListener(l, cfg.PerInstruction))
+			m.listeners = append(m.listeners, resolveListener(l))
 		}
 	}
 	if len(m.bound) > 0 {

@@ -138,8 +138,7 @@ func TestFastForwardMatchesReference(t *testing.T) {
 			t.Fatalf("trip %d: listener-free run: %v", trip, err)
 		}
 		ref := NewCountingListener(p)
-		cfg.PerInstruction = true
-		refStats, err := Run(p, f, cfg, ref)
+		refStats, err := Run(p, f, cfg, struct{ Listener }{ref})
 		if err != nil {
 			t.Fatalf("trip %d: reference run: %v", trip, err)
 		}
@@ -159,6 +158,46 @@ func TestFastForwardMatchesReference(t *testing.T) {
 	}
 }
 
+// retireCounter is a CountingListener that also counts its Retire
+// calls.
+type retireCounter struct {
+	*CountingListener
+	calls uint64
+}
+
+func (r *retireCounter) Retire(ev *RetireEvent) {
+	r.calls++
+	r.CountingListener.Retire(ev)
+}
+
+// TestRetireOnlyViewIsReference pins what every parity test rests on:
+// a view of a listener that exposes only Retire is never bound and
+// never fast-forwarded, so it is called once per retired instruction.
+// The same listener passed as itself binds and is never called through
+// Retire; TestFastForwardMatchesReference shows such a run skips
+// iterations of these loops.
+func TestRetireOnlyViewIsReference(t *testing.T) {
+	p, f, _ := loopsProgram(t, 200)
+	view := &retireCounter{CountingListener: NewCountingListener(p)}
+	stats, err := Run(p, f, Config{Seed: 4}, struct{ Listener }{view})
+	if err != nil {
+		t.Fatalf("reference run: %v", err)
+	}
+	if view.calls != stats.Retired {
+		t.Errorf("Retire-only view called %d times for %d retired instructions", view.calls, stats.Retired)
+	}
+	bound := &retireCounter{CountingListener: NewCountingListener(p)}
+	if _, err := Run(p, f, Config{Seed: 4}, bound); err != nil {
+		t.Fatalf("bound run: %v", err)
+	}
+	if bound.calls != 0 {
+		t.Errorf("bound listener called through Retire %d times, want 0", bound.calls)
+	}
+	if !reflect.DeepEqual(view.Exec, bound.Exec) {
+		t.Errorf("per-block counts diverged:\nview  %v\nbound %v", view.Exec, bound.Exec)
+	}
+}
+
 // TestRetireLimitSameWithFastForward asserts that MaxRetired stops a
 // run at the same retired count with the same error, whether loop
 // iterations retire in bulk or block by block: the bulk step is capped
@@ -172,17 +211,17 @@ func TestRetireLimitSameWithFastForward(t *testing.T) {
 			stats Stats
 			err   string
 		}
-		run := func(perInstruction bool, listeners ...Listener) outcome {
-			stats, err := Run(p, f, Config{MaxRetired: limit, PerInstruction: perInstruction}, listeners...)
+		run := func(listeners ...Listener) outcome {
+			stats, err := Run(p, f, Config{MaxRetired: limit}, listeners...)
 			if !errors.Is(err, ErrRetireLimit) {
 				t.Fatalf("limit %d: err = %v, want ErrRetireLimit", limit, err)
 			}
 			return outcome{stats, err.Error()}
 		}
-		ref := run(true, NewCountingListener(p))
+		ref := run(struct{ Listener }{NewCountingListener(p)})
 		for name, got := range map[string]outcome{
-			"counting listener": run(false, NewCountingListener(p)),
-			"no listener":       run(false),
+			"counting listener": run(NewCountingListener(p)),
+			"no listener":       run(),
 		} {
 			if got != ref {
 				t.Errorf("limit %d, %s: fast-forward stopped with %+v, reference with %+v", limit, name, got, ref)

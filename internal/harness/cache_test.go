@@ -57,9 +57,9 @@ func TestWithContextCancelledViewLeavesCacheClean(t *testing.T) {
 // two views of one Runner: each view must see the structured results
 // of a sequential run, and the shared cache must still collect every
 // run exactly once. Both views read one cache, so their results are
-// deeply equal; against a separate sequential Runner they are compared
-// rendered, because scores summed over map iteration may differ in the
-// last bit between two fresh collections.
+// deeply equal. A separate sequential Runner collects every run afresh;
+// its results are deeply equal too, rendered and structured, because
+// every sum over a mix adds in ascending op order.
 func TestWithContextConcurrentPlans(t *testing.T) {
 	type results struct {
 		t5 *Table5Result
@@ -104,6 +104,9 @@ func TestWithContextConcurrentPlans(t *testing.T) {
 		}
 		if render(got[i]) != render(want) {
 			t.Errorf("plan %v: results differ from a sequential run:\ngot:\n%s\nwant:\n%s", plans[i], render(got[i]), render(want))
+		}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("plan %v: structured results differ from a sequential run", plans[i])
 		}
 	}
 	if !reflect.DeepEqual(got[0], got[1]) {

@@ -50,11 +50,6 @@ type Config struct {
 	// Every run carries its own derived seed and results are assembled
 	// in workload order, so the outputs are identical at any setting.
 	Parallelism int
-	// PerInstruction runs every collection on the CPU's per-instruction
-	// reference dispatch instead of the block-granularity fast path.
-	// Outputs are identical either way; the model/table parity tests
-	// flip this flag to prove it.
-	PerInstruction bool
 }
 
 // Runner executes experiments through a keyed run cache: the trained
@@ -323,10 +318,9 @@ func (r *Runner) train() (*core.Model, error) {
 				// analysis time.
 				Class: w.Class,
 				Scale: w.Scale, Seed: r.cfg.Seed + int64(100+i),
-				Repeat:         w.Repeat,
-				PerInstruction: r.cfg.PerInstruction,
-				Context:        r.ctx,
-				Layout:         w.Layout,
+				Repeat:  w.Repeat,
+				Context: r.ctx,
+				Layout:  w.Layout,
 			})
 			if err != nil {
 				return err
@@ -382,10 +376,9 @@ func (r *Runner) evalWorkload(w *workloads.Workload, model *core.Model) (*Worklo
 	prof, err := core.Run(w.Prog, w.Entry, model, core.Options{
 		Collector: collector.Options{
 			Class: w.Class, Scale: w.Scale, Seed: r.cfg.Seed + 7,
-			Repeat:         w.Repeat,
-			PerInstruction: r.cfg.PerInstruction,
-			Context:        r.ctx,
-			Layout:         w.Layout,
+			Repeat:  w.Repeat,
+			Context: r.ctx,
+			Layout:  w.Layout,
 		},
 		KernelLivePatched: true,
 	}, ref)

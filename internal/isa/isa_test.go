@@ -197,52 +197,6 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
-func TestTaxonomyByExtension(t *testing.T) {
-	tax := ByExtension()
-	if got := tax.Classify(VADDPS); got != "AVX" {
-		t.Errorf("VADDPS classified as %q, want AVX", got)
-	}
-	if got := tax.Classify(MOV); got != "BASE" {
-		t.Errorf("MOV classified as %q, want BASE", got)
-	}
-}
-
-func TestTaxonomyByPacking(t *testing.T) {
-	tax := ByPacking()
-	cases := map[Op]string{
-		VADDPS: "PACKED", ADDSS: "SCALAR", MOV: "NONE", VZEROUPPER: "NONE",
-	}
-	for op, want := range cases {
-		if got := tax.Classify(op); got != want {
-			t.Errorf("%v classified as %q, want %q", op, got, want)
-		}
-	}
-}
-
-func TestTaxonomyLongLatencyAndSync(t *testing.T) {
-	ll := LongLatency()
-	if got := ll.Classify(DIV); got != "LONG_LATENCY" {
-		t.Errorf("DIV: %q", got)
-	}
-	if got := ll.Classify(ADD); got != "OTHER" {
-		t.Errorf("ADD: %q", got)
-	}
-	sync := Synchronization()
-	for _, op := range []Op{XADD, XCHG, CMPXCHG, LOCK_ADD} {
-		if got := sync.Classify(op); got != "SYNC" {
-			t.Errorf("%v: %q, want SYNC", op, got)
-		}
-	}
-}
-
-func TestTaxonomyBuckets(t *testing.T) {
-	tax := ByPacking()
-	buckets := tax.Buckets()
-	if len(buckets) != 4 || buckets[len(buckets)-1] != "OTHER" {
-		t.Errorf("Buckets() = %v, want 3 groups plus OTHER", buckets)
-	}
-}
-
 func TestMemoryAccessTaxonomy(t *testing.T) {
 	tax := MemoryAccess()
 	if got := tax.Classify(XCHG); got != "READ_WRITE" {

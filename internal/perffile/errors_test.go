@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 )
 
@@ -194,6 +195,36 @@ func TestCorruptRecordIsTyped(t *testing.T) {
 		}
 		if err := Visit(bytes.NewReader(raw), acceptAll{}); !errors.Is(err, ErrCorruptRecord) {
 			t.Errorf("%s via Visit: got %v, want errors.Is(ErrCorruptRecord)", name, err)
+		}
+	}
+}
+
+// TestOversizedClaimAllocatesLittle asserts that a record header
+// claiming far more payload than the stream holds fails as truncated
+// without allocating its claim: a 17-byte stream whose SAMPLE header
+// declares 16 MB must cost well under 1 MB per read, through both
+// readers.
+func TestOversizedClaimAllocatesLittle(t *testing.T) {
+	raw := append(validFile(t)[:len(Magic)+4], byte(RecordSample), 0xff, 0xff, 0xff, 0)
+	if len(raw) != 17 {
+		t.Fatalf("stream is %d bytes, want 17", len(raw))
+	}
+	for name, read := range map[string]func() error{
+		"Next":  func() error { return drain(raw) },
+		"Visit": func() error { return Visit(bytes.NewReader(raw), acceptAll{}) },
+	} {
+		if err := read(); !errors.Is(err, ErrTruncatedRecord) {
+			t.Fatalf("%s: got %v, want errors.Is(ErrTruncatedRecord)", name, err)
+		}
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			_ = read()
+		}
+		runtime.ReadMemStats(&after)
+		if perRead := (after.TotalAlloc - before.TotalAlloc) / runs; perRead >= 1<<20 {
+			t.Errorf("%s: %d bytes allocated per read, want well under 1 MB", name, perRead)
 		}
 	}
 }

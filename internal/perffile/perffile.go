@@ -38,6 +38,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Magic identifies the file format.
@@ -276,15 +277,29 @@ func (r *Reader) readRecord() (RecordType, []byte, error) {
 	if n > 1<<24 {
 		return 0, nil, fmt.Errorf("%w: implausible record size %d", ErrCorruptRecord, n)
 	}
-	if cap(r.buf) < int(n) {
-		r.buf = make([]byte, n)
+	// A buffer too short for the payload grows only as far as the
+	// stream has supplied, one chunk at a time, so a header that claims
+	// megabytes on a short stream fails as truncated without first
+	// allocating its claim.
+	payload := r.buf[:0]
+	for cap(payload) < int(n) {
+		k := min(int(n)-len(payload), payloadChunk)
+		payload = slices.Grow(payload, k)
+		if _, err := io.ReadFull(r.r, payload[len(payload):len(payload)+k]); err != nil {
+			return 0, nil, classifyReadError(fmt.Sprintf("%v payload", t), err)
+		}
+		payload = payload[:len(payload)+k]
 	}
-	payload := r.buf[:n]
-	if _, err := io.ReadFull(r.r, payload); err != nil {
+	if _, err := io.ReadFull(r.r, payload[len(payload):n]); err != nil {
 		return 0, nil, classifyReadError(fmt.Sprintf("%v payload", t), err)
 	}
-	return t, payload, nil
+	r.buf = payload[:n]
+	return t, r.buf, nil
 }
+
+// payloadChunk bounds how many payload bytes readRecord reads, and so
+// how far it grows its buffer, per step.
+const payloadChunk = 1 << 16
 
 // Next returns the next record as one of *Comm, *Mmap, *Sample or
 // *Lost. It returns io.EOF at end of stream.

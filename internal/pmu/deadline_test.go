@@ -135,8 +135,11 @@ func runDeadlineCase(t *testing.T, p *program.Program, f *program.Function, seed
 			t.Errorf("PMU %d: called for %d blocks that reach no deadline of it", i, d.early)
 		}
 	}
-	cfg.PerInstruction = true
-	refStats, err := cpu.Run(p, f, cfg, ref.listeners(false)...)
+	refListeners := ref.listeners(false)
+	for i, l := range refListeners {
+		refListeners[i] = struct{ cpu.Listener }{l}
+	}
+	refStats, err := cpu.Run(p, f, cfg, refListeners...)
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
@@ -294,8 +297,12 @@ func TestDeadlinesMatchReference(t *testing.T) {
 // exactly as the reference's do and double those of one run.
 func TestInstrumenterAccumulatesAcrossRuns(t *testing.T) {
 	p, f := loopShapesProgram(t, 9)
-	run := func(in *sde.Instrumenter, perInstruction bool) {
-		if _, err := cpu.Run(p, f, cpu.Config{Seed: 4, PerInstruction: perInstruction}, in); err != nil {
+	run := func(in *sde.Instrumenter, reference bool) {
+		var l cpu.Listener = in
+		if reference {
+			l = struct{ cpu.Listener }{in}
+		}
+		if _, err := cpu.Run(p, f, cpu.Config{Seed: 4}, l); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
 	}

@@ -128,7 +128,7 @@ func (b *bulkProbe) bulk() uint64 {
 // event, Dropped and Overflows of both sampling events, and the run
 // statistics.
 func TestLoopFastForwardMatchesReference(t *testing.T) {
-	run := func(t *testing.T, p *program.Program, f *program.Function, seed int64, ebs, lbr uint64, perInstruction bool) ([]Sample, *PMU, *bulkProbe, cpu.Stats) {
+	run := func(t *testing.T, p *program.Program, f *program.Function, seed int64, ebs, lbr uint64, reference bool) ([]Sample, *PMU, *bulkProbe, cpu.Stats) {
 		var samples []Sample
 		handler := func(s Sample) {
 			s.Stack = append([]BranchRecord(nil), s.Stack...)
@@ -141,12 +141,12 @@ func TestLoopFastForwardMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
-		var l cpu.Listener = pm
 		probe := &bulkProbe{PMU: pm, t: t}
-		if !perInstruction {
-			l = probe
+		var l cpu.Listener = probe
+		if reference {
+			l = struct{ cpu.Listener }{pm}
 		}
-		stats, err := cpu.Run(p, f, cpu.Config{Seed: seed, Repeat: 2, PerInstruction: perInstruction}, l)
+		stats, err := cpu.Run(p, f, cpu.Config{Seed: seed, Repeat: 2}, l)
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}

@@ -11,12 +11,13 @@ import (
 )
 
 // collectBoth runs the same program twice with identical seeds — once
-// on the block fast path, once forced through the per-instruction
-// reference dispatch — under a full two-counter programming, and
+// on the block fast path, once through the per-instruction reference
+// dispatch (a Retire-only view of the PMU, which the machine never
+// binds) — under a full two-counter programming, and
 // returns both sample streams plus both PMUs for counter comparison.
 func collectBoth(t *testing.T, p *program.Program, f *program.Function, seed int64, ebsPeriod, lbrPeriod uint64) (fastSamples, refSamples []Sample, fast, ref *PMU) {
 	t.Helper()
-	run := func(perInstruction bool) ([]Sample, *PMU) {
+	run := func(reference bool) ([]Sample, *PMU) {
 		var samples []Sample
 		handler := func(s Sample) { samples = append(samples, s) }
 		pm, err := New(DefaultConfig(seed),
@@ -26,7 +27,11 @@ func collectBoth(t *testing.T, p *program.Program, f *program.Function, seed int
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
-		if _, err := cpu.Run(p, f, cpu.Config{Seed: seed, PerInstruction: perInstruction}, pm); err != nil {
+		var l cpu.Listener = pm
+		if reference {
+			l = struct{ cpu.Listener }{pm}
+		}
+		if _, err := cpu.Run(p, f, cpu.Config{Seed: seed}, l); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
 		return samples, pm
@@ -146,7 +151,7 @@ func TestEventScheduledBlocksMatchReference(t *testing.T) {
 		},
 	}
 	p, f := eventDenseProgram(t)
-	run := func(t *testing.T, samplings []Sampling, seed int64, perInstruction bool) ([]Sample, *PMU) {
+	run := func(t *testing.T, samplings []Sampling, seed int64, reference bool) ([]Sample, *PMU) {
 		var samples []Sample
 		handler := func(s Sample) {
 			s.Stack = append([]BranchRecord(nil), s.Stack...)
@@ -160,7 +165,11 @@ func TestEventScheduledBlocksMatchReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
-		if _, err := cpu.Run(p, f, cpu.Config{Seed: seed, PerInstruction: perInstruction}, pm); err != nil {
+		var l cpu.Listener = pm
+		if reference {
+			l = struct{ cpu.Listener }{pm}
+		}
+		if _, err := cpu.Run(p, f, cpu.Config{Seed: seed}, l); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
 		return samples, pm

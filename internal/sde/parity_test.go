@@ -22,7 +22,7 @@ func TestBlockPathMatchesReference(t *testing.T) {
 		}
 		ref := New(p)
 		ref.UserOnly = userOnly
-		if _, err := cpu.Run(p, main, cpu.Config{Seed: 5, Repeat: 4, PerInstruction: true}, ref); err != nil {
+		if _, err := cpu.Run(p, main, cpu.Config{Seed: 5, Repeat: 4}, struct{ cpu.Listener }{ref}); err != nil {
 			t.Fatalf("reference run: %v", err)
 		}
 		if !reflect.DeepEqual(fast.BBECs(), ref.BBECs()) {
@@ -116,7 +116,7 @@ func TestLoopFastForwardMatchesReference(t *testing.T) {
 		}
 		ref := New(p)
 		ref.UserOnly = userOnly
-		if _, err := cpu.Run(p, main, cpu.Config{Seed: 5, Repeat: 4, PerInstruction: true}, ref); err != nil {
+		if _, err := cpu.Run(p, main, cpu.Config{Seed: 5, Repeat: 4}, struct{ cpu.Listener }{ref}); err != nil {
 			t.Fatalf("reference run: %v", err)
 		}
 		if fast.bulk() == 0 {

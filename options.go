@@ -16,17 +16,16 @@ type Option func(*config) error
 // struct an entry point needs, so callers configure every layer in
 // one place.
 type config struct {
-	seed           int64
-	parallelism    int
-	class          RuntimeClass
-	classSet       bool
-	sinks          []SampleSink
-	rawOut         io.Writer
-	perInstruction bool
-	model          *Model
-	fastFactor     float64
-	workloadScale  float64
-	expOut         io.Writer
+	seed          int64
+	parallelism   int
+	class         RuntimeClass
+	classSet      bool
+	sinks         []SampleSink
+	rawOut        io.Writer
+	model         *Model
+	fastFactor    float64
+	workloadScale float64
+	expOut        io.Writer
 }
 
 // WithSeed sets the base random seed. It drives the workloads'

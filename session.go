@@ -55,12 +55,11 @@ func New(opts ...Option) (*Session, error) {
 		}
 	}
 	exp := harness.New(harness.Config{
-		Out:            cfg.expOut,
-		Fast:           cfg.fastFactor > 0,
-		FastFactor:     cfg.fastFactor,
-		Seed:           cfg.seed,
-		Parallelism:    cfg.parallelism,
-		PerInstruction: cfg.perInstruction,
+		Out:         cfg.expOut,
+		Fast:        cfg.fastFactor > 0,
+		FastFactor:  cfg.fastFactor,
+		Seed:        cfg.seed,
+		Parallelism: cfg.parallelism,
 	})
 	return &Session{cfg: cfg, exp: exp, model: cfg.model}, nil
 }
@@ -86,15 +85,14 @@ func (s *Session) coreOptions(ctx context.Context, w *Workload) core.Options {
 	}
 	return core.Options{
 		Collector: collector.Options{
-			Class:          class,
-			Scale:          w.Scale,
-			Seed:           s.cfg.seed,
-			Repeat:         w.Repeat,
-			Sinks:          s.cfg.sinks,
-			RawOut:         s.cfg.rawOut,
-			PerInstruction: s.cfg.perInstruction,
-			Layout:         w.Layout,
-			Context:        ctx,
+			Class:   class,
+			Scale:   w.Scale,
+			Seed:    s.cfg.seed,
+			Repeat:  w.Repeat,
+			Sinks:   s.cfg.sinks,
+			RawOut:  s.cfg.rawOut,
+			Layout:  w.Layout,
+			Context: ctx,
 		},
 		KernelLivePatched: true,
 	}
