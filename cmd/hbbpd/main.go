@@ -5,15 +5,14 @@
 //
 // Usage:
 //
-//	hbbpd [-listen ADDR] [-http ADDR] [-queue N] [-workers N]
-//	      [-max-frame BYTES] [-enqueue-wait D] [-read-timeout D]
-//	      [-write-timeout D] [-stats-every D] [-save-dir DIR]
-//	      [-drain-timeout D] [-drain-grace D] [-retain SPEC]
-//	      [-epoch-lag N]
+//	hbbpd [-listen ADDR] [-http ADDR] [-queue N] [-max-frame BYTES]
+//	      [-enqueue-wait D] [-read-timeout D] [-write-timeout D]
+//	      [-stats-every D] [-save-dir DIR] [-drain-timeout D]
+//	      [-drain-grace D] [-retain SPEC] [-epoch-lag N]
 //
 // With -http, the daemon also serves an admin endpoint: /metrics in
 // the Prometheus text format (every counter the accounting lines are
-// rendered from, plus latency histograms, queue gauges and client
+// rendered from, plus latency histograms, admission gauges and client
 // metrics — one registry is the single source of truth), /healthz
 // (200 while serving, 503 once shutdown begins), /slowops (the
 // threshold-gated slow-operation log) and the standard /debug/pprof
@@ -24,16 +23,17 @@
 // The daemon prints "listening on ADDR" once the socket is open (with
 // -listen :0 this is how the chosen port is discovered), serves until
 // SIGINT/SIGTERM, then shuts down gracefully: in-flight profiles
-// already admitted to the ingest queue are merged and acked before
-// connections close, bounded by -drain-timeout. On exit it prints one
+// already admitted are merged and acked before connections close,
+// bounded by -drain-timeout. On exit it prints one
 // accounting line per tenant — merged, duplicates, shed, rejected,
 // corrupt — and, when -save-dir is set, saves each tenant's series
 // (see below).
 //
-// Overload behavior is explicit: when the bounded ingest queue stays
-// full past -enqueue-wait, the server refuses the profile with a
-// retryable overload nack and counts the shed against the tenant;
-// nothing is dropped silently and memory stays bounded.
+// Overload behavior is explicit: each connection merges its own batch,
+// at most -queue at once; when every slot stays taken past
+// -enqueue-wait, the server refuses the batch with a retryable
+// overload nack and counts the shed against the tenant. Nothing is
+// dropped silently.
 //
 // Each tenant has one time axis: completed epochs (those -epoch-lag
 // behind a tenant's newest) roll out of their live aggregators into a
@@ -85,10 +85,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	listen := fs.String("listen", "127.0.0.1:7690", "address to serve the fleet wire protocol on (use :0 for an ephemeral port)")
 	httpAddr := fs.String("http", "", "serve the admin endpoint (/metrics, /healthz, /slowops, /debug/pprof) on this address (empty = off)")
 	drainGrace := fs.Duration("drain-grace", 0, "after a shutdown signal, keep serving with /healthz at 503 this long before draining (the LB deregistration window)")
-	queue := fs.Int("queue", 0, "ingest queue depth (0 = default)")
-	workers := fs.Int("workers", 0, "ingest worker goroutines (0 = GOMAXPROCS)")
+	queue := fs.Int("queue", 0, "batches merging at once, each on the connection that sent it (0 = default 64)")
 	maxFrame := fs.Int("max-frame", 0, "largest accepted wire frame in bytes (0 = default 16MiB)")
-	enqueueWait := fs.Duration("enqueue-wait", 0, "backpressure window before shedding on a full queue (0 = default 50ms)")
+	enqueueWait := fs.Duration("enqueue-wait", 0, "backpressure window before shedding when every admission slot is taken (0 = default 50ms)")
 	readTimeout := fs.Duration("read-timeout", 0, "per-frame read deadline (0 = default 30s)")
 	writeTimeout := fs.Duration("write-timeout", 0, "per-frame write deadline (0 = default 10s)")
 	statsEvery := fs.Duration("stats-every", 0, "print an accounting snapshot this often (0 = only at exit)")
@@ -128,7 +127,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	reg := hbbp.NewTelemetry()
 	s := hbbp.Serve(ln, hbbp.FleetServerConfig{
 		Queue:        *queue,
-		Workers:      *workers,
 		MaxFrame:     *maxFrame,
 		EnqueueWait:  *enqueueWait,
 		ReadTimeout:  *readTimeout,

@@ -172,7 +172,6 @@ func StoredMix(sp *StoredProfile, scope Scope) Mix {
 // ([TopFunctions] and friends) use [StoredBlockPivot].
 func StoredPivot(sp *StoredProfile) *PivotTable {
 	tab := pivot.New()
-	memTax := isa.MemoryAccess()
 	for _, o := range sp.Ops {
 		ring := RingUser
 		if o.Ring == profstore.RingKernel {
@@ -191,7 +190,7 @@ func StoredPivot(sp *StoredProfile) *PivotTable {
 			dims[DimExt] = info.Ext.String()
 			dims[DimPacking] = info.Packing.String()
 			dims[DimCategory] = info.Cat.String()
-			dims[DimMemory] = memTax.Classify(op)
+			dims[DimMemory] = isa.MemoryAccess(op)
 		}
 		tab.Add(dims, float64(o.Mass))
 	}

@@ -28,7 +28,6 @@ const (
 // the analyzer's "seamless mixing of dynamic and static information".
 func BuildPivot(p *program.Program, bbecs []float64, opts Options) *pivot.Table {
 	tab := pivot.New()
-	memTax := isa.MemoryAccess()
 	for _, blk := range p.Blocks() {
 		count := bbecs[blk.ID]
 		if count <= 0 || !opts.admit(blk) {
@@ -49,7 +48,7 @@ func BuildPivot(p *program.Program, bbecs []float64, opts Options) *pivot.Table 
 				DimExt:      info.Ext.String(),
 				DimPacking:  info.Packing.String(),
 				DimCategory: info.Cat.String(),
-				DimMemory:   memTax.Classify(op),
+				DimMemory:   isa.MemoryAccess(op),
 			}, v)
 		}
 	}

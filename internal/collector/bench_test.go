@@ -2,6 +2,7 @@ package collector
 
 import (
 	"bytes"
+	"context"
 	"testing"
 )
 
@@ -45,7 +46,7 @@ func BenchmarkCollectSerializeReparse(b *testing.B) {
 		if _, err := Collect(p, main, Options{Class: ClassSeconds, Seed: 42, RawOut: &raw}); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := ReplayResult(bytes.NewReader(raw.Bytes())); err != nil {
+		if _, err := ReplayResultContext(context.Background(), bytes.NewReader(raw.Bytes())); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -63,7 +64,7 @@ func BenchmarkReplay(b *testing.B) {
 	b.SetBytes(int64(raw.Len()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ReplayResult(bytes.NewReader(raw.Bytes())); err != nil {
+		if _, err := ReplayResultContext(context.Background(), bytes.NewReader(raw.Bytes())); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,7 +3,7 @@
 // into the registered SampleSinks — the EBS-IP and LBR-stack sinks the
 // estimators consume directly, plus an optional perffile writer sink
 // for on-disk retention. There is no serialize-then-reparse round
-// trip on the hot path; ReplayResult re-derives a result from a
+// trip on the hot path; ReplayResultContext re-derives a result from a
 // perffile written earlier.
 //
 // Following Section V.A, the simultaneous collection of classic EBS and
@@ -180,9 +180,9 @@ type Result struct {
 
 // streamLBROptions are the LBR estimator options a collection credits
 // its stacks under while the run executes: the kernel text re-patched
-// from the live image and the default stream bounds, as
-// core.DefaultOptions analyzes. An analysis under other options walks
-// Result.Stacks again.
+// from the live image and the default stream bounds, as every
+// production analysis (the hbbp façade, the harness) runs. An analysis
+// under other options walks Result.Stacks again.
 var streamLBROptions = bbec.LBROptions{KernelLivePatched: true}
 
 // Collect runs entry under the PMU configuration described above,

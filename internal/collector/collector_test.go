@@ -2,6 +2,7 @@ package collector
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"hbbp/internal/bbec"
@@ -214,9 +215,9 @@ func TestCollectWritesRawOut(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Collect: %v", err)
 	}
-	replayed, err := ReplayResult(bytes.NewReader(sink.Bytes()))
+	replayed, err := ReplayResultContext(context.Background(), bytes.NewReader(sink.Bytes()))
 	if err != nil {
-		t.Fatalf("ReplayResult: %v", err)
+		t.Fatalf("ReplayResultContext: %v", err)
 	}
 	if len(replayed.EBSIPs) != len(res.EBSIPs) || len(replayed.Stacks) != len(res.Stacks) {
 		t.Errorf("RawOut stream replays to %d/%d samples, live %d/%d",
@@ -242,9 +243,9 @@ func TestPostProcessSplitsEvents(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Collect: %v", err)
 	}
-	again, err := ReplayResult(bytes.NewReader(raw.Bytes()))
+	again, err := ReplayResultContext(context.Background(), bytes.NewReader(raw.Bytes()))
 	if err != nil {
-		t.Fatalf("ReplayResult: %v", err)
+		t.Fatalf("ReplayResultContext: %v", err)
 	}
 	if len(again.EBSIPs) != len(res.EBSIPs) || len(again.Stacks) != len(res.Stacks) {
 		t.Errorf("re-post-process mismatch: %d/%d vs %d/%d",
@@ -270,9 +271,9 @@ func TestStreamingReplayParity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Collect: %v", err)
 	}
-	replayed, err := ReplayResult(bytes.NewReader(raw.Bytes()))
+	replayed, err := ReplayResultContext(context.Background(), bytes.NewReader(raw.Bytes()))
 	if err != nil {
-		t.Fatalf("ReplayResult: %v", err)
+		t.Fatalf("ReplayResultContext: %v", err)
 	}
 	if len(replayed.EBSIPs) != len(live.EBSIPs) {
 		t.Fatalf("EBS IPs: replay %d, live %d", len(replayed.EBSIPs), len(live.EBSIPs))

@@ -59,9 +59,9 @@ func buildLostStream(t *testing.T) []byte {
 // unknown counters excluded.
 func TestLostRecordsSurviveSerializeReplay(t *testing.T) {
 	stream := buildLostStream(t)
-	res, err := ReplayResult(bytes.NewReader(stream))
+	res, err := ReplayResultContext(context.Background(), bytes.NewReader(stream))
 	if err != nil {
-		t.Fatalf("ReplayResult: %v", err)
+		t.Fatalf("ReplayResultContext: %v", err)
 	}
 	if res.LostEBS != 7+5 {
 		t.Errorf("LostEBS = %d, want 12 (7 then 5, accumulated)", res.LostEBS)
@@ -145,9 +145,9 @@ func TestLiveLostParityUnderCollisions(t *testing.T) {
 	if live.LostEBS+live.LostLBR == 0 {
 		t.Fatal("period-1 collection dropped nothing; the collision scenario lost its teeth")
 	}
-	replayed, err := ReplayResult(bytes.NewReader(raw.Bytes()))
+	replayed, err := ReplayResultContext(context.Background(), bytes.NewReader(raw.Bytes()))
 	if err != nil {
-		t.Fatalf("ReplayResult: %v", err)
+		t.Fatalf("ReplayResultContext: %v", err)
 	}
 	if replayed.LostEBS != live.LostEBS || replayed.LostLBR != live.LostLBR {
 		t.Errorf("lost counts diverged across the round trip: replay %d/%d, live %d/%d",

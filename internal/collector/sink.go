@@ -233,19 +233,14 @@ func ReplayContext(ctx context.Context, rd io.Reader, sinks ...SampleSink) error
 	return nil
 }
 
-// ReplayResult re-derives a collection's sample sets from a perffile
-// stream, using the same sinks a live run dispatches to. Periods,
+// ReplayResultContext re-derives a collection's sample sets from a
+// perffile stream, using the same sinks a live run dispatches to, under
+// a context (see ReplayContext for the cancellation contract). Periods,
 // scale and run statistics are not recorded in the file; callers
 // replaying a known collection set them from the options used at
 // collection time (see Options.Periods and Options.EffectiveScale).
-func ReplayResult(rd io.Reader) (*Result, error) {
-	return ReplayResultContext(context.Background(), rd)
-}
-
-// ReplayResultContext is ReplayResult under a context (see
-// ReplayContext for the cancellation contract). Extra sinks join the
-// dispatch after the built-in EBS and LBR sinks — the same order a
-// live collection uses for Options.Sinks.
+// Extra sinks join the dispatch after the built-in EBS and LBR sinks —
+// the same order a live collection uses for Options.Sinks.
 func ReplayResultContext(ctx context.Context, rd io.Reader, extra ...SampleSink) (*Result, error) {
 	ebs := &EBSSink{}
 	lbr := &LBRSink{}

@@ -160,18 +160,9 @@ type Options struct {
 	// Collector configures sampling (periods, scale, seed).
 	Collector collector.Options
 	// KernelLivePatched re-patches static kernel text from the live
-	// image before LBR analysis (Section III.C's remedy). On by
-	// default through DefaultOptions.
+	// image before LBR analysis (Section III.C's remedy). Every
+	// production caller (the hbbp façade, the harness) sets it.
 	KernelLivePatched bool
-}
-
-// DefaultOptions returns the tool's standard configuration for a
-// workload of the given runtime class.
-func DefaultOptions(class collector.RuntimeClass, seed int64) Options {
-	return Options{
-		Collector:         collector.Options{Class: class, Seed: seed},
-		KernelLivePatched: true,
-	}
 }
 
 // Profile is a completed HBBP profiling run.

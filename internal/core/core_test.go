@@ -217,7 +217,11 @@ func TestHBBPBeatsRawEstimators(t *testing.T) {
 
 func TestRunWithDefaultModel(t *testing.T) {
 	w := buildWorkload(t, "kernel-prime").Scaled(0.3)
-	prof, err := Run(w.Prog, w.Entry, nil, DefaultOptions(w.Class, 9)) // nil model -> default
+	opts := Options{
+		Collector:         collector.Options{Class: w.Class, Seed: 9},
+		KernelLivePatched: true,
+	}
+	prof, err := Run(w.Prog, w.Entry, nil, opts) // nil model -> default
 
 	if err != nil {
 		t.Fatalf("Run: %v", err)

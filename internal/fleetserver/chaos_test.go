@@ -162,15 +162,14 @@ func TestChaosAccountingUnderFaults(t *testing.T) {
 	countGoroutines(t, baseGoroutines, 4)
 }
 
-// TestChaosOverloadShedsAreCounted forces deterministic overload — a
-// one-deep queue, one deliberately slow worker, no-retry clients — and
+// TestChaosOverloadShedsAreCounted forces deterministic overload — one
+// admission slot, deliberately slow merges, no-retry clients — and
 // pins the exact accounting equality: server-side Shed equals the
 // overload refusals clients observed, and the snapshot equals the
 // offline merge of exactly the successful Sends.
 func TestChaosOverloadShedsAreCounted(t *testing.T) {
 	s := startServer(t, Config{
 		Queue:           1,
-		Workers:         1,
 		EnqueueWait:     time.Millisecond,
 		testIngestDelay: 10 * time.Millisecond,
 	})

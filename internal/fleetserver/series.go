@@ -30,7 +30,7 @@ import (
 // — dedup is per (agent, seq), independent of epochs.
 
 // roll folds the tenant's completed epochs into its series and
-// downsamples. Called by ingest workers after each merge.
+// downsamples. Called by the merging connection after each batch.
 func (s *Server) roll(t *tenant, epoch uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -43,10 +43,10 @@ func (s *Server) roll(t *tenant, epoch uint64) {
 	horizon := t.maxEpoch - s.cfg.EpochLag // newest complete epoch
 	rolled := false
 	for e, ent := range t.epochs {
-		// Skip epochs with merges in flight: a worker holding the
+		// Skip epochs with merges in flight: a connection holding the
 		// entry's aggregator must not have it snapshotted away beneath
-		// it. The skipped epoch is not stuck — that worker's own roll
-		// call, after releaseEpoch, picks it up.
+		// it. The skipped epoch is not stuck — that connection's own
+		// roll call, after releaseEpoch, picks it up.
 		if e > horizon || ent.inflight > 0 {
 			continue
 		}

@@ -16,18 +16,20 @@
 //     merged or duplicate verdict in the batch ack). Refusals are
 //     explicit nacked verdicts, each counted in the owning tenant's
 //     drop counters — the ingest-tier analogue of LostEBS/LostLBR.
-//   - Overload is bounded and explicit. Ingest flows through a bounded
-//     queue; a full queue exerts backpressure up to a deadline, then
-//     the profile is shed with NackOverloaded and counted. Memory
-//     stays bounded no matter how many agents push.
+//   - Overload is bounded and explicit. A batch merges on the
+//     connection that read it, once it holds one of a bounded number
+//     of admission slots; when every slot is taken the connection
+//     exerts backpressure up to a deadline, then the batch is shed
+//     with NackOverloaded and counted. Merge work stays bounded no
+//     matter how many agents push.
 //   - Duplicates merge exactly once. Each agent numbers its profiles;
 //     the server remembers the last merged sequence per agent and
 //     answers re-sends (acks lost to resets) with a duplicate verdict
 //     instead of a second merge, so a retrying client achieves
 //     exactly-once aggregation.
-//   - Shutdown drains. Profiles already handed to the ingest queue are
-//     merged and acked before their connections close; everything
-//     after the drain point is refused with NackShuttingDown.
+//   - Shutdown drains. Profiles already admitted are merged and acked
+//     before their connections close; everything after the drain
+//     point is refused with NackShuttingDown.
 //
 // The chaos suite (chaos_test.go) drives all of this through injected
 // partial writes, resets, stalls and corruption, and asserts the
@@ -40,7 +42,6 @@ import (
 	"errors"
 	"io"
 	"net"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -68,20 +69,20 @@ var (
 // Config parameterizes a Server. The zero value is usable: every
 // field has a production-shaped default.
 type Config struct {
-	// Queue bounds the ingest queue (profiles admitted but not yet
-	// merged); defaults to 64. This, times the frame size limit, is
-	// the ingest tier's memory bound.
+	// Queue bounds the batches admitted at once: each merges on the
+	// connection goroutine that read it, and at most Queue merge
+	// concurrently; defaults to 64. It bounds merge work, not memory:
+	// every connection holds its own frame (up to MaxFrame) while it
+	// merges, waits or is refused, so memory scales with connections
+	// times MaxFrame.
 	Queue int
-	// Workers is the number of ingest goroutines decoding and merging
-	// profiles; defaults to GOMAXPROCS.
-	Workers int
 	// MaxFrame bounds a wire frame's payload;
 	// defaults to fleetwire.DefaultMaxFrame.
 	MaxFrame int
-	// EnqueueWait is how long a connection exerts backpressure on a
-	// full queue before shedding the profile with NackOverloaded;
-	// defaults to 50ms. Zero keeps the default; negative sheds
-	// immediately.
+	// EnqueueWait is how long a connection exerts backpressure when
+	// every admission slot is taken before shedding the batch with
+	// NackOverloaded; defaults to 50ms. Zero keeps the default;
+	// negative sheds immediately.
 	EnqueueWait time.Duration
 	// ReadTimeout bounds each frame read — the slow-loris defense and
 	// the idle-connection reaper; defaults to 30s.
@@ -93,9 +94,9 @@ type Config struct {
 	Logf func(format string, args ...any)
 
 	// Telemetry is the metrics registry the server instruments itself
-	// into: per-tenant ingest ledgers, frame latency histograms, queue
-	// and connection gauges, and the slow-op log. Nil gets a fresh
-	// private registry, so side-by-side servers (tests, embedders)
+	// into: per-tenant ingest ledgers, frame latency histograms,
+	// admission and connection gauges, and the slow-op log. Nil gets a
+	// fresh private registry, so side-by-side servers (tests, embedders)
 	// never share series; a daemon that serves /metrics passes the
 	// process-wide registry instead.
 	Telemetry *telemetry.Registry
@@ -124,9 +125,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Queue <= 0 {
 		c.Queue = 64
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.MaxFrame <= 0 {
 		c.MaxFrame = fleetwire.DefaultMaxFrame
@@ -186,10 +184,11 @@ type agentState struct {
 
 // epochEntry is one live epoch's aggregator plus the number of merges
 // currently in flight against it. The count is what makes epoch
-// rolling safe alongside parallel ingest: a worker ingests without
+// rolling safe alongside parallel ingest: a connection merges without
 // holding the tenant lock, so roll must not snapshot-and-delete an
-// epoch a worker is still merging into — it skips entries with
-// inflight > 0, and the releasing worker triggers its own roll.
+// epoch another connection is still merging into — it skips entries
+// with inflight > 0, and the releasing connection triggers its own
+// roll.
 type epochEntry struct {
 	agg      *profstore.Aggregator
 	inflight int
@@ -228,19 +227,6 @@ func (t *tenant) agent(name string) *agentState {
 	return ag
 }
 
-// job is one admitted batch frame on its way to a merge. A batch is
-// deliberately ONE job, not one per entry: the agent's watermark
-// demands the entries apply in sequence order as an atomic run under
-// the agent lock, and a single queue slot keeps the backpressure
-// accounting whole-batch. The worker replies with one verdict per
-// entry, in entry order.
-type job struct {
-	t       *tenant
-	agent   *agentState
-	entries []fleetwire.BatchEntry
-	reply   chan []fleetwire.BatchVerdict
-}
-
 // Server ingests profiles over fleetwire connections. Construct with
 // [Serve]; the zero value is not usable.
 type Server struct {
@@ -251,10 +237,11 @@ type Server struct {
 	tenants map[string]*tenant
 	conns   map[*fleetwire.Conn]struct{}
 
-	queue    chan *job
+	// slots is the admission semaphore: a connection holds one slot
+	// while it merges a batch, so at most cap(slots) merge at once.
+	slots    chan struct{}
 	acceptWG sync.WaitGroup
 	connWG   sync.WaitGroup
-	workerWG sync.WaitGroup
 
 	closing  chan struct{}
 	done     chan struct{}
@@ -278,7 +265,7 @@ func Serve(ln net.Listener, cfg Config) *Server {
 		ln:      ln,
 		tenants: make(map[string]*tenant),
 		conns:   make(map[*fleetwire.Conn]struct{}),
-		queue:   make(chan *job, cfg.Queue),
+		slots:   make(chan struct{}, cfg.Queue),
 		closing: make(chan struct{}),
 		done:    make(chan struct{}),
 	}
@@ -294,19 +281,15 @@ func Serve(ln net.Listener, cfg Config) *Server {
 		"Entries per batch frame.", 1, telemetry.CountBuckets())
 	s.slow = tel.Slow()
 	tel.GaugeFunc("hbbp_fleetserver_queue_depth",
-		"Ingest queue occupancy.", func() float64 { return float64(len(s.queue)) })
+		"Batches admitted and merging.", func() float64 { return float64(len(s.slots)) })
 	tel.GaugeFunc("hbbp_fleetserver_queue_capacity",
-		"Ingest queue bound.", func() float64 { return float64(cap(s.queue)) })
+		"Admission bound (Config.Queue).", func() float64 { return float64(cap(s.slots)) })
 	tel.GaugeFunc("hbbp_fleetserver_active_connections",
 		"Currently live connections.", func() float64 {
 			s.mu.Lock()
 			defer s.mu.Unlock()
 			return float64(len(s.conns))
 		})
-	for i := 0; i < cfg.Workers; i++ {
-		s.workerWG.Add(1)
-		go s.worker()
-	}
 	s.acceptWG.Add(1)
 	go s.acceptLoop()
 	return s
@@ -409,13 +392,8 @@ func (s *Server) handle(conn net.Conn) {
 		return
 	}
 
-	// Per-connection scratch: the protocol is strictly one in-flight
-	// exchange per connection, so one job, one reply channel and one
-	// ack buffer serve the connection's whole life — the reply is
-	// always awaited before the next frame, so the worker is done with
-	// the job before it is refilled.
-	reply := make(chan []fleetwire.BatchVerdict, 1)
-	connJob := &job{}
+	// The protocol is strictly one in-flight exchange per connection,
+	// so one ack buffer serves the connection's whole life.
 	var ackBuf []byte
 
 	for {
@@ -437,10 +415,10 @@ func (s *Server) handle(conn net.Conn) {
 			return
 		}
 		// The latency clock starts after the frame is in hand — it
-		// measures the server's parse/queue/merge/reply work, not how
+		// measures the server's parse/admit/merge/reply work, not how
 		// long the agent took to send the next frame.
 		t0 := time.Now()
-		verdicts, keep := s.handleBatch(tn, ag, payload, connJob, reply)
+		verdicts, keep := s.handleBatch(tn, ag, payload)
 		if verdicts != nil {
 			ackBuf = fleetwire.AppendAckBatch(ackBuf[:0], verdicts)
 			if len(ackBuf) > s.cfg.MaxFrame {
@@ -475,15 +453,15 @@ func (s *Server) observeFrame(tn *tenant, t0 time.Time) {
 	}
 }
 
-// handleBatch decides one batch frame: parse, admit as ONE queue job
-// (whole-batch backpressure), and return the per-entry verdicts to
+// handleBatch decides one batch frame: parse, admit it as a whole
+// (one slot per batch, so backpressure and shedding are whole-batch),
+// merge it on this goroutine, and return the per-entry verdicts to
 // send back. keep is false when the connection should close after the
 // reply; nil verdicts mean the frame was unparseable and there is
 // nothing to answer. The entries alias the connection's read buffer;
-// that is safe because the reply is awaited — and the bytes fully
-// consumed — before the next ReadFrame.
-func (s *Server) handleBatch(tn *tenant, ag *agentState, payload []byte,
-	j *job, reply chan []fleetwire.BatchVerdict) (verdicts []fleetwire.BatchVerdict, keep bool) {
+// that is safe because the merge consumes the bytes before the next
+// ReadFrame.
+func (s *Server) handleBatch(tn *tenant, ag *agentState, payload []byte) (verdicts []fleetwire.BatchVerdict, keep bool) {
 	entries, err := fleetwire.ParseProfileBatch(payload)
 	if err != nil {
 		tn.corrupt.Add(1)
@@ -491,22 +469,21 @@ func (s *Server) handleBatch(tn *tenant, ag *agentState, payload []byte,
 	}
 	tn.batches.Add(1)
 	s.batchEntries.Observe(int64(len(entries)))
-	*j = job{t: tn, agent: ag, entries: entries, reply: reply}
-	if s.enqueue(j) {
-		// The worker always replies — shutdown drains the queue before
-		// the workers exit — so an admitted batch is always answered.
-		return <-reply, true
+	if s.admit() {
+		verdicts = s.processBatch(tn, ag, entries)
+		<-s.slots
+		return verdicts, true
 	}
-	code, msg := fleetwire.NackOverloaded, "ingest queue full"
+	code, msg := fleetwire.NackOverloaded, "admission slots full"
 	if s.isClosing() {
 		// Refused because the server is draining: explicit, retryable
 		// elsewhere, never merged.
 		code, msg = fleetwire.NackShuttingDown, "server draining"
 	} else {
-		// Whole-batch shed: the queue stayed full past the backpressure
-		// deadline, so every entry is counted dropped before the nack
-		// is attempted — the ledger can only over-report refusals,
-		// never under-report them.
+		// Whole-batch shed: every slot stayed taken past the
+		// backpressure deadline, so every entry is counted dropped
+		// before the nack is attempted — the ledger can only
+		// over-report refusals, never under-report them.
 		tn.shed.Add(uint64(len(entries)))
 	}
 	verdicts = make([]fleetwire.BatchVerdict, len(entries))
@@ -558,13 +535,14 @@ func isDataError(err error) bool {
 		errors.Is(err, fleetwire.ErrUnsupportedVersion)
 }
 
-// enqueue admits a job to the bounded queue: immediately if there is
-// room, otherwise holding the connection back (backpressure) up to
-// EnqueueWait. False means the profile was not admitted — shed, or
-// the server is draining.
-func (s *Server) enqueue(j *job) bool {
+// admit takes an admission slot: immediately if one is free, otherwise
+// holding the connection back (backpressure) up to EnqueueWait. True
+// means the caller holds a slot and must release it (<-s.slots) after
+// its merge; false means the batch was not admitted — shed, or the
+// server is draining.
+func (s *Server) admit() bool {
 	select {
-	case s.queue <- j:
+	case s.slots <- struct{}{}:
 		return true
 	default:
 	}
@@ -574,7 +552,7 @@ func (s *Server) enqueue(j *job) bool {
 	t := time.NewTimer(s.cfg.EnqueueWait)
 	defer t.Stop()
 	select {
-	case s.queue <- j:
+	case s.slots <- struct{}{}:
 		return true
 	case <-t.C:
 		return false
@@ -583,37 +561,28 @@ func (s *Server) enqueue(j *job) bool {
 	}
 }
 
-// worker merges admitted batches. Each runs through processBatch,
-// where the dedup check, the merge and the ledger commit are one
-// atomic step under the agent's lock, so a profile can never merge
-// twice no matter how it was re-sent.
-func (s *Server) worker() {
-	defer s.workerWG.Done()
-	for j := range s.queue {
-		j.reply <- s.processBatch(j)
-	}
-}
-
-// processBatch applies one batch job: every entry in sequence order
-// under the agent lock. An entry at or below the agent's watermark is
-// a duplicate; otherwise it decodes straight into interned form
-// (profstore.LoadInterned) and feeds the aggregator as integer rows —
-// the wire path never materializes a string-keyed profile. A bad entry
-// is refused and skipped without advancing the watermark for it —
-// later entries still merge (their higher seqs then advance the ledger
-// past the refused one, which is sound: BadProfile is permanent,
-// re-sending the same bytes could never succeed).
-func (s *Server) processBatch(j *job) []fleetwire.BatchVerdict {
-	verdicts := make([]fleetwire.BatchVerdict, 0, len(j.entries))
+// processBatch applies one admitted batch: every entry in sequence
+// order under the agent lock, so the dedup check, the merge and the
+// ledger commit are one atomic step and a profile can never merge
+// twice no matter how it was re-sent. An entry at or below the agent's
+// watermark is a duplicate; otherwise it decodes straight into
+// interned form (profstore.LoadInterned) and feeds the aggregator as
+// integer rows — the wire path never materializes a string-keyed
+// profile. A bad entry is refused and skipped without advancing the
+// watermark for it — later entries still merge (their higher seqs then
+// advance the ledger past the refused one, which is sound: BadProfile
+// is permanent, re-sending the same bytes could never succeed).
+func (s *Server) processBatch(t *tenant, ag *agentState, entries []fleetwire.BatchEntry) []fleetwire.BatchVerdict {
+	verdicts := make([]fleetwire.BatchVerdict, 0, len(entries))
 	var merged, dups, rejected uint64
 	var maxMergedEpoch uint64
-	j.agent.mu.Lock()
-	for i := range j.entries {
-		e := &j.entries[i]
+	ag.mu.Lock()
+	for i := range entries {
+		e := &entries[i]
 		if s.cfg.testIngestDelay > 0 {
 			time.Sleep(s.cfg.testIngestDelay)
 		}
-		if e.Seq <= j.agent.lastSeq {
+		if e.Seq <= ag.lastSeq {
 			dups++
 			verdicts = append(verdicts, fleetwire.BatchVerdict{Seq: e.Seq, Status: fleetwire.BatchDuplicate})
 			continue
@@ -625,22 +594,22 @@ func (s *Server) processBatch(j *job) []fleetwire.BatchVerdict {
 				Status: fleetwire.BatchNacked, Code: fleetwire.NackBadProfile, Msg: err.Error()})
 			continue
 		}
-		ent := j.t.acquireEpoch(e.Epoch)
+		ent := t.acquireEpoch(e.Epoch)
 		ent.agg.IngestInterned(in)
-		j.t.releaseEpoch(ent)
-		j.agent.lastSeq = e.Seq
+		t.releaseEpoch(ent)
+		ag.lastSeq = e.Seq
 		merged++
 		if e.Epoch > maxMergedEpoch {
 			maxMergedEpoch = e.Epoch
 		}
 		verdicts = append(verdicts, fleetwire.BatchVerdict{Seq: e.Seq, Status: fleetwire.BatchMerged})
 	}
-	j.agent.mu.Unlock()
-	j.t.merged.Add(merged)
-	j.t.duplicates.Add(dups)
-	j.t.rejected.Add(rejected)
+	ag.mu.Unlock()
+	t.merged.Add(merged)
+	t.duplicates.Add(dups)
+	t.rejected.Add(rejected)
 	if merged > 0 {
-		s.roll(j.t, maxMergedEpoch)
+		s.roll(t, maxMergedEpoch)
 	}
 	return verdicts
 }
@@ -656,8 +625,8 @@ type TenantStats struct {
 	// the retry path's acks that preserve exactly-once.
 	Duplicates uint64
 	// Shed counts profiles refused with NackOverloaded — load the
-	// bounded queue explicitly dropped. The ingest-tier analogue of
-	// the collector's LostEBS/LostLBR.
+	// bounded admission explicitly dropped. The ingest-tier analogue
+	// of the collector's LostEBS/LostLBR.
 	Shed uint64
 	// Rejected counts profiles refused with NackBadProfile
 	// (unloadable payload bytes inside an intact frame).
@@ -726,12 +695,13 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
-// Shutdown drains and stops the server: the listener closes, live
+// Shutdown drains and stops the server: the listener closes and live
 // connections finish the frame they are processing (admitted profiles
-// are merged and acked), the ingest queue drains, and only then do
-// the workers exit. Returns nil on a clean drain, or ctx.Err() if the
-// context expired first (connections are then force-closed, but the
-// queue still drains — merged state is never abandoned mid-merge).
+// are merged and acked); once every connection has returned, no merge
+// is in flight anywhere. Returns nil on a clean drain, or ctx.Err() if
+// the context expired first (connections are then force-closed, but a
+// merge already under way still completes before its connection
+// returns — merged state is never abandoned mid-merge).
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.stopOnce.Do(func() {
 		close(s.closing)
@@ -739,8 +709,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		go func() {
 			s.acceptWG.Wait()
 			s.connWG.Wait()
-			close(s.queue)
-			s.workerWG.Wait()
 			close(s.done)
 		}()
 		// Nudge loop: parked frame reads re-arm their deadlines, so
@@ -770,8 +738,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // Close force-stops the server without waiting for connections to
-// finish politely; the ingest queue still drains so no admitted
-// profile is half-merged.
+// finish politely; a merge already under way still completes, so no
+// admitted profile is half-merged.
 func (s *Server) Close() error {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"hbbp/internal/profstore"
+	"hbbp/internal/telemetry"
 )
 
 // testProfile builds a small canonical profile whose content is a
@@ -394,5 +395,63 @@ func TestStatsSorted(t *testing.T) {
 		if got := st.Tenants[i].Epochs; len(got) != 3 || got[0] != 2 || got[1] != 5 || got[2] != 9 {
 			t.Fatalf("epoch order = %v, want [2 5 9]", got)
 		}
+	}
+}
+
+// TestQueueBoundsAdmittedBatches pins the admission bound: Queue counts
+// batches admitted and still merging, so with one slot taken by a slow
+// merge a second agent is shed at once instead of waiting behind it,
+// and the depth gauge reads the merging batch, not zero.
+func TestQueueBoundsAdmittedBatches(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	s := startServer(t, Config{
+		Queue:           1,
+		EnqueueWait:     -1,
+		testIngestDelay: 200 * time.Millisecond,
+		Telemetry:       reg,
+	})
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(7))
+	dial := func(agent string, attempts int) *Client {
+		t.Helper()
+		c, err := Dial(ctx, s.Addr().String(), ClientConfig{Tenant: "acme", Agent: agent, MaxAttempts: attempts})
+		if err != nil {
+			t.Fatalf("dial %s: %v", agent, err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	depth := func() float64 {
+		for _, m := range reg.Snapshot() {
+			if m.Name == "hbbp_fleetserver_queue_depth" {
+				return m.Value
+			}
+		}
+		t.Fatal("hbbp_fleetserver_queue_depth not registered")
+		return 0
+	}
+
+	a := dial("host-a", 0)
+	pa := testProfile(rng, "gcc")
+	aDone := make(chan error, 1)
+	go func() { aDone <- a.Send(ctx, 1, pa) }()
+
+	for deadline := time.Now().Add(2 * time.Second); depth() != 1; {
+		if time.Now().After(deadline) {
+			t.Fatalf("queue depth never read 1 while agent A's batch merged (last %v)", depth())
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	b := dial("host-b", 1)
+	if err := b.Send(ctx, 1, testProfile(rng, "gcc")); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("agent B send with the only slot taken = %v, want ErrOverloaded", err)
+	}
+	if err := <-aDone; err != nil {
+		t.Fatalf("agent A send: %v", err)
+	}
+	ts := tenantStats(t, s, "acme")
+	if ts.Merged != 1 || ts.Shed != 1 {
+		t.Fatalf("tenant ledger = %+v, want 1 merged and 1 shed", ts)
 	}
 }

@@ -417,7 +417,7 @@ func ParseWelcome(p []byte) (Welcome, error) {
 type NackCode uint8
 
 const (
-	// NackOverloaded: the ingest queue stayed full past the
+	// NackOverloaded: every admission slot stayed taken past the
 	// backpressure deadline; the profile was shed and counted in the
 	// tenant's drop counters. Retryable.
 	NackOverloaded NackCode = 1

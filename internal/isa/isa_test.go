@@ -104,22 +104,6 @@ func TestExtMembership(t *testing.T) {
 	}
 }
 
-func TestByExtCoversAll(t *testing.T) {
-	total := 0
-	for _, e := range []Ext{Base, X87, SSE, AVX} {
-		ops := ByExt(e)
-		total += len(ops)
-		for _, op := range ops {
-			if op.Info().Ext != e {
-				t.Errorf("ByExt(%v) returned %v of ext %v", e, op, op.Info().Ext)
-			}
-		}
-	}
-	if total != NumOps {
-		t.Errorf("extension partitions cover %d ops, want %d", total, NumOps)
-	}
-}
-
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	ops := All()
 	code := Encode(ops)
@@ -198,17 +182,16 @@ func TestDecodeErrors(t *testing.T) {
 }
 
 func TestMemoryAccessTaxonomy(t *testing.T) {
-	tax := MemoryAccess()
-	if got := tax.Classify(XCHG); got != "READ_WRITE" {
+	if got := MemoryAccess(XCHG); got != "READ_WRITE" {
 		t.Errorf("XCHG: %q", got)
 	}
-	if got := tax.Classify(POP); got != "READ" {
+	if got := MemoryAccess(POP); got != "READ" {
 		t.Errorf("POP: %q", got)
 	}
-	if got := tax.Classify(PUSH); got != "WRITE" {
+	if got := MemoryAccess(PUSH); got != "WRITE" {
 		t.Errorf("PUSH: %q", got)
 	}
-	if got := tax.Classify(ADD); got != "NO_MEM" {
+	if got := MemoryAccess(ADD); got != "NO_MEM" {
 		t.Errorf("ADD: %q", got)
 	}
 }

@@ -2,7 +2,6 @@ package isa
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Op identifies one instruction in the table. The zero value is invalid,
@@ -333,18 +332,5 @@ func All() []Op {
 	for op := Op(1); op < numOps; op++ {
 		ops = append(ops, op)
 	}
-	return ops
-}
-
-// ByExt returns the opcodes belonging to the given ISA extension, sorted
-// by mnemonic for deterministic iteration.
-func ByExt(e Ext) []Op {
-	var ops []Op
-	for op := Op(1); op < numOps; op++ {
-		if infoTable[op].Ext == e {
-			ops = append(ops, op)
-		}
-	}
-	sort.Slice(ops, func(i, j int) bool { return ops[i].String() < ops[j].String() })
 	return ops
 }

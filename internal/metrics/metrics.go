@@ -93,34 +93,3 @@ func AvgWeightedError(ref, measured Mix) float64 {
 	})
 	return sum
 }
-
-// PerMnemonicErrors returns Error(M) for every mnemonic in the
-// reference.
-func PerMnemonicErrors(ref, measured Mix) map[isa.Op]float64 {
-	out := make(map[isa.Op]float64, len(ref))
-	for op, vref := range ref {
-		out[op] = Error(vref, measured[op])
-	}
-	return out
-}
-
-// WeightedBBECError aggregates per-block errors the same way the
-// mnemonic metric does, weighting each block's relative error by its
-// share of reference retirements (executions x block length). It is the
-// metric used to compare raw estimators at the BBEC level and to build
-// training labels.
-func WeightedBBECError(ref []uint64, lens []int, measured []float64) float64 {
-	var totalInsts float64
-	for id, r := range ref {
-		totalInsts += float64(r) * float64(lens[id])
-	}
-	if totalInsts == 0 {
-		return 0
-	}
-	var sum float64
-	for id, r := range ref {
-		w := float64(r) * float64(lens[id]) / totalInsts
-		sum += Error(float64(r), measured[id]) * w
-	}
-	return sum
-}

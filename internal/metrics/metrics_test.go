@@ -49,18 +49,6 @@ func TestAvgWeightedError(t *testing.T) {
 	}
 }
 
-func TestPerMnemonicErrors(t *testing.T) {
-	ref := Mix{isa.MOV: 100, isa.ADD: 200}
-	meas := Mix{isa.MOV: 150}
-	errs := PerMnemonicErrors(ref, meas)
-	if math.Abs(errs[isa.MOV]-0.5) > 1e-12 {
-		t.Errorf("MOV error = %v", errs[isa.MOV])
-	}
-	if errs[isa.ADD] != 1 {
-		t.Errorf("ADD error = %v, want 1 (missing)", errs[isa.ADD])
-	}
-}
-
 func TestMixTotalAndTopN(t *testing.T) {
 	m := Mix{isa.MOV: 50, isa.ADD: 100, isa.SUB: 25}
 	if m.Total() != 175 {
@@ -78,21 +66,6 @@ func TestMixTotalAndTopN(t *testing.T) {
 	a := tie.TopN(3)
 	if a[0] != isa.AND || a[1] != isa.OR || a[2] != isa.XOR {
 		t.Errorf("tie order = %v", a)
-	}
-}
-
-func TestWeightedBBECError(t *testing.T) {
-	ref := []uint64{100, 100}
-	lens := []int{1, 9}
-	// Block 0 exact, block 1 off by 50%: weights 100 vs 900.
-	meas := []float64{100, 50}
-	got := WeightedBBECError(ref, lens, meas)
-	want := 0.5 * 900 / 1000
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("WeightedBBECError = %v, want %v", got, want)
-	}
-	if WeightedBBECError([]uint64{0}, []int{5}, []float64{0}) != 0 {
-		t.Error("all-zero reference should give 0")
 	}
 }
 
