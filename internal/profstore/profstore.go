@@ -36,6 +36,7 @@ package profstore
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // Ring is the privilege level a block executes in, mirroring the
@@ -268,115 +269,167 @@ func workloadKeyLess(a, b *WorkloadWeight) bool { return a.Name < b.Name }
 // bit: Merge(a, b, c), Merge(Merge(a, b), c) and Merge(a, Merge(c, b))
 // are identical, Merge(p) of a canonical p returns an equal profile,
 // and Merge() returns the empty profile (the merge identity). Nil
-// arguments are ignored.
+// arguments are ignored. The result never shares memory with an input
+// or with another result, so callers may retain or mutate it freely.
 //
 // Inputs that are not canonical are canonicalized first; the canonical
-// inputs then meet in a pairwise tournament of linear two-way merges,
-// each round halving the count, so k inputs of n rows cost
-// O(n log k) key comparisons.
+// inputs then meet in a balanced pairwise tournament of linear two-way
+// merges, so k inputs of n rows cost O(n log k) key comparisons and
+// equal keys are summed as soon as two inputs meet. The tournament runs
+// depth-first, as a binary counter: each input is pushed as a level-0
+// partial, two partials of equal level merge into one of the next
+// level, and the partials left when the inputs run out (strictly
+// decreasing in level) fold from the smallest up. Every two-way merge
+// writes into a scratch profile from a package-level pool, and each
+// intermediate goes back to the pool once it has been merged into its
+// parent, so steady-state merges allocate only their result: one
+// exact-size copy out of the last scratch profile.
 func Merge(profiles ...*Profile) *Profile {
-	round := make([]*Profile, 0, len(profiles))
+	// The stack holds at most one partial per level plus the one being
+	// pushed; 64 levels cover any fan-in an int can count.
+	var stack [64]partial
+	n, inputs := 0, 0
 	for _, p := range profiles {
 		if p == nil {
 			continue
 		}
+		inputs++
+		top := partial{p: p}
 		if !isCanonical(p) {
-			p = canonicalize(p)
+			top = partial{p: canonicalize(p), owned: true}
 		}
-		round = append(round, p)
+		for n > 0 && stack[n-1].level == top.level {
+			n--
+			top = mergePartials(stack[n], top)
+		}
+		stack[n] = top
+		n++
 	}
-	switch len(round) {
-	case 0:
+	switch {
+	case inputs == 0:
 		return &Profile{}
-	case 1:
-		return round[0].Clone()
+	case inputs == 1 && stack[0].owned:
+		// A canonicalized copy is already the caller's own.
+		return stack[0].p
+	case inputs == 1:
+		return stack[0].p.Clone()
 	}
-	for len(round) > 1 {
-		// next reuses round's array: slot i/2 is written only after
-		// slots i and i+1 were read.
-		next := round[:0]
-		for i := 0; i+1 < len(round); i += 2 {
-			next = append(next, merge2Canonical(round[i], round[i+1]))
-		}
-		if len(round)%2 == 1 {
-			next = append(next, round[len(round)-1])
-		}
-		round = next
+	top := stack[n-1]
+	for i := n - 2; i >= 0; i-- {
+		top = mergePartials(stack[i], top)
 	}
-	return round[0]
+	out := top.p.Clone()
+	scratch.Put(top.p)
+	return out
 }
 
-// merge2Canonical merges two canonical profiles with linear two-pointer
-// walks over string keys — no symbol table, one allocation per section.
-func merge2Canonical(a, b *Profile) *Profile {
-	out := &Profile{}
-	if n := len(a.Workloads) + len(b.Workloads); n > 0 {
-		out.Workloads = make([]WorkloadWeight, 0, n)
-		i, j := 0, 0
-		for i < len(a.Workloads) && j < len(b.Workloads) {
-			switch {
-			case a.Workloads[i].Name < b.Workloads[j].Name:
-				out.Workloads = append(out.Workloads, a.Workloads[i])
-				i++
-			case b.Workloads[j].Name < a.Workloads[i].Name:
-				out.Workloads = append(out.Workloads, b.Workloads[j])
-				j++
-			default:
-				w := a.Workloads[i]
-				w.Runs += b.Workloads[j].Runs
-				out.Workloads = append(out.Workloads, w)
-				i++
-				j++
-			}
-		}
-		out.Workloads = append(out.Workloads, a.Workloads[i:]...)
-		out.Workloads = append(out.Workloads, b.Workloads[j:]...)
+// partial is one node of Merge's tournament: a canonical profile, the
+// tournament level it stands for (log2 of the inputs it covers when
+// they pair evenly), and whether Merge owns it — a scratch profile or
+// a canonicalized copy, either of which may be recycled once merged.
+type partial struct {
+	p     *Profile
+	level int
+	owned bool
+}
+
+// scratch recycles Merge's intermediate profiles across calls. Pooled
+// profiles are never handed out: every result is copied out of them.
+var scratch = sync.Pool{New: func() any { return new(Profile) }}
+
+// mergePartials merges a and b into a fresh scratch profile one level
+// above a, and returns the inputs Merge owns to the pool.
+func mergePartials(a, b partial) partial {
+	dst := scratch.Get().(*Profile)
+	merge2Into(dst, a.p, b.p)
+	if a.owned {
+		scratch.Put(a.p)
 	}
-	if n := len(a.Blocks) + len(b.Blocks); n > 0 {
-		out.Blocks = make([]Block, 0, n)
-		i, j := 0, 0
-		for i < len(a.Blocks) && j < len(b.Blocks) {
-			switch {
-			case blockKeyLess(&a.Blocks[i], &b.Blocks[j]):
-				out.Blocks = append(out.Blocks, a.Blocks[i])
-				i++
-			case blockKeyLess(&b.Blocks[j], &a.Blocks[i]):
-				out.Blocks = append(out.Blocks, b.Blocks[j])
-				j++
-			default:
-				blk := a.Blocks[i]
-				blk.Count += b.Blocks[j].Count
-				out.Blocks = append(out.Blocks, blk)
-				i++
-				j++
-			}
-		}
-		out.Blocks = append(out.Blocks, a.Blocks[i:]...)
-		out.Blocks = append(out.Blocks, b.Blocks[j:]...)
+	if b.owned {
+		scratch.Put(b.p)
 	}
-	if n := len(a.Ops) + len(b.Ops); n > 0 {
-		out.Ops = make([]OpMass, 0, n)
-		i, j := 0, 0
-		for i < len(a.Ops) && j < len(b.Ops) {
-			switch {
-			case opKeyLess(&a.Ops[i], &b.Ops[j]):
-				out.Ops = append(out.Ops, a.Ops[i])
-				i++
-			case opKeyLess(&b.Ops[j], &a.Ops[i]):
-				out.Ops = append(out.Ops, b.Ops[j])
-				j++
-			default:
-				o := a.Ops[i]
-				o.Mass += b.Ops[j].Mass
-				out.Ops = append(out.Ops, o)
-				i++
-				j++
-			}
-		}
-		out.Ops = append(out.Ops, a.Ops[i:]...)
-		out.Ops = append(out.Ops, b.Ops[j:]...)
+	return partial{p: dst, level: a.level + 1, owned: true}
+}
+
+// merge2Into merges two canonical profiles into dst with linear
+// two-pointer walks over string keys, overwriting dst's sections in
+// place. A section's backing array is replaced only when its capacity
+// is below len(a)+len(b), the most rows the merge can produce, so a
+// recycled dst allocates nothing once it has grown; a section both
+// inputs leave empty is truncated and never allocated, so a fresh dst
+// keeps it nil. dst must alias neither input.
+func merge2Into(dst, a, b *Profile) {
+	ws := dst.Workloads[:0]
+	if n := len(a.Workloads) + len(b.Workloads); cap(ws) < n {
+		ws = make([]WorkloadWeight, 0, n)
 	}
-	return out
+	i, j := 0, 0
+	for i < len(a.Workloads) && j < len(b.Workloads) {
+		switch {
+		case a.Workloads[i].Name < b.Workloads[j].Name:
+			ws = append(ws, a.Workloads[i])
+			i++
+		case b.Workloads[j].Name < a.Workloads[i].Name:
+			ws = append(ws, b.Workloads[j])
+			j++
+		default:
+			w := a.Workloads[i]
+			w.Runs += b.Workloads[j].Runs
+			ws = append(ws, w)
+			i++
+			j++
+		}
+	}
+	ws = append(ws, a.Workloads[i:]...)
+	dst.Workloads = append(ws, b.Workloads[j:]...)
+
+	bs := dst.Blocks[:0]
+	if n := len(a.Blocks) + len(b.Blocks); cap(bs) < n {
+		bs = make([]Block, 0, n)
+	}
+	i, j = 0, 0
+	for i < len(a.Blocks) && j < len(b.Blocks) {
+		switch {
+		case blockKeyLess(&a.Blocks[i], &b.Blocks[j]):
+			bs = append(bs, a.Blocks[i])
+			i++
+		case blockKeyLess(&b.Blocks[j], &a.Blocks[i]):
+			bs = append(bs, b.Blocks[j])
+			j++
+		default:
+			blk := a.Blocks[i]
+			blk.Count += b.Blocks[j].Count
+			bs = append(bs, blk)
+			i++
+			j++
+		}
+	}
+	bs = append(bs, a.Blocks[i:]...)
+	dst.Blocks = append(bs, b.Blocks[j:]...)
+
+	ops := dst.Ops[:0]
+	if n := len(a.Ops) + len(b.Ops); cap(ops) < n {
+		ops = make([]OpMass, 0, n)
+	}
+	i, j = 0, 0
+	for i < len(a.Ops) && j < len(b.Ops) {
+		switch {
+		case opKeyLess(&a.Ops[i], &b.Ops[j]):
+			ops = append(ops, a.Ops[i])
+			i++
+		case opKeyLess(&b.Ops[j], &a.Ops[i]):
+			ops = append(ops, b.Ops[j])
+			j++
+		default:
+			o := a.Ops[i]
+			o.Mass += b.Ops[j].Mass
+			ops = append(ops, o)
+			i++
+			j++
+		}
+	}
+	ops = append(ops, a.Ops[i:]...)
+	dst.Ops = append(ops, b.Ops[j:]...)
 }
 
 // isCanonical reports whether p is already in canonical form: every

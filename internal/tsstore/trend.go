@@ -137,6 +137,10 @@ func (s *Series) Trend(opts TrendOptions) (*TrendReport, error) {
 		}
 		sl[wi] = share
 	}
+	// names holds each (unit, module, function)'s rendered name, built
+	// once per scan rather than once per block.
+	type fnKey struct{ unit, module, function string }
+	names := make(map[fnKey]string)
 	for wi, w := range tail {
 		opTotal := float64(w.prof.TotalMass())
 		if opTotal > 0 {
@@ -149,10 +153,30 @@ func (s *Series) Trend(opts TrendOptions) (*TrendReport, error) {
 			blockTotal += float64(w.prof.Blocks[i].Mass())
 		}
 		if blockTotal > 0 {
+			// Function mass sums by rendered name, so two triples that
+			// render alike still share one entry. A canonical window
+			// sorts a function's blocks together, so each run of blocks
+			// with one key reads and writes its map entry once; the
+			// additions happen in block order either way, keeping every
+			// sum bit-identical to one map update per block.
 			fn := make(map[string]float64)
-			for i := range w.prof.Blocks {
+			for i := 0; i < len(w.prof.Blocks); {
 				b := &w.prof.Blocks[i]
-				fn[fmt.Sprintf("%s/%s.%s", b.Unit, b.Module, b.Function)] += float64(b.Mass())
+				key := fnKey{b.Unit, b.Module, b.Function}
+				name, ok := names[key]
+				if !ok {
+					name = b.Unit + "/" + b.Module + "." + b.Function
+					names[key] = name
+				}
+				mass := fn[name]
+				for ; i < len(w.prof.Blocks); i++ {
+					b = &w.prof.Blocks[i]
+					if b.Function != key.function || b.Module != key.module || b.Unit != key.unit {
+						break
+					}
+					mass += float64(b.Mass())
+				}
+				fn[name] = mass
 			}
 			for name, mass := range fn {
 				at(seriesKey{TrendFunction, name, 0}, wi, mass/blockTotal)

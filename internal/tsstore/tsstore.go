@@ -107,10 +107,11 @@ func (s *Series) At(i int) (*profstore.Profile, Span) {
 
 // Clone returns a deep-enough copy: the window list is copied, the
 // profiles are shared. Safe because every mutation path in this
-// package replaces a window's profile (profstore.Merge allocates a
-// fresh result) rather than editing it in place, and queries only
-// read — so callers like fleetserver clone under a lock and query the
-// clone outside it.
+// package replaces a window's profile rather than editing it in place,
+// the replacement is profstore.Merge's result (which it copies out of
+// its pooled scratch, so it shares memory with no later merge), and
+// queries only read — so callers like fleetserver clone under a lock
+// and query the clone outside it.
 func (s *Series) Clone() *Series {
 	return &Series{windows: append([]window(nil), s.windows...)}
 }
