@@ -68,6 +68,15 @@ func (s *Server) roll(t *tenant, epoch uint64) {
 // aggregator). Live epochs outside the range are left alone, so a
 // query pays only for the epochs it can see. An unknown tenant yields
 // an empty series. Every read goes through here.
+//
+// Only the clone and the list of in-range aggregators are taken under
+// the tenant lock; the snapshots (each a copy and a sort) run after it
+// is released, so a read never blocks the writers' rolls. That counts
+// nothing twice and drops no acked profile: under the lock each acked
+// profile sits either in the series (so in the clone) or in a live
+// aggregator (so in the list); an aggregator that rolls after the lock
+// is released rolls into the tenant's series, not into the clone; and
+// a rolled aggregator takes no further merges.
 func (s *Server) view(tenantName string, since, until uint64) *tsstore.Series {
 	s.mu.Lock()
 	t := s.tenants[tenantName]
@@ -75,13 +84,21 @@ func (s *Server) view(tenantName string, since, until uint64) *tsstore.Series {
 	if t == nil {
 		return &tsstore.Series{}
 	}
+	type liveEpoch struct {
+		epoch uint64
+		agg   *profstore.Aggregator
+	}
+	var live []liveEpoch
 	t.mu.Lock()
-	defer t.mu.Unlock()
 	out := t.series.Clone()
 	for e, ent := range t.epochs {
 		if since <= e && e <= until {
-			out.AppendEpoch(e, ent.agg.Snapshot())
+			live = append(live, liveEpoch{e, ent.agg})
 		}
+	}
+	t.mu.Unlock()
+	for _, l := range live {
+		out.AppendEpoch(l.epoch, l.agg.Snapshot())
 	}
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"slices"
 	"sync"
+	"unique"
 )
 
 // Aggregator merges profiles online: many goroutines ingest while
@@ -25,9 +26,22 @@ import (
 // Because the maps accumulate the same integer masses Merge would, a
 // Snapshot is bit-identical to Merge over the same profiles — at any
 // ingestion parallelism, in any arrival order.
+//
+// The symbol table holds the process-wide canonical copy of each
+// string (unique.Make), taken once per new symbol, and the aggregator
+// keeps the handles it made for as long as it lives. So every
+// aggregator alive at once — a tenant's overlapping epochs — shares one
+// copy of each unit, module, function and mnemonic string, their
+// snapshots point at the same bytes, and the string compares of a
+// later merge of those snapshots return on the shared pointer instead
+// of comparing bytes. The handles are what keep the copy canonical
+// across epochs: without them the collector could drop it between one
+// epoch's aggregator and the next, and the next would intern a fresh
+// copy.
 type Aggregator struct {
 	mu        sync.Mutex
 	syms      symLookup // first-seen order; sorted at snapshot time
+	handles   []unique.Handle[string]
 	workloads map[uint32]uint64
 	blocks    map[aggBlockKey]uint64
 	ops       map[aggOpKey]uint64
@@ -80,7 +94,7 @@ func (a *Aggregator) IngestInterned(in *Interned) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	for _, s := range in.syms {
-		remap = append(remap, a.syms.id(s))
+		remap = append(remap, a.sym(s))
 	}
 	for _, w := range in.workloads {
 		a.workloads[remap[w.name]] += w.runs
@@ -96,6 +110,17 @@ func (a *Aggregator) IngestInterned(in *Interned) {
 		o := &in.ops[i]
 		a.ops[aggOpKey{mnemonic: remap[o.mnemonic], ring: o.ring}] += o.mass
 	}
+}
+
+// sym returns s's symbol ID, adding the canonical copy of s on a miss.
+// Called with a.mu held.
+func (a *Aggregator) sym(s string) uint32 {
+	if id, ok := a.syms.ids[s]; ok {
+		return id
+	}
+	h := unique.Make(s)
+	a.handles = append(a.handles, h)
+	return a.syms.id(h.Value())
 }
 
 // Snapshot returns the merged view of everything ingested so far, as a

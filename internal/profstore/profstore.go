@@ -34,8 +34,10 @@
 package profstore
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -261,6 +263,38 @@ func opKeyLess(a, b *OpMass) bool {
 	return a.Ring < b.Ring
 }
 
+// blockKeyCmp is blockKeyLess as a three-way compare: negative, zero or
+// positive as a orders before, equal to or after b. The merge kernel
+// walks its inputs with it, so a step makes one comparison, not two,
+// and each string field is compared once (strings.Compare returns at
+// once when two strings share their bytes).
+func blockKeyCmp(a, b *Block) int {
+	if c := strings.Compare(a.Unit, b.Unit); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.Module, b.Module); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.Function, b.Function); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Addr, b.Addr); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Ring, b.Ring); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Len, b.Len)
+}
+
+// opKeyCmp is blockKeyCmp for op masses.
+func opKeyCmp(a, b *OpMass) int {
+	if c := strings.Compare(a.Mnemonic, b.Mnemonic); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Ring, b.Ring)
+}
+
 func workloadKeyLess(a, b *WorkloadWeight) bool { return a.Name < b.Name }
 
 // Merge combines any number of profiles into one canonical profile.
@@ -272,19 +306,36 @@ func workloadKeyLess(a, b *WorkloadWeight) bool { return a.Name < b.Name }
 // arguments are ignored. The result never shares memory with an input
 // or with another result, so callers may retain or mutate it freely.
 //
-// Inputs that are not canonical are canonicalized first; the canonical
-// inputs then meet in a balanced pairwise tournament of linear two-way
-// merges, so k inputs of n rows cost O(n log k) key comparisons and
-// equal keys are summed as soon as two inputs meet. The tournament runs
-// depth-first, as a binary counter: each input is pushed as a level-0
-// partial, two partials of equal level merge into one of the next
-// level, and the partials left when the inputs run out (strictly
+// Merge is MergeCanonical after canonicalizing the inputs that need
+// it: each input is checked, and one that is not canonical is replaced
+// by a canonicalized copy before it enters the same tournament.
+func Merge(profiles ...*Profile) *Profile { return merge(profiles, false) }
+
+// MergeCanonical is Merge for inputs the caller knows to be canonical —
+// every section strictly ascending by key with no zero-mass row, which
+// every Profile this package returns is and which a series keeps for
+// each window it owns — so no input is re-checked. It returns the same
+// profile Merge would, under the same guarantees, with one precondition
+// moved to the caller: a non-canonical input (a hand-assembled or
+// since-mutated profile) is not detected, and the result is then
+// unspecified. Use Merge for profiles from elsewhere.
+//
+// The canonical inputs meet in a balanced pairwise tournament of linear
+// two-way merges, so k inputs of n rows cost O(n log k) key comparisons
+// and equal keys are summed as soon as two inputs meet. The tournament
+// runs depth-first, as a binary counter: each input is pushed as a
+// level-0 partial, two partials of equal level merge into one of the
+// next level, and the partials left when the inputs run out (strictly
 // decreasing in level) fold from the smallest up. Every two-way merge
 // writes into a scratch profile from a package-level pool, and each
 // intermediate goes back to the pool once it has been merged into its
 // parent, so steady-state merges allocate only their result: one
 // exact-size copy out of the last scratch profile.
-func Merge(profiles ...*Profile) *Profile {
+func MergeCanonical(profiles ...*Profile) *Profile { return merge(profiles, true) }
+
+// merge is the one tournament behind Merge and MergeCanonical; trusted
+// skips the per-input canonical check.
+func merge(profiles []*Profile, trusted bool) *Profile {
 	// The stack holds at most one partial per level plus the one being
 	// pushed; 64 levels cover any fan-in an int can count.
 	var stack [64]partial
@@ -295,7 +346,7 @@ func Merge(profiles ...*Profile) *Profile {
 		}
 		inputs++
 		top := partial{p: p}
-		if !isCanonical(p) {
+		if !trusted && !isCanonical(p) {
 			top = partial{p: canonicalize(p), owned: true}
 		}
 		for n > 0 && stack[n-1].level == top.level {
@@ -352,12 +403,13 @@ func mergePartials(a, b partial) partial {
 }
 
 // merge2Into merges two canonical profiles into dst with linear
-// two-pointer walks over string keys, overwriting dst's sections in
-// place. A section's backing array is replaced only when its capacity
-// is below len(a)+len(b), the most rows the merge can produce, so a
-// recycled dst allocates nothing once it has grown; a section both
-// inputs leave empty is truncated and never allocated, so a fresh dst
-// keeps it nil. dst must alias neither input.
+// two-pointer walks over string keys, one three-way key compare per
+// step, overwriting dst's sections in place. A section's backing array
+// is replaced only when its capacity is below len(a)+len(b), the most
+// rows the merge can produce, so a recycled dst allocates nothing once
+// it has grown; a section both inputs leave empty is truncated and
+// never allocated, so a fresh dst keeps it nil. dst must alias neither
+// input.
 func merge2Into(dst, a, b *Profile) {
 	ws := dst.Workloads[:0]
 	if n := len(a.Workloads) + len(b.Workloads); cap(ws) < n {
@@ -365,11 +417,11 @@ func merge2Into(dst, a, b *Profile) {
 	}
 	i, j := 0, 0
 	for i < len(a.Workloads) && j < len(b.Workloads) {
-		switch {
-		case a.Workloads[i].Name < b.Workloads[j].Name:
+		switch c := strings.Compare(a.Workloads[i].Name, b.Workloads[j].Name); {
+		case c < 0:
 			ws = append(ws, a.Workloads[i])
 			i++
-		case b.Workloads[j].Name < a.Workloads[i].Name:
+		case c > 0:
 			ws = append(ws, b.Workloads[j])
 			j++
 		default:
@@ -389,11 +441,11 @@ func merge2Into(dst, a, b *Profile) {
 	}
 	i, j = 0, 0
 	for i < len(a.Blocks) && j < len(b.Blocks) {
-		switch {
-		case blockKeyLess(&a.Blocks[i], &b.Blocks[j]):
+		switch c := blockKeyCmp(&a.Blocks[i], &b.Blocks[j]); {
+		case c < 0:
 			bs = append(bs, a.Blocks[i])
 			i++
-		case blockKeyLess(&b.Blocks[j], &a.Blocks[i]):
+		case c > 0:
 			bs = append(bs, b.Blocks[j])
 			j++
 		default:
@@ -413,11 +465,11 @@ func merge2Into(dst, a, b *Profile) {
 	}
 	i, j = 0, 0
 	for i < len(a.Ops) && j < len(b.Ops) {
-		switch {
-		case opKeyLess(&a.Ops[i], &b.Ops[j]):
+		switch c := opKeyCmp(&a.Ops[i], &b.Ops[j]); {
+		case c < 0:
 			ops = append(ops, a.Ops[i])
 			i++
-		case opKeyLess(&b.Ops[j], &a.Ops[i]):
+		case c > 0:
 			ops = append(ops, b.Ops[j])
 			j++
 		default:
@@ -440,7 +492,7 @@ func isCanonical(p *Profile) bool {
 		if p.Workloads[i].Runs == 0 {
 			return false
 		}
-		if i > 0 && p.Workloads[i-1].Name >= p.Workloads[i].Name {
+		if i > 0 && strings.Compare(p.Workloads[i-1].Name, p.Workloads[i].Name) >= 0 {
 			return false
 		}
 	}
@@ -448,7 +500,7 @@ func isCanonical(p *Profile) bool {
 		if p.Blocks[i].Count == 0 {
 			return false
 		}
-		if i > 0 && !blockKeyLess(&p.Blocks[i-1], &p.Blocks[i]) {
+		if i > 0 && blockKeyCmp(&p.Blocks[i-1], &p.Blocks[i]) >= 0 {
 			return false
 		}
 	}
@@ -456,7 +508,7 @@ func isCanonical(p *Profile) bool {
 		if p.Ops[i].Mass == 0 {
 			return false
 		}
-		if i > 0 && !opKeyLess(&p.Ops[i-1], &p.Ops[i]) {
+		if i > 0 && opKeyCmp(&p.Ops[i-1], &p.Ops[i]) >= 0 {
 			return false
 		}
 	}

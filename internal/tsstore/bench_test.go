@@ -3,6 +3,7 @@ package tsstore
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"hbbp/internal/profstore"
@@ -38,6 +39,50 @@ func BenchmarkSeriesWindow(b *testing.B) {
 			b.Fatal("empty query")
 		}
 	}
+}
+
+// BenchmarkSeriesWindowFromSnapshots is BenchmarkSeriesWindow on the
+// windows a fleet server's series holds: each epoch is one aggregator's
+// snapshot of stored payloads decoded with LoadInterned, and each
+// aggregator is made while the previous epoch's is still alive, as a
+// server's overlapping live epochs are. So the windows share their
+// symbol strings, where BenchmarkSeriesWindow's are freshly formatted
+// per epoch.
+func BenchmarkSeriesWindowFromSnapshots(b *testing.B) {
+	rng := rand.New(rand.NewSource(2))
+	payloads := make([][]byte, 8)
+	for i := range payloads {
+		data, err := profstore.AppendSave(nil, epochProfileBench(rng))
+		if err != nil {
+			b.Fatal(err)
+		}
+		payloads[i] = data
+	}
+	var s Series
+	var prev *profstore.Aggregator
+	for e := uint64(0); e < 256; e++ {
+		agg := profstore.NewAggregator()
+		for k := 0; k < 4; k++ {
+			in, err := profstore.LoadInterned(payloads[rng.Intn(len(payloads))])
+			if err != nil {
+				b.Fatal(err)
+			}
+			agg.IngestInterned(in)
+		}
+		s.AppendEpoch(e, agg.Snapshot())
+		s.Downsample(DefaultRetention(), e)
+		prev = agg
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, _ := s.Window(64, 255)
+		if len(p.Ops) == 0 {
+			b.Fatal("empty query")
+		}
+	}
+	b.StopTimer()
+	runtime.KeepAlive(prev)
 }
 
 // BenchmarkSeriesDownsample measures folding 256 raw epochs through

@@ -110,7 +110,8 @@ func ParseRetention(spec string) (Retention, error) {
 // Downsample applies the retention ladder to the series given the
 // newest completed epoch. Windows older than a level's keep horizon
 // fold into that level's width-aligned buckets — each fold is one
-// profstore.Merge of whole windows, so the series' merged content is
+// profstore.MergeCanonical of whole windows (canonical, as every
+// window the series holds is), so the series' merged content is
 // unchanged down to the bit, only its granularity coarsens. Returns
 // the number of merges performed (0 means the series already conformed
 // to the ladder). Folding only ever coarsens: epochs inside the raw
@@ -193,7 +194,7 @@ func (s *Series) foldLevel(width, horizon uint64) int {
 		}
 		out = append(out, window{
 			span: Span{Start: w.span.Start, End: s.windows[j-1].span.End},
-			prof: profstore.Merge(profs...),
+			prof: profstore.MergeCanonical(profs...),
 		})
 		folds++
 		i = j

@@ -108,10 +108,10 @@ func (s *Series) At(i int) (*profstore.Profile, Span) {
 // Clone returns a deep-enough copy: the window list is copied, the
 // profiles are shared. Safe because every mutation path in this
 // package replaces a window's profile rather than editing it in place,
-// the replacement is profstore.Merge's result (which it copies out of
-// its pooled scratch, so it shares memory with no later merge), and
-// queries only read — so callers like fleetserver clone under a lock
-// and query the clone outside it.
+// the replacement is a profstore.Merge or MergeCanonical result (which
+// it copies out of its pooled scratch, so it shares memory with no
+// later merge), and queries only read — so callers like fleetserver
+// clone under a lock and query the clone outside it.
 func (s *Series) Clone() *Series {
 	return &Series{windows: append([]window(nil), s.windows...)}
 }
@@ -133,9 +133,12 @@ func (s *Series) locate(e uint64) (int, bool) {
 // raw epoch receiving many per-run profiles, but a late arrival for an
 // epoch long since folded lands just as correctly — the profile merges
 // into that window; otherwise a new raw window [e, e] is inserted in
-// order. Nil profiles are ignored. The flat-merge invariant is
-// preserved either way: a query covering e always reflects every
-// profile ever appended at e.
+// order. The caller's profile goes through profstore.Merge, so it need
+// not be canonical, and every window stays canonical — the
+// precondition Window's and Downsample's MergeCanonical rely on. Nil
+// profiles are ignored. The flat-merge invariant is preserved either
+// way: a query covering e always reflects every profile ever appended
+// at e.
 func (s *Series) AppendEpoch(e uint64, p *profstore.Profile) {
 	if p == nil {
 		return
@@ -162,8 +165,10 @@ func (s *Series) AppendEpoch(e uint64, p *profstore.Profile) {
 // profile and no spans. since > until is a caller bug and returns the
 // same empty result.
 //
-// Window only reads the series, in one flat profstore.Merge of the
-// overlapping windows.
+// Window only reads the series, in one flat profstore.MergeCanonical
+// of the overlapping windows: every window holds a Merge or
+// MergeCanonical result or a window file Open decoded, each canonical,
+// so none is re-checked.
 func (s *Series) Window(since, until uint64) (*profstore.Profile, []Span) {
 	if since > until {
 		return &profstore.Profile{}, nil
@@ -186,7 +191,7 @@ func (s *Series) Window(since, until uint64) (*profstore.Profile, []Span) {
 		spans[k-i] = s.windows[k].span
 		profs[k-i] = s.windows[k].prof
 	}
-	return profstore.Merge(profs...), spans
+	return profstore.MergeCanonical(profs...), spans
 }
 
 // Merged returns the merge of the whole series — the flat fleet
