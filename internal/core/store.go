@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sort"
 
 	"hbbp/internal/isa"
 	"hbbp/internal/profstore"
@@ -32,6 +31,8 @@ func Capture(prof *Profile, unit string) *profstore.Profile {
 // (count times the op's occurrences in the block's live instruction
 // sequence), so the stored blocks and ops sections are exactly
 // consistent with each other and all later merging is integer-exact.
+// The rows leave sorted by profstore.Canonical, which states the
+// store's row order once for every producer.
 func CaptureCounts(p *program.Program, counts []float64, unit string) *profstore.Profile {
 	out := &profstore.Profile{
 		Workloads: []profstore.WorkloadWeight{{Name: unit, Runs: 1}},
@@ -75,15 +76,5 @@ func CaptureCounts(p *program.Program, counts []float64, unit string) *profstore
 	for k, mass := range perOp {
 		out.Ops = append(out.Ops, profstore.OpMass{Mnemonic: k.op.String(), Ring: k.ring, Mass: mass})
 	}
-	// Emit canonical form directly: block keys are unique here (one
-	// entry per block of a single unit) and the op map has already
-	// summed duplicates, so merge order is a sort away and the
-	// accumulator round-trip profstore.Canonical would do is skipped.
-	sort.Slice(out.Blocks, func(i, j int) bool {
-		return profstore.BlockKeyLess(&out.Blocks[i], &out.Blocks[j])
-	})
-	sort.Slice(out.Ops, func(i, j int) bool {
-		return profstore.OpKeyLess(&out.Ops[i], &out.Ops[j])
-	})
-	return out
+	return profstore.Canonical(out)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 
 	"hbbp/internal/collector"
@@ -72,6 +73,53 @@ func TestCaptureDeterministic(t *testing.T) {
 	a, b := Capture(prof, "test40"), Capture(prof, "test40")
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("Capture is not deterministic")
+	}
+}
+
+// TestCaptureIsCanonical pins the order of Capture's rows: on one
+// workload per shape, its sections equal a direct sort of the same rows
+// by the canonical key order, spelled out here field by field, and
+// Canonical leaves the capture unchanged.
+func TestCaptureIsCanonical(t *testing.T) {
+	for _, name := range []string{"test40", "kernel-prime", "fitter-avx"} {
+		got := Capture(captureProfile(t, name), name)
+		want := &profstore.Profile{
+			Workloads: append([]profstore.WorkloadWeight(nil), got.Workloads...),
+			Blocks:    append([]profstore.Block(nil), got.Blocks...),
+			Ops:       append([]profstore.OpMass(nil), got.Ops...),
+		}
+		sort.Slice(want.Blocks, func(i, j int) bool {
+			a, b := &want.Blocks[i], &want.Blocks[j]
+			switch {
+			case a.Unit != b.Unit:
+				return a.Unit < b.Unit
+			case a.Module != b.Module:
+				return a.Module < b.Module
+			case a.Function != b.Function:
+				return a.Function < b.Function
+			case a.Addr != b.Addr:
+				return a.Addr < b.Addr
+			case a.Ring != b.Ring:
+				return a.Ring < b.Ring
+			}
+			return a.Len < b.Len
+		})
+		sort.Slice(want.Ops, func(i, j int) bool {
+			a, b := &want.Ops[i], &want.Ops[j]
+			if a.Mnemonic != b.Mnemonic {
+				return a.Mnemonic < b.Mnemonic
+			}
+			return a.Ring < b.Ring
+		})
+		if len(got.Blocks) == 0 || len(got.Ops) == 0 {
+			t.Fatalf("%s: captured %d blocks and %d ops", name, len(got.Blocks), len(got.Ops))
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Capture's rows are not in canonical key order", name)
+		}
+		if !reflect.DeepEqual(got, profstore.Canonical(got)) {
+			t.Errorf("%s: Canonical changes the capture", name)
+		}
 	}
 }
 

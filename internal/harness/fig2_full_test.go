@@ -5,7 +5,8 @@ import "testing"
 // TestFigure2FullScale asserts the paper's headline ordering — HBBP's
 // suite-average weighted error beats both raw estimators' — at full
 // production sampling density. The fast-mode shape test tolerates more
-// noise; this one does not, at the cost of a ~2 minute runtime.
+// noise; this one does not. It runs in about 0.3 s (0.23-0.28 s over
+// three runs on a 2-vCPU Intel Xeon KVM host, go1.24.0).
 // Run with -short to skip.
 func TestFigure2FullScale(t *testing.T) {
 	if testing.Short() {

@@ -316,16 +316,6 @@ func nodeDepth(n *Node) int {
 	return l + 1
 }
 
-// NumLeaves returns the number of leaves.
-func (t *Tree) NumLeaves() int { return countLeaves(t.Root) }
-
-func countLeaves(n *Node) int {
-	if n.IsLeaf() {
-		return 1
-	}
-	return countLeaves(n.Left) + countLeaves(n.Right)
-}
-
 // Render returns a white-box text rendering of the tree in the style of
 // the paper's Figure 1: each node shows its split, Gini impurity and
 // training sample count, each leaf its class.

@@ -1,7 +1,6 @@
 package profstore
 
 import (
-	"cmp"
 	"slices"
 	"sync"
 	"unique"
@@ -152,7 +151,7 @@ func (a *Aggregator) Snapshot() *Profile {
 	// Keys are unique in the maps, so sorting the table and then the
 	// rows by index is all canonicalization needs.
 	in.sortSyms()
-	slices.SortFunc(in.workloads, func(x, y iWorkload) int { return cmp.Compare(x.name, y.name) })
+	slices.SortFunc(in.workloads, func(x, y iWorkload) int { return iWorkloadCmp(&x, &y) })
 	slices.SortFunc(in.blocks, func(x, y iBlock) int { return iBlockCmp(&x, &y) })
 	slices.SortFunc(in.ops, func(x, y iOp) int { return iOpCmp(&x, &y) })
 	return in.Profile()

@@ -399,29 +399,7 @@ func (in *Interned) isCanonicalInterned() bool {
 			return false
 		}
 	}
-	for i := range in.workloads {
-		if in.workloads[i].runs == 0 {
-			return false
-		}
-		if i > 0 && in.workloads[i-1].name >= in.workloads[i].name {
-			return false
-		}
-	}
-	for i := range in.blocks {
-		if in.blocks[i].count == 0 {
-			return false
-		}
-		if i > 0 && iBlockCmp(&in.blocks[i-1], &in.blocks[i]) >= 0 {
-			return false
-		}
-	}
-	for i := range in.ops {
-		if in.ops[i].mass == 0 {
-			return false
-		}
-		if i > 0 && iOpCmp(&in.ops[i-1], &in.ops[i]) >= 0 {
-			return false
-		}
-	}
-	return true
+	return ascending(in.workloads, iWorkloadCmp, func(w *iWorkload) *uint64 { return &w.runs }) &&
+		ascending(in.blocks, iBlockCmp, func(b *iBlock) *uint64 { return &b.count }) &&
+		ascending(in.ops, iOpCmp, func(o *iOp) *uint64 { return &o.mass })
 }

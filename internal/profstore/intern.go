@@ -1,6 +1,9 @@
 package profstore
 
-import "sort"
+import (
+	"cmp"
+	"sort"
+)
 
 // Interned is a canonical profile in index-keyed form: every unit,
 // module, function and mnemonic string lives once in a sorted, unique
@@ -44,9 +47,12 @@ type iOp struct {
 	mass     uint64
 }
 
-// iBlockCmp orders block rows canonically: because symbol IDs are
-// assigned in sorted-table order, integer ID comparison is string
-// comparison, and this is blockKeyLess on integers.
+// iWorkloadCmp, iBlockCmp and iOpCmp are the interned rows' canonical
+// order: because symbol IDs are assigned in sorted-table order, integer
+// ID comparison is string comparison, and these are workloadKeyCmp,
+// blockKeyCmp and opKeyCmp on integers.
+func iWorkloadCmp(a, b *iWorkload) int { return cmp.Compare(a.name, b.name) }
+
 func iBlockCmp(a, b *iBlock) int {
 	switch {
 	case a.unit != b.unit:
@@ -83,7 +89,6 @@ func iBlockCmp(a, b *iBlock) int {
 	return 0
 }
 
-// iOpCmp is iBlockCmp for op rows.
 func iOpCmp(a, b *iOp) int {
 	switch {
 	case a.mnemonic != b.mnemonic:

@@ -36,6 +36,7 @@ package profstore
 import (
 	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -86,13 +87,6 @@ type Block struct {
 // Mass returns the block's retired-instruction mass: executions times
 // instructions per execution.
 func (b *Block) Mass() uint64 { return b.Count * uint64(b.Len) }
-
-// key returns the block's merge identity (everything but Count).
-func (b *Block) key() Block {
-	k := *b
-	k.Count = 0
-	return k
-}
 
 // String identifies the block for diagnostics.
 func (b *Block) String() string {
@@ -166,12 +160,11 @@ func (p *Profile) RingMass(ring uint8) uint64 {
 // (count times length), ties broken by identity for determinism.
 func (p *Profile) TopBlocks(n int) []Block {
 	out := append([]Block(nil), p.Blocks...)
-	sort.SliceStable(out, func(i, j int) bool {
-		mi, mj := out[i].Mass(), out[j].Mass()
-		if mi != mj {
-			return mi > mj
+	slices.SortStableFunc(out, func(x, y Block) int {
+		if c := cmp.Compare(y.Mass(), x.Mass()); c != 0 {
+			return c
 		}
-		return blockKeyLess(&out[i], &out[j])
+		return blockKeyCmp(&x, &y)
 	})
 	if n > 0 && len(out) > n {
 		out = out[:n]
@@ -183,11 +176,11 @@ func (p *Profile) TopBlocks(n int) []Block {
 // broken by key.
 func (p *Profile) TopOps(n int) []OpMass {
 	out := append([]OpMass(nil), p.Ops...)
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Mass != out[j].Mass {
-			return out[i].Mass > out[j].Mass
+	slices.SortStableFunc(out, func(x, y OpMass) int {
+		if c := cmp.Compare(y.Mass, x.Mass); c != 0 {
+			return c
 		}
-		return opKeyLess(&out[i], &out[j])
+		return opKeyCmp(&x, &y)
 	})
 	if n > 0 && len(out) > n {
 		out = out[:n]
@@ -226,48 +219,11 @@ func (p *Profile) Weighted(times uint64) *Profile {
 	return out
 }
 
-// BlockKeyLess reports whether a orders before b in canonical form —
-// the block identity order Merge emits. Producers that build sections
-// already unique by key can sort with it and skip Merge's
-// canonicalizing sort.
-func BlockKeyLess(a, b *Block) bool { return blockKeyLess(a, b) }
-
-// OpKeyLess is BlockKeyLess for op-mass entries.
-func OpKeyLess(a, b *OpMass) bool { return opKeyLess(a, b) }
-
-// blockKeyLess orders blocks canonically by identity.
-func blockKeyLess(a, b *Block) bool {
-	if a.Unit != b.Unit {
-		return a.Unit < b.Unit
-	}
-	if a.Module != b.Module {
-		return a.Module < b.Module
-	}
-	if a.Function != b.Function {
-		return a.Function < b.Function
-	}
-	if a.Addr != b.Addr {
-		return a.Addr < b.Addr
-	}
-	if a.Ring != b.Ring {
-		return a.Ring < b.Ring
-	}
-	return a.Len < b.Len
-}
-
-// opKeyLess orders op masses canonically by key.
-func opKeyLess(a, b *OpMass) bool {
-	if a.Mnemonic != b.Mnemonic {
-		return a.Mnemonic < b.Mnemonic
-	}
-	return a.Ring < b.Ring
-}
-
-// blockKeyCmp is blockKeyLess as a three-way compare: negative, zero or
-// positive as a orders before, equal to or after b. The merge kernel
-// walks its inputs with it, so a step makes one comparison, not two,
-// and each string field is compared once (strings.Compare returns at
-// once when two strings share their bytes).
+// blockKeyCmp is the canonical block order: unit, module, function,
+// address, ring, then length; rows that compare 0 are one key. It is
+// three-way, so a merge step makes one comparison, not two, and each
+// string field is compared once (strings.Compare returns at once when
+// two strings share their bytes).
 func blockKeyCmp(a, b *Block) int {
 	if c := strings.Compare(a.Unit, b.Unit); c != 0 {
 		return c
@@ -287,7 +243,7 @@ func blockKeyCmp(a, b *Block) int {
 	return cmp.Compare(a.Len, b.Len)
 }
 
-// opKeyCmp is blockKeyCmp for op masses.
+// opKeyCmp is blockKeyCmp for op masses: mnemonic, then ring.
 func opKeyCmp(a, b *OpMass) int {
 	if c := strings.Compare(a.Mnemonic, b.Mnemonic); c != 0 {
 		return c
@@ -295,7 +251,14 @@ func opKeyCmp(a, b *OpMass) int {
 	return cmp.Compare(a.Ring, b.Ring)
 }
 
-func workloadKeyLess(a, b *WorkloadWeight) bool { return a.Name < b.Name }
+// workloadKeyCmp is blockKeyCmp for workload weights: by name.
+func workloadKeyCmp(a, b *WorkloadWeight) int { return strings.Compare(a.Name, b.Name) }
+
+// The mass of each row type: the field a merge sums over equal keys and
+// whose zero a canonical section never holds.
+func workloadRuns(w *WorkloadWeight) *uint64 { return &w.Runs }
+func blockCount(b *Block) *uint64            { return &b.Count }
+func opMass(o *OpMass) *uint64               { return &o.Mass }
 
 // Merge combines any number of profiles into one canonical profile.
 // Mass accounting is pure integer addition over canonical keys, so the
@@ -417,7 +380,7 @@ func merge2Into(dst, a, b *Profile) {
 	}
 	i, j := 0, 0
 	for i < len(a.Workloads) && j < len(b.Workloads) {
-		switch c := strings.Compare(a.Workloads[i].Name, b.Workloads[j].Name); {
+		switch c := workloadKeyCmp(&a.Workloads[i], &b.Workloads[j]); {
 		case c < 0:
 			ws = append(ws, a.Workloads[i])
 			i++
@@ -488,27 +451,19 @@ func merge2Into(dst, a, b *Profile) {
 // section strictly ascending in key order (which implies unique keys)
 // with no zero-mass entries.
 func isCanonical(p *Profile) bool {
-	for i := range p.Workloads {
-		if p.Workloads[i].Runs == 0 {
+	return ascending(p.Workloads, workloadKeyCmp, workloadRuns) &&
+		ascending(p.Blocks, blockKeyCmp, blockCount) &&
+		ascending(p.Ops, opKeyCmp, opMass)
+}
+
+// ascending is isCanonical for one section, of either representation:
+// rows strictly ascending under compare, none with zero mass.
+func ascending[T any](rows []T, compare func(a, b *T) int, mass func(*T) *uint64) bool {
+	for i := range rows {
+		if *mass(&rows[i]) == 0 {
 			return false
 		}
-		if i > 0 && strings.Compare(p.Workloads[i-1].Name, p.Workloads[i].Name) >= 0 {
-			return false
-		}
-	}
-	for i := range p.Blocks {
-		if p.Blocks[i].Count == 0 {
-			return false
-		}
-		if i > 0 && blockKeyCmp(&p.Blocks[i-1], &p.Blocks[i]) >= 0 {
-			return false
-		}
-	}
-	for i := range p.Ops {
-		if p.Ops[i].Mass == 0 {
-			return false
-		}
-		if i > 0 && opKeyCmp(&p.Ops[i-1], &p.Ops[i]) >= 0 {
+		if i > 0 && compare(&rows[i-1], &rows[i]) >= 0 {
 			return false
 		}
 	}
@@ -517,24 +472,27 @@ func isCanonical(p *Profile) bool {
 
 // canonicalize returns p in canonical form as a fresh profile: every
 // section sorted by key, duplicate keys summed, zero-mass rows
-// dropped. It is the package's one normalization: Merge, Canonical,
-// Intern and the decoder's fallback for foreign streams all use it.
+// dropped. It is the package's one normalization: Merge, Canonical
+// (and through it core.Capture), Intern and the decoder's fallback for
+// foreign streams all use it.
 func canonicalize(p *Profile) *Profile {
 	return &Profile{
-		Workloads: canonicalRows(p.Workloads, workloadKeyLess, func(w *WorkloadWeight) *uint64 { return &w.Runs }),
-		Blocks:    canonicalRows(p.Blocks, blockKeyLess, func(b *Block) *uint64 { return &b.Count }),
-		Ops:       canonicalRows(p.Ops, opKeyLess, func(o *OpMass) *uint64 { return &o.Mass }),
+		Workloads: canonicalRows(p.Workloads, workloadKeyCmp, workloadRuns),
+		Blocks:    canonicalRows(p.Blocks, blockKeyCmp, blockCount),
+		Ops:       canonicalRows(p.Ops, opKeyCmp, opMass),
 	}
 }
 
 // canonicalRows is canonicalize for one section: a sorted copy of rows
-// with duplicate keys summed and zero-mass results dropped.
-func canonicalRows[T any](rows []T, less func(x, y *T) bool, mass func(*T) *uint64) []T {
+// with duplicate keys (rows that compare 0) summed and zero-mass
+// results dropped.
+func canonicalRows[T any](rows []T, compare func(a, b *T) int, mass func(*T) *uint64) []T {
 	out := append([]T(nil), rows...)
-	sort.Slice(out, func(i, j int) bool { return less(&out[i], &out[j]) })
+	// Not slices.SortFunc: the row copies it compares escape to the heap.
+	sort.Slice(out, func(i, j int) bool { return compare(&out[i], &out[j]) < 0 })
 	n := 0
 	for i := range out {
-		if n > 0 && !less(&out[n-1], &out[i]) {
+		if n > 0 && compare(&out[n-1], &out[i]) == 0 {
 			*mass(&out[n-1]) += *mass(&out[i])
 			continue
 		}

@@ -63,12 +63,12 @@ func BenchmarkWorkloadConstructionParallel(b *testing.B) {
 	benchConstruction(b, runtime.GOMAXPROCS(0))
 }
 
-// BenchmarkBuildSnapshotReset measures the steady-state cost of
+// BenchmarkBuildMemoized measures the steady-state cost of
 // building one workload from an already-compiled, already-calibrated
 // registry entry — the path the planner leans on. No synthesis, no
 // calibration, no table derivation: a Build is a memo read plus one
 // Workload allocation.
-func BenchmarkBuildSnapshotReset(b *testing.B) {
+func BenchmarkBuildMemoized(b *testing.B) {
 	reg := NewRegistry()
 	for _, spec := range builtinSpecs() {
 		if err := reg.Register(spec); err != nil {
