@@ -54,7 +54,7 @@ func (s *Server) roll(t *tenant, epoch uint64) {
 		// Snapshot under t.mu: every new merge acquires the epoch via
 		// acquireEpoch, which also needs t.mu, so nothing can slip into
 		// this aggregator between the snapshot and the delete.
-		t.series.AppendEpoch(e, ent.agg.Snapshot())
+		t.series.AppendSnapshot(e, ent.agg)
 		rolled = true
 	}
 	if rolled {
@@ -69,9 +69,16 @@ func (s *Server) roll(t *tenant, epoch uint64) {
 // query pays only for the epochs it can see. An unknown tenant yields
 // an empty series. Every read goes through here.
 //
-// Only the clone and the list of in-range aggregators are taken under
-// the tenant lock; the snapshots (each a copy and a sort) run after it
-// is released, so a read never blocks the writers' rolls. That counts
+// Under the tenant lock, view indexes the rolled windows in
+// [since, until] on the tenant's own series (tsstore.Series.Index:
+// only windows an append or a fold changed since the last query cost
+// anything, one linear align each), so the clone shares their columns
+// and the query sums them instead of merging rows; the index lives on
+// the real series, where the next query finds it. The clone and the
+// list of in-range aggregators are taken under the same lock; the
+// snapshots (each a copy and a sort) run after it is released, so a
+// read never blocks the writers' rolls for longer than the index
+// takes. That counts
 // nothing twice and drops no acked profile: under the lock each acked
 // profile sits either in the series (so in the clone) or in a live
 // aggregator (so in the list); an aggregator that rolls after the lock
@@ -90,6 +97,7 @@ func (s *Server) view(tenantName string, since, until uint64) *tsstore.Series {
 	}
 	var live []liveEpoch
 	t.mu.Lock()
+	t.series.Index(since, until)
 	out := t.series.Clone()
 	for e, ent := range t.epochs {
 		if since <= e && e <= until {
@@ -98,7 +106,7 @@ func (s *Server) view(tenantName string, since, until uint64) *tsstore.Series {
 	}
 	t.mu.Unlock()
 	for _, l := range live {
-		out.AppendEpoch(l.epoch, l.agg.Snapshot())
+		out.AppendSnapshot(l.epoch, l.agg)
 	}
 	return out
 }

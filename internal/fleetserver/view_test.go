@@ -3,6 +3,8 @@ package fleetserver
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"sync"
@@ -10,6 +12,7 @@ import (
 	"testing"
 
 	"hbbp/internal/profstore"
+	"hbbp/internal/tsstore"
 )
 
 // TestSeriesSnapshotCoversAckedBatches pins the read path's
@@ -91,5 +94,155 @@ func TestSeriesSnapshotCoversAckedBatches(t *testing.T) {
 	got := s.SeriesSnapshot("acme").Merged()
 	if !bytes.Equal(saveBytes(t, got), saveBytes(t, profstore.Merge(all...))) {
 		t.Fatal("after the writer finished, the series differs from the flat merge of the acked profiles")
+	}
+}
+
+// epochProfile draws one profile for epoch e over a small key space,
+// so most keys recur in every window and the tenant's series indexes
+// them, and names its workload after the epoch: an answer's run count
+// for that name is how many of the epoch's profiles it holds.
+func epochProfile(rng *rand.Rand, e uint64) *profstore.Profile {
+	p := &profstore.Profile{Workloads: []profstore.WorkloadWeight{{Name: fmt.Sprintf("e%04d", e), Runs: 1}}}
+	for i, n := 0, 2+rng.Intn(6); i < n; i++ {
+		p.Blocks = append(p.Blocks, profstore.Block{
+			Unit: "gcc", Module: "a.out",
+			Function: []string{"main", "step"}[rng.Intn(2)],
+			Addr:     uint64(rng.Intn(8)) * 16,
+			Len:      uint32(1 + rng.Intn(2)),
+			Count:    uint64(1 + rng.Intn(100000)),
+		})
+	}
+	for i, n := 0, 1+rng.Intn(4); i < n; i++ {
+		p.Ops = append(p.Ops, profstore.OpMass{
+			Mnemonic: []string{"add", "mov", "vaddps", "div", "call"}[rng.Intn(5)],
+			Ring:     uint8(rng.Intn(2)),
+			Mass:     uint64(1 + rng.Intn(1000000)),
+		})
+	}
+	return profstore.Canonical(p)
+}
+
+// TestIndexedQueriesMatchAckedMerge runs two readers beside a writer
+// that rolls epochs, folds them and sends late arrivals, and checks
+// every answer exactly: it must equal the offline merge of the acked
+// profiles it covers. One connection merges its batches in order, so
+// what a read holds of each epoch is a prefix of the profiles sent to
+// it; the epoch-named workloads say how long each prefix is, and the
+// answer must serialize byte-identical to the merge of exactly those
+// prefixes over its spans, each at least what was acked before the
+// read and at most what was sent by its end. Reads go through
+// Server.Window and through SeriesSnapshot, so they index the tenant's
+// series under its lock while the writer's rolls change it, and query
+// clones that share its columns.
+func TestIndexedQueriesMatchAckedMerge(t *testing.T) {
+	s := startServer(t, rollConfig())
+	ctx := context.Background()
+	c, err := Dial(ctx, s.Addr().String(), ClientConfig{Tenant: "acme", Agent: "writer"})
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+
+	var mu sync.Mutex
+	sent := map[uint64][]*profstore.Profile{}
+	acked := map[uint64]int{}
+	var top atomic.Uint64
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		rng := rand.New(rand.NewSource(43))
+		for b := 0; b < 150; b++ {
+			epoch := uint64(b / 3)
+			if b%4 == 3 && epoch >= 2 {
+				epoch -= 1 + uint64(rng.Intn(int(min(epoch, 8)))) // a late arrival
+			}
+			batch := make([]*profstore.Profile, 1+rng.Intn(3))
+			for i := range batch {
+				batch[i] = epochProfile(rng, epoch)
+			}
+			mu.Lock()
+			sent[epoch] = append(sent[epoch], batch...)
+			mu.Unlock()
+			top.Store(max(top.Load(), epoch))
+			if err := c.SendBatch(ctx, epoch, batch); err != nil {
+				t.Errorf("batch %d: %v", b, err)
+				return
+			}
+			mu.Lock()
+			acked[epoch] += len(batch)
+			mu.Unlock()
+		}
+	}()
+
+	var reads atomic.Int64
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(50 + r)))
+			for n := 0; ; n++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				hi := top.Load() + 1
+				a := uint64(rng.Int63n(int64(hi + 1)))
+				b := a + uint64(rng.Int63n(int64(hi-a+1)))
+				mu.Lock()
+				before := maps.Clone(acked)
+				mu.Unlock()
+				var got *profstore.Profile
+				var spans []tsstore.Span
+				if n%2 == 0 {
+					got, spans = s.Window("acme", a, b)
+				} else {
+					got, spans = s.SeriesSnapshot("acme").Window(a, b)
+				}
+				held := map[uint64]int{}
+				for _, w := range got.Workloads {
+					var e uint64
+					if _, err := fmt.Sscanf(w.Name, "e%d", &e); err != nil {
+						t.Errorf("workload %q: %v", w.Name, err)
+						return
+					}
+					held[e] = int(w.Runs)
+				}
+				var want []*profstore.Profile
+				mu.Lock()
+				for _, sp := range spans {
+					for e := sp.Start; e <= sp.End; e++ {
+						if held[e] < before[e] || held[e] > len(sent[e]) {
+							t.Errorf("Window(%d, %d) holds %d profiles of epoch %d; %d were acked before it and %d sent",
+								a, b, held[e], e, before[e], len(sent[e]))
+						}
+						want = append(want, sent[e][:min(held[e], len(sent[e]))]...)
+					}
+				}
+				mu.Unlock()
+				if !bytes.Equal(saveBytes(t, got), saveBytes(t, profstore.Merge(want...))) {
+					t.Errorf("Window(%d, %d) over spans %v differs from the offline merge of the acked profiles it covers", a, b, spans)
+				}
+				if t.Failed() {
+					return
+				}
+				reads.Add(1)
+			}
+		}(r)
+	}
+	wg.Wait()
+	if n := reads.Load(); n < 10 {
+		t.Logf("only %d reads overlapped the writer", n)
+	}
+	var all []*profstore.Profile
+	for _, ps := range sent {
+		all = append(all, ps...)
+	}
+	got, _ := s.Window("acme", 0, math.MaxUint64)
+	if !bytes.Equal(saveBytes(t, got), saveBytes(t, profstore.Merge(all...))) {
+		t.Fatal("after the writer finished, the tenant's window differs from the flat merge of the acked profiles")
 	}
 }

@@ -22,15 +22,21 @@ func BenchmarkSeriesAppend(b *testing.B) {
 	}
 }
 
-// BenchmarkSeriesWindow measures a windowed query over a downsampled
-// 256-epoch series.
-func BenchmarkSeriesWindow(b *testing.B) {
+// benchSeries is BenchmarkSeriesWindow's series: 256 epochs of
+// freshly formatted profiles, downsampled by the default ladder.
+func benchSeries() *Series {
 	rng := rand.New(rand.NewSource(2))
 	var s Series
 	for e := uint64(0); e < 256; e++ {
 		s.AppendEpoch(e, epochProfileBench(rng))
 	}
 	s.Downsample(DefaultRetention(), 255)
+	return &s
+}
+
+// benchmarkWindow times s.Window(64, 255), the query the series
+// benchmarks share.
+func benchmarkWindow(b *testing.B, s *Series) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -41,13 +47,36 @@ func BenchmarkSeriesWindow(b *testing.B) {
 	}
 }
 
+// BenchmarkSeriesWindow measures a windowed query over a downsampled
+// 256-epoch series, indexed first as a fleet server's read path
+// indexes its tenant's series: the indexed windows' columns are summed
+// and the rest merged. Each raw epoch holds 64 of the 768 block keys
+// the series has seen (block lengths are drawn per epoch), so the
+// memory rule leaves the raw windows unindexed and the folded ones
+// indexed.
+func BenchmarkSeriesWindow(b *testing.B) {
+	s := benchSeries()
+	s.Index(64, 255)
+	benchmarkWindow(b, s)
+}
+
+// BenchmarkSeriesWindowUnindexed is BenchmarkSeriesWindow without the
+// index: every window merges, as on a series no query has indexed. One
+// untimed query first fills the merge's scratch pool.
+func BenchmarkSeriesWindowUnindexed(b *testing.B) {
+	s := benchSeries()
+	s.Window(64, 255)
+	benchmarkWindow(b, s)
+}
+
 // BenchmarkSeriesWindowFromSnapshots is BenchmarkSeriesWindow on the
 // windows a fleet server's series holds: each epoch is one aggregator's
 // snapshot of stored payloads decoded with LoadInterned, and each
 // aggregator is made while the previous epoch's is still alive, as a
 // server's overlapping live epochs are. So the windows share their
 // symbol strings, where BenchmarkSeriesWindow's are freshly formatted
-// per epoch.
+// per epoch. Eight payloads make every window dense in the series'
+// keys, so after the index every window in the range is a column.
 func BenchmarkSeriesWindowFromSnapshots(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	payloads := make([][]byte, 8)
@@ -73,14 +102,8 @@ func BenchmarkSeriesWindowFromSnapshots(b *testing.B) {
 		s.Downsample(DefaultRetention(), e)
 		prev = agg
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p, _ := s.Window(64, 255)
-		if len(p.Ops) == 0 {
-			b.Fatal("empty query")
-		}
-	}
+	s.Index(64, 255)
+	benchmarkWindow(b, &s)
 	b.StopTimer()
 	runtime.KeepAlive(prev)
 }
@@ -93,6 +116,7 @@ func BenchmarkSeriesDownsample(b *testing.B) {
 	for e := uint64(0); e < 256; e++ {
 		base.AppendEpoch(e, epochProfileBench(rng))
 	}
+	base.Clone().Downsample(DefaultRetention(), 255) // fills the merge's scratch pool
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -114,7 +114,9 @@ func ParseRetention(spec string) (Retention, error) {
 // window the series holds is), so the series' merged content is
 // unchanged down to the bit, only its granularity coarsens. Returns
 // the number of merges performed (0 means the series already conformed
-// to the ladder). Folding only ever coarsens: epochs inside the raw
+// to the ladder). A folded window's column is the sum of its windows'
+// columns when all of them are indexed, and it is unindexed otherwise.
+// Folding only ever coarsens: epochs inside the raw
 // horizon are untouched, and a window is folded only when it fits
 // entirely inside its target bucket, which the width-multiple rule
 // guarantees for windows this package produced.
@@ -195,6 +197,7 @@ func (s *Series) foldLevel(width, horizon uint64) int {
 		out = append(out, window{
 			span: Span{Start: w.span.Start, End: s.windows[j-1].span.End},
 			prof: profstore.MergeCanonical(profs...),
+			col:  s.foldColumn(i, j),
 		})
 		folds++
 		i = j

@@ -14,6 +14,17 @@
 // one profile; and [Series.Trend] flags ops and functions whose
 // retirement share moves monotonically across the last k windows.
 //
+// A series that answers many queries can index its windows
+// ([Series.Index]): each indexed window also holds its masses as a
+// column on a key spine shared by the whole series (profstore.Spine),
+// so a query adds the columns of the windows it covers and
+// materializes the sum once instead of merging their rows. Columns are
+// filled on the read path only, kept current by appends and folds
+// (cleared and summed), shared with clones, never saved, and left off
+// any window whose column would outweigh its rows. Indexed answers are
+// the merged answers, byte for byte, while no key's total mass wraps
+// 2^64.
+//
 // The store's keystone property is inherited from profstore and kept
 // by construction: merging is exact integer addition over canonical
 // keys, commutative and associative, so folding epochs into coarser
@@ -62,10 +73,19 @@ func (s Span) String() string {
 }
 
 // window is one retained window: a span plus the merged profile of
-// every profile appended to an epoch inside it.
+// every profile appended to an epoch inside it, and, once [Series.Index]
+// has filled it, the same masses as a column on the series' spine.
 type window struct {
 	span Span
 	prof *profstore.Profile
+	// col holds prof's masses at the series spine's positions, or is
+	// nil while the window is unindexed. A column is never written
+	// after it is made, so clones share it.
+	col []uint64
+	// wide marks a window Index left unindexed because its column
+	// would take more bytes than its rows; it is cleared whenever prof
+	// changes.
+	wide bool
 }
 
 // Series is an epoch-indexed profile store: non-overlapping windows in
@@ -75,6 +95,10 @@ type window struct {
 // their own lock.
 type Series struct {
 	windows []window
+	// spine is the sorted key union the windows' columns index (nil
+	// until Index first fills one). It is replaced, never modified,
+	// when it grows, so clones share it.
+	spine *profstore.Spine
 }
 
 // Len returns the number of retained windows.
@@ -106,14 +130,17 @@ func (s *Series) At(i int) (*profstore.Profile, Span) {
 }
 
 // Clone returns a deep-enough copy: the window list is copied, the
-// profiles are shared. Safe because every mutation path in this
-// package replaces a window's profile rather than editing it in place,
-// the replacement is a profstore.Merge or MergeCanonical result (which
-// it copies out of its pooled scratch, so it shares memory with no
-// later merge), and queries only read — so callers like fleetserver
-// clone under a lock and query the clone outside it.
+// profiles, columns and spine are shared. Safe because every mutation
+// path in this package replaces a window's profile or column rather
+// than editing it in place, the replacement profile is a
+// profstore.Merge or MergeCanonical result (which it copies out of its
+// pooled scratch, so it shares memory with no later merge), a grown
+// spine is a new spine with fresh columns, and queries only read — so
+// callers like fleetserver index and clone under a lock and query the
+// clone outside it, and the clone keeps every column filled before it
+// was made.
 func (s *Series) Clone() *Series {
-	return &Series{windows: append([]window(nil), s.windows...)}
+	return &Series{windows: append([]window(nil), s.windows...), spine: s.spine}
 }
 
 // locate returns the index of the window containing epoch e, or
@@ -138,37 +165,73 @@ func (s *Series) locate(e uint64) (int, bool) {
 // precondition Window's and Downsample's MergeCanonical rely on. Nil
 // profiles are ignored. The flat-merge invariant is preserved either
 // way: a query covering e always reflects every profile ever appended
-// at e.
+// at e. A window that takes the profile drops its column, so it is
+// unindexed until the next Index covers it.
 func (s *Series) AppendEpoch(e uint64, p *profstore.Profile) {
-	if p == nil {
-		return
+	if p != nil {
+		s.add(e, p, false)
 	}
+}
+
+// AppendSnapshot is AppendEpoch of a's snapshot, without copying the
+// snapshot a second time: a snapshot is canonical and nobody else's, so
+// a new window keeps it as it is.
+func (s *Series) AppendSnapshot(e uint64, a *profstore.Aggregator) {
+	s.add(e, a.Snapshot(), true)
+}
+
+// add is AppendEpoch; owned marks a canonical p the series may keep.
+func (s *Series) add(e uint64, p *profstore.Profile, owned bool) {
 	epochAppends.Inc()
 	i, ok := s.locate(e)
 	if ok {
-		s.windows[i].prof = profstore.Merge(s.windows[i].prof, p)
+		w := &s.windows[i]
+		if owned {
+			w.prof = profstore.MergeCanonical(w.prof, p)
+		} else {
+			w.prof = profstore.Merge(w.prof, p)
+		}
+		w.col, w.wide = nil, false
 		return
+	}
+	if !owned {
+		p = profstore.Merge(p)
 	}
 	s.windows = append(s.windows, window{})
 	copy(s.windows[i+1:], s.windows[i:])
-	s.windows[i] = window{span: Span{Start: e, End: e}, prof: profstore.Merge(p)}
+	s.windows[i] = window{span: Span{Start: e, End: e}, prof: p}
+}
+
+// overlap returns the index range [i, j) of the windows overlapping
+// [since, until]; since must not exceed until.
+func (s *Series) overlap(since, until uint64) (int, int) {
+	i, _ := s.locate(since)
+	j := i
+	for j < len(s.windows) && s.windows[j].span.Start <= until {
+		j++
+	}
+	return i, j
 }
 
 // Window merges every retained window overlapping [since, until] into
 // one canonical profile, returning it with the spans that contributed.
 // The result is bit-identical to the flat profstore.Merge of every
-// profile appended to those spans; it equals the flat merge of exactly
-// the epochs [since, until] when the bounds align with retained window
-// boundaries (always true before any downsampling, and true after for
-// any query cut at fold boundaries — the spans tell the caller which
-// epochs were actually included). An empty overlap returns the empty
-// profile and no spans. since > until is a caller bug and returns the
-// same empty result.
+// profile appended to those spans, as long as no key's total mass over
+// them wraps 2^64; it equals the flat merge of exactly the epochs
+// [since, until] when the bounds align with retained window boundaries
+// (always true before any downsampling, and true after for any query
+// cut at fold boundaries — the spans tell the caller which epochs were
+// actually included). An empty overlap returns the empty profile and
+// no spans. since > until is a caller bug and returns the same empty
+// result.
 //
-// Window only reads the series, in one flat profstore.MergeCanonical
-// of the overlapping windows: every window holds a Merge or
-// MergeCanonical result or a window file Open decoded, each canonical,
-// so none is re-checked.
+// Window only reads the series. When two or more of the overlapping
+// windows are indexed (see [Series.Index]), their columns are summed
+// into pooled scratch and materialized once, so they cost one vector
+// add each instead of a merge; that result and every unindexed window
+// then meet in one profstore.MergeCanonical. Every window holds a Merge
+// or MergeCanonical result or a window file Open decoded, each
+// canonical, so none is re-checked.
 func (s *Series) Window(since, until uint64) (*profstore.Profile, []Span) {
 	if since > until {
 		return &profstore.Profile{}, nil
@@ -176,20 +239,35 @@ func (s *Series) Window(since, until uint64) (*profstore.Profile, []Span) {
 	windowQueries.Inc()
 	t0 := time.Now()
 	defer windowWall.ObserveSince(t0)
-	i, _ := s.locate(since)
-	j := i
-	for j < len(s.windows) && s.windows[j].span.Start <= until {
-		j++
-	}
+	i, j := s.overlap(since, until)
 	if i == j {
 		return &profstore.Profile{}, nil
 	}
 	windowSpans.Observe(int64(j - i))
 	spans := make([]Span, j-i)
-	profs := make([]*profstore.Profile, j-i)
+	indexed := 0
 	for k := i; k < j; k++ {
 		spans[k-i] = s.windows[k].span
-		profs[k-i] = s.windows[k].prof
+		if s.windows[k].col != nil {
+			indexed++
+		}
+	}
+	if indexed < 2 {
+		indexed = 0 // one column saves nothing over its window's rows
+	}
+	profs := make([]*profstore.Profile, 0, j-i-indexed+1)
+	if indexed > 0 {
+		profs = append(profs, s.sumColumns(i, j))
+	}
+	for k := i; k < j; k++ {
+		if indexed == 0 || s.windows[k].col == nil {
+			profs = append(profs, s.windows[k].prof)
+		}
+	}
+	windowsByColumn.Add(uint64(indexed))
+	windowsByMerge.Add(uint64(j - i - indexed))
+	if indexed > 0 && len(profs) == 1 {
+		return profs[0], spans // the materialized sum is already the caller's own
 	}
 	return profstore.MergeCanonical(profs...), spans
 }
