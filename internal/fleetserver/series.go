@@ -54,7 +54,7 @@ func (s *Server) roll(t *tenant, epoch uint64) {
 		// Snapshot under t.mu: every new merge acquires the epoch via
 		// acquireEpoch, which also needs t.mu, so nothing can slip into
 		// this aggregator between the snapshot and the delete.
-		t.series.AppendSnapshot(e, ent.agg)
+		t.series.AppendEpoch(e, ent.agg.Snapshot())
 		rolled = true
 	}
 	if rolled {
@@ -78,12 +78,11 @@ func (s *Server) roll(t *tenant, epoch uint64) {
 // list of in-range aggregators are taken under the same lock; the
 // snapshots (each a copy and a sort) run after it is released, so a
 // read never blocks the writers' rolls for longer than the index
-// takes. That counts
-// nothing twice and drops no acked profile: under the lock each acked
-// profile sits either in the series (so in the clone) or in a live
-// aggregator (so in the list); an aggregator that rolls after the lock
-// is released rolls into the tenant's series, not into the clone; and
-// a rolled aggregator takes no further merges.
+// takes. That counts nothing twice and drops no acked profile: under
+// the lock each acked profile sits either in the series (so in the
+// clone) or in a live aggregator (so in the list); an aggregator that
+// rolls after the lock is released rolls into the tenant's series, not
+// into the clone; and a rolled aggregator takes no further merges.
 func (s *Server) view(tenantName string, since, until uint64) *tsstore.Series {
 	s.mu.Lock()
 	t := s.tenants[tenantName]
@@ -106,7 +105,7 @@ func (s *Server) view(tenantName string, since, until uint64) *tsstore.Series {
 	}
 	t.mu.Unlock()
 	for _, l := range live {
-		out.AppendSnapshot(l.epoch, l.agg)
+		out.AppendEpoch(l.epoch, l.agg.Snapshot())
 	}
 	return out
 }

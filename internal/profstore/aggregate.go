@@ -135,21 +135,30 @@ func (a *Aggregator) Snapshot() *Profile {
 		blocks:    make([]iBlock, 0, len(a.blocks)),
 		ops:       make([]iOp, 0, len(a.ops)),
 	}
+	// A key whose summed mass wrapped to zero is left out, as Canonical
+	// leaves out a zero-mass row.
 	for id, runs := range a.workloads {
-		in.workloads = append(in.workloads, iWorkload{name: id, runs: runs})
+		if runs != 0 {
+			in.workloads = append(in.workloads, iWorkload{name: id, runs: runs})
+		}
 	}
 	for k, count := range a.blocks {
-		in.blocks = append(in.blocks, iBlock{
-			unit: k.unit, module: k.module, function: k.function,
-			addr: k.addr, ring: k.ring, blen: k.blen, count: count,
-		})
+		if count != 0 {
+			in.blocks = append(in.blocks, iBlock{
+				unit: k.unit, module: k.module, function: k.function,
+				addr: k.addr, ring: k.ring, blen: k.blen, count: count,
+			})
+		}
 	}
 	for k, mass := range a.ops {
-		in.ops = append(in.ops, iOp{mnemonic: k.mnemonic, ring: k.ring, mass: mass})
+		if mass != 0 {
+			in.ops = append(in.ops, iOp{mnemonic: k.mnemonic, ring: k.ring, mass: mass})
+		}
 	}
 	a.mu.Unlock()
 	// Keys are unique in the maps, so sorting the table and then the
-	// rows by index is all canonicalization needs.
+	// rows by index, with the zero rows already out, is all
+	// canonicalization needs.
 	in.sortSyms()
 	slices.SortFunc(in.workloads, func(x, y iWorkload) int { return iWorkloadCmp(&x, &y) })
 	slices.SortFunc(in.blocks, func(x, y iBlock) int { return iBlockCmp(&x, &y) })

@@ -238,3 +238,30 @@ func TestAggregatorMatchesOracle(t *testing.T) {
 	wg.Wait()
 	equalProfiles(t, "aggregator snapshot", agg.Snapshot(), oracleMerge(profiles...))
 }
+
+// TestAggregatorSnapshotDropsWrappedRows pins Snapshot's canonical
+// contract when a key's summed mass wraps 2^64 to zero: the key has no
+// row, as in Canonical, while the keys beside it keep theirs.
+func TestAggregatorSnapshotDropsWrappedRows(t *testing.T) {
+	half := &Profile{
+		Workloads: []WorkloadWeight{{Name: "wrap", Runs: 1 << 63}, {Name: "gcc", Runs: 1}},
+		Blocks: []Block{
+			{Unit: "gcc", Module: "a.out", Function: "f", Addr: 0x10, Len: 1, Count: 1 << 63},
+			{Unit: "gcc", Module: "a.out", Function: "g", Addr: 0x20, Len: 1, Count: 3},
+		},
+		Ops: []OpMass{{Mnemonic: "add", Mass: 5}, {Mnemonic: "wrap", Mass: 1 << 63}},
+	}
+	agg := NewAggregator()
+	agg.Ingest(Canonical(half))
+	agg.IngestInterned(Intern(Canonical(half)))
+	got := agg.Snapshot()
+	if !isCanonical(got) {
+		t.Fatalf("snapshot with wrapped masses is not canonical: %+v", got)
+	}
+	want := Canonical(&Profile{
+		Workloads: []WorkloadWeight{{Name: "gcc", Runs: 2}},
+		Blocks:    []Block{{Unit: "gcc", Module: "a.out", Function: "g", Addr: 0x20, Len: 1, Count: 6}},
+		Ops:       []OpMass{{Mnemonic: "add", Mass: 10}},
+	})
+	equalProfiles(t, "snapshot with wrapped masses", got, want)
+}

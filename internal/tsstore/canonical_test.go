@@ -56,8 +56,9 @@ func requireCanonicalWindows(t *testing.T, what string, s *Series) {
 // rely on when they merge windows with profstore.MergeCanonical: after
 // every mutation path — appends of unsorted, duplicate-key and
 // zero-mass profiles into new and existing windows, folds at every
-// rung of a four-level ladder, late arrivals into folded windows, and a
-// save and reopen — every window is still canonical.
+// rung of a four-level ladder, late arrivals into folded windows,
+// aggregator snapshots whose masses wrapped, and a save and reopen —
+// every window is still canonical.
 func TestWindowsStayCanonical(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	ladder := Retention{Levels: []Level{{Width: 1, Keep: 2}, {Width: 2, Keep: 2}, {Width: 4, Keep: 2}, {Width: 8}}}
@@ -83,6 +84,20 @@ func TestWindowsStayCanonical(t *testing.T) {
 		if !widths[w] {
 			t.Errorf("no window of width %d was ever folded; widths seen %v", w, widths)
 		}
+	}
+	// An aggregator's snapshot with one block and one op whose masses
+	// wrapped to zero, the shape fleetserver rolls into its series, in
+	// a new window and in an existing one.
+	for _, e := range []uint64{48, 47} {
+		agg := profstore.NewAggregator()
+		for k := 0; k < 2; k++ {
+			p := epochProfile(rng, e).Clone()
+			p.Blocks = append(p.Blocks, profstore.Block{Unit: "gcc", Module: "wrap.so", Function: "half", Addr: 0x40, Len: 2, Count: 1 << 63})
+			p.Ops = append(p.Ops, profstore.OpMass{Mnemonic: "wrap", Mass: 1 << 63})
+			agg.Ingest(profstore.Canonical(p))
+		}
+		s.AppendEpoch(e, agg.Snapshot())
+		requireCanonicalWindows(t, fmt.Sprintf("snapshot with wrapped masses at epoch %d", e), &s)
 	}
 
 	dir := t.TempDir()

