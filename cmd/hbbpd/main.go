@@ -86,7 +86,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	httpAddr := fs.String("http", "", "serve the admin endpoint (/metrics, /healthz, /slowops, /debug/pprof) on this address (empty = off)")
 	drainGrace := fs.Duration("drain-grace", 0, "after a shutdown signal, keep serving with /healthz at 503 this long before draining (the LB deregistration window)")
 	queue := fs.Int("queue", 0, "batches merging at once, each on the connection that sent it (0 = default 64)")
-	maxFrame := fs.Int("max-frame", 0, "largest accepted wire frame in bytes (0 = default 16MiB)")
+	maxFrame := fs.Int("max-frame", 0, "largest wire frame in bytes, announced to every agent in the handshake; agents split their batches to fit (0 = default 16MiB)")
 	enqueueWait := fs.Duration("enqueue-wait", 0, "backpressure window before shedding when every admission slot is taken (0 = default 50ms)")
 	readTimeout := fs.Duration("read-timeout", 0, "per-frame read deadline (0 = default 30s)")
 	writeTimeout := fs.Duration("write-timeout", 0, "per-frame write deadline (0 = default 10s)")

@@ -119,10 +119,7 @@ func (o *Options) effectivePeriods() (ebs, lbr uint64) {
 			lbr = cl
 		}
 	}
-	scale := o.Scale
-	if scale == 0 {
-		scale = 1000
-	}
+	scale := o.EffectiveScale()
 	ebs /= scale
 	lbr /= scale
 	if ebs == 0 {

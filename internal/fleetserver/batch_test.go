@@ -282,7 +282,7 @@ func TestBatchAckFitsMaxFrame(t *testing.T) {
 	const maxFrame = 512
 	s := startServer(t, Config{MaxFrame: maxFrame})
 	ctx := context.Background()
-	c, err := Dial(ctx, s.Addr().String(), ClientConfig{Tenant: "acme", Agent: "host-1", MaxFrame: maxFrame, MaxAttempts: 1})
+	c, err := Dial(ctx, s.Addr().String(), ClientConfig{Tenant: "acme", Agent: "host-1", MaxAttempts: 1})
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}

@@ -29,10 +29,6 @@ type ClientConfig struct {
 	// Dialer opens transport connections; defaults to a net.Dialer
 	// with a 10s timeout. Chaos tests inject faults here.
 	Dialer func(ctx context.Context, addr string) (net.Conn, error)
-	// MaxFrame bounds frame payloads both ways: incoming frames, and
-	// the outgoing frames a batch is split into. It should not exceed
-	// the server's limit. Defaults to fleetwire.DefaultMaxFrame.
-	MaxFrame int
 	// ReadTimeout bounds each ack/nack wait; defaults to 10s.
 	ReadTimeout time.Duration
 	// WriteTimeout bounds each frame write; defaults to 10s.
@@ -65,9 +61,6 @@ func (c ClientConfig) withDefaults() (ClientConfig, error) {
 		c.Dialer = func(ctx context.Context, addr string) (net.Conn, error) {
 			return d.DialContext(ctx, "tcp", addr)
 		}
-	}
-	if c.MaxFrame <= 0 {
-		c.MaxFrame = fleetwire.DefaultMaxFrame
 	}
 	if c.ReadTimeout <= 0 {
 		c.ReadTimeout = 10 * time.Second
@@ -143,6 +136,9 @@ type Client struct {
 	// serverSeq is the highest sequence the server has confirmed
 	// merged (via ack or handshake resume point).
 	serverSeq uint64
+	// maxFrame is the frame limit the latest handshake announced: the
+	// bound every batch frame is split to, in force until a re-dial.
+	maxFrame int
 
 	closed bool
 	stats  ClientStats
@@ -219,9 +215,9 @@ type BatchItem struct {
 // still merges exactly once under the same retry semantics as Send.
 // Returns nil when every profile merged; ErrRejected (wrapped) when
 // the server permanently refused at least one entry (the others still
-// merged); fleetwire.ErrFrameTooLarge (wrapped), before anything is
-// sent, when a profile cannot fit a frame even alone; any other error
-// means the retry budget ran out with profiles undelivered.
+// merged); fleetwire.ErrFrameTooLarge (wrapped), without a retry, when
+// a profile cannot fit the server's frame limit even alone; any other
+// error means the retry budget ran out with profiles undelivered.
 func (c *Client) SendBatch(ctx context.Context, epoch uint64, profiles []*profstore.Profile) error {
 	items := make([]BatchItem, 0, len(profiles))
 	for _, p := range profiles {
@@ -236,8 +232,8 @@ func (c *Client) SendBatch(ctx context.Context, epoch uint64, profiles []*profst
 
 // SendBatchBytes is SendBatch for already-serialized profiles, each
 // with its own epoch. Entries are assigned consecutive sequence
-// numbers and sent in as few frames as MaxFrame and
-// fleetwire.MaxBatchEntries allow; on resets or overload the
+// numbers and sent in as few frames as the server's announced frame
+// limit and fleetwire.MaxBatchEntries allow; on resets or overload the
 // still-unconfirmed entries retry, with the handshake resume point
 // confirming anything merged before a lost ack.
 func (c *Client) SendBatchBytes(ctx context.Context, items []BatchItem) error {
@@ -249,25 +245,29 @@ func (c *Client) SendBatchBytes(ctx context.Context, items []BatchItem) error {
 	if len(items) == 0 {
 		return nil
 	}
-	// A profile no frame can carry is refused before any sequence
-	// number is spent: re-sending it could never succeed, so it must
-	// not cost a retry or the healthy connection.
 	entries := make([]fleetwire.BatchEntry, len(items))
 	for i, it := range items {
 		entries[i] = fleetwire.BatchEntry{Seq: c.seq + 1 + uint64(i), Epoch: it.Epoch, Profile: it.Payload}
-		if fleetwire.SplitBatch(entries[i:i+1], c.cfg.MaxFrame) == 0 {
-			return fmt.Errorf("fleetserver: profile %d of %d is %d bytes, too large for a %d-byte frame: %w",
-				i, len(items), len(it.Payload), c.cfg.MaxFrame, fleetwire.ErrFrameTooLarge)
-		}
 	}
-	c.seq += uint64(len(entries))
 	// done tracks entries confirmed merged (ack or resume point) or
 	// permanently refused, so neither is re-sent; rej remembers the
 	// refusals.
 	done := make([]bool, len(entries))
 	var rej rejections
 	for attempt := 1; ; attempt++ {
-		err := c.trySendBatch(ctx, entries, done, &rej)
+		err := c.ensureConn(ctx)
+		if err == nil {
+			// A profile the latest handshake's limit cannot carry fails
+			// the batch at once, since re-sending it could never
+			// succeed: on the first attempt before any sequence number
+			// is spent, after a re-dial to a smaller limit in place of
+			// a retry.
+			if err := c.oversized(entries, done); err != nil {
+				return err
+			}
+			c.seq = max(c.seq, entries[len(entries)-1].Seq)
+			err = c.trySendBatch(entries, done, &rej)
+		}
 		if err == nil {
 			if rej.first != nil {
 				return fmt.Errorf("fleetserver: batch of %d: %d rejected (first: %v): %w",
@@ -284,6 +284,19 @@ func (c *Client) SendBatchBytes(ctx context.Context, items []BatchItem) error {
 	}
 }
 
+// oversized returns the ErrFrameTooLarge error for the first entry
+// still to send that no frame under the announced limit can carry, or
+// nil when every one fits alone.
+func (c *Client) oversized(entries []fleetwire.BatchEntry, done []bool) error {
+	for i := range entries {
+		if !done[i] && entries[i].Seq > c.serverSeq && fleetwire.SplitBatch(entries[i:i+1], c.maxFrame) == 0 {
+			return fmt.Errorf("fleetserver: profile %d of %d is %d bytes, too large for the server's %d-byte frame: %w",
+				i, len(entries), len(entries[i].Profile), c.maxFrame, fleetwire.ErrFrameTooLarge)
+		}
+	}
+	return nil
+}
+
 // rejections counts one batch's permanent refusals (NackBadProfile)
 // and keeps the first one's reason.
 type rejections struct {
@@ -292,14 +305,11 @@ type rejections struct {
 }
 
 // trySendBatch makes one delivery attempt for the batch's unresolved
-// entries, frame after frame on one connection. nil means every entry
-// is resolved (merged, duplicate, resume-skipped, or permanently
+// entries, frame after frame on the live connection. nil means every
+// entry is resolved (merged, duplicate, resume-skipped, or permanently
 // rejected — recorded in rej rather than returned, so one bad entry
 // cannot abort its batchmates).
-func (c *Client) trySendBatch(ctx context.Context, entries []fleetwire.BatchEntry, done []bool, rej *rejections) error {
-	if err := c.ensureConn(ctx); err != nil {
-		return err
-	}
+func (c *Client) trySendBatch(entries []fleetwire.BatchEntry, done []bool, rej *rejections) error {
 	for from := 0; ; {
 		// Seqs ascend, so what the resume point confirms is a prefix
 		// of the unresolved entries: a reset between the server's
@@ -316,8 +326,8 @@ func (c *Client) trySendBatch(ctx context.Context, entries []fleetwire.BatchEntr
 			return nil
 		}
 		// The next frame is the longest run of unresolved entries that
-		// fits; SendBatchBytes guaranteed the first one fits alone.
-		n := fleetwire.SplitBatch(entries[from:], c.cfg.MaxFrame)
+		// fits; SendBatchBytes checked that the first one fits alone.
+		n := fleetwire.SplitBatch(entries[from:], c.maxFrame)
 		for k := 1; k < n; k++ {
 			if done[from+k] {
 				n = k
@@ -409,7 +419,7 @@ func (c *Client) exchange(frame []fleetwire.BatchEntry, done []bool, rej *reject
 }
 
 // ensureConn dials and handshakes if no connection is live, adopting
-// the server's resume point.
+// the server's resume point and frame limit.
 func (c *Client) ensureConn(ctx context.Context) error {
 	if c.wc != nil {
 		return nil
@@ -420,35 +430,14 @@ func (c *Client) ensureConn(ctx context.Context) error {
 		return err
 	}
 	wc := fleetwire.NewConn(conn, fleetwire.ConnConfig{
-		MaxFrame:     c.cfg.MaxFrame,
 		ReadTimeout:  c.cfg.ReadTimeout,
 		WriteTimeout: c.cfg.WriteTimeout,
 	})
-	fail := func(err error) error {
+	welcome, err := wc.Handshake(fleetwire.Hello{Tenant: c.cfg.Tenant, Agent: c.cfg.Agent})
+	if err != nil {
 		wc.Close()
 		c.stats.ConnErrors++
 		return err
-	}
-	if err := wc.WritePreamble(); err != nil {
-		return fail(err)
-	}
-	if err := wc.WriteFrame(fleetwire.FrameHello,
-		fleetwire.AppendHello(nil, fleetwire.Hello{Tenant: c.cfg.Tenant, Agent: c.cfg.Agent})); err != nil {
-		return fail(err)
-	}
-	if err := wc.ReadPreamble(); err != nil {
-		return fail(err)
-	}
-	typ, payload, err := wc.ReadFrame()
-	if err != nil {
-		return fail(err)
-	}
-	if typ != fleetwire.FrameWelcome {
-		return fail(fmt.Errorf("fleetserver: expected welcome, got %v: %w", typ, fleetwire.ErrProtocol))
-	}
-	welcome, err := fleetwire.ParseWelcome(payload)
-	if err != nil {
-		return fail(err)
 	}
 	// Adopt the server's ledger: it knows what merged even if our
 	// acks were lost, and it protects a restarted client that reused
@@ -459,6 +448,7 @@ func (c *Client) ensureConn(ctx context.Context) error {
 	if welcome.LastSeq > c.seq {
 		c.seq = welcome.LastSeq
 	}
+	c.maxFrame = welcome.MaxFrame
 	c.wc = wc
 	c.stats.Dials++
 	c.telDials.Inc()

@@ -114,7 +114,7 @@ func TestBatchLargerThanFrameIsSplit(t *testing.T) {
 	s := startServer(t, Config{MaxFrame: maxFrame})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	c, err := Dial(ctx, s.Addr().String(), ClientConfig{Tenant: "acme", Agent: "host-1", MaxFrame: maxFrame})
+	c, err := Dial(ctx, s.Addr().String(), ClientConfig{Tenant: "acme", Agent: "host-1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestProfileTooLargeForAnyFrame(t *testing.T) {
 	s := startServer(t, Config{MaxFrame: maxFrame})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	c, err := Dial(ctx, s.Addr().String(), ClientConfig{Tenant: "acme", Agent: "host-1", MaxFrame: maxFrame})
+	c, err := Dial(ctx, s.Addr().String(), ClientConfig{Tenant: "acme", Agent: "host-1"})
 	if err != nil {
 		t.Fatal(err)
 	}

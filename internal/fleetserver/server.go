@@ -76,8 +76,9 @@ type Config struct {
 	// merges, waits or is refused, so memory scales with connections
 	// times MaxFrame.
 	Queue int
-	// MaxFrame bounds a wire frame's payload;
-	// defaults to fleetwire.DefaultMaxFrame.
+	// MaxFrame bounds a wire frame's payload in both directions, and
+	// the Welcome announces it to every agent, which splits its batches
+	// to fit; defaults to fleetwire.DefaultMaxFrame.
 	MaxFrame int
 	// EnqueueWait is how long a connection exerts backpressure when
 	// every admission slot is taken before shedding the batch with
@@ -495,16 +496,9 @@ func (s *Server) handleBatch(tn *tenant, ag *agentState, payload []byte) (verdic
 }
 
 // handshake validates the preamble and hello and answers with the
-// agent's resume point.
+// agent's resume point and the server's frame limit.
 func (s *Server) handshake(wc *fleetwire.Conn) (*tenant, *agentState, bool) {
-	if err := wc.ReadPreamble(); err != nil {
-		return nil, nil, false
-	}
-	typ, payload, err := wc.ReadFrame()
-	if err != nil || typ != fleetwire.FrameHello {
-		return nil, nil, false
-	}
-	hello, err := fleetwire.ParseHello(payload)
+	hello, err := wc.ReadHello()
 	if err != nil {
 		return nil, nil, false
 	}
@@ -513,11 +507,7 @@ func (s *Server) handshake(wc *fleetwire.Conn) (*tenant, *agentState, bool) {
 	ag.mu.Lock()
 	last := ag.lastSeq
 	ag.mu.Unlock()
-	if err := wc.WritePreamble(); err != nil {
-		return nil, nil, false
-	}
-	if err := wc.WriteFrame(fleetwire.FrameWelcome,
-		fleetwire.AppendWelcome(nil, fleetwire.Welcome{LastSeq: last})); err != nil {
+	if err := wc.WriteWelcome(last); err != nil {
 		return nil, nil, false
 	}
 	return tn, ag, true

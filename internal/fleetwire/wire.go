@@ -20,7 +20,9 @@
 //     is rejected; there is no "mostly intact".
 //   - Payload lengths are bounded (MaxFrame), so a corrupted or
 //     hostile length prefix costs a classified error, not an
-//     allocation the size of the lie.
+//     allocation the size of the lie. The server sets the limit alone
+//     and announces it in its Welcome; the agent splits its batches to
+//     fit, so no setting on the agent side has to agree with it.
 //   - Reads and writes carry deadlines, so a stalled peer (slow-loris
 //     or a half-dead TCP session) surfaces as a timeout the caller can
 //     account, never a goroutine parked forever.
@@ -38,6 +40,7 @@ package fleetwire
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -52,9 +55,10 @@ import (
 const Magic = "HBBPWIR1"
 
 // Version is the current wire protocol version. Version 1 also had a
-// single-profile exchange (frame types 3-5); version 2 dropped it, so
-// a version-1 peer fails the handshake with ErrUnsupportedVersion.
-const Version uint32 = 2
+// single-profile exchange (frame types 3-5); version 2 dropped it;
+// version 3's Welcome also carries the server's frame limit. A peer of
+// any other version fails the handshake with ErrUnsupportedVersion.
+const Version uint32 = 3
 
 // DefaultMaxFrame bounds a frame's payload when the caller does not
 // choose a limit: generous for merged fleet profiles (~11 B/block in
@@ -78,7 +82,7 @@ const (
 	FrameHello FrameType = 1
 	// FrameWelcome answers a Hello with the last profile sequence
 	// number the server has durably merged for this agent — the resume
-	// point after a reconnect.
+	// point after a reconnect — and the server's frame limit.
 	FrameWelcome FrameType = 2
 	// FrameProfileBatch carries one or more profiles, each with its
 	// own per-agent sequence number and epoch; answered by one
@@ -242,6 +246,64 @@ func NewConn(c net.Conn, cfg ConnConfig) *Conn {
 	}
 }
 
+// Handshake is the agent's half of the handshake: it sends the
+// preamble and h, reads the server's preamble and Welcome, and adopts
+// the announced frame limit for both directions of c. The returned
+// Welcome's MaxFrame is that limit, DefaultMaxFrame when the server
+// announced 0.
+func (c *Conn) Handshake(h Hello) (Welcome, error) {
+	if err := c.WritePreamble(); err != nil {
+		return Welcome{}, err
+	}
+	if err := c.WriteFrame(FrameHello, AppendHello(nil, h)); err != nil {
+		return Welcome{}, err
+	}
+	if err := c.ReadPreamble(); err != nil {
+		return Welcome{}, err
+	}
+	t, payload, err := c.ReadFrame()
+	if err != nil {
+		return Welcome{}, err
+	}
+	if t != FrameWelcome {
+		return Welcome{}, fmt.Errorf("%w: expected welcome, got %s", ErrProtocol, t)
+	}
+	w, err := ParseWelcome(payload)
+	if err != nil {
+		return Welcome{}, err
+	}
+	w.MaxFrame = cmp.Or(w.MaxFrame, DefaultMaxFrame)
+	c.cfg.MaxFrame = w.MaxFrame
+	return w, nil
+}
+
+// ReadHello is the server's first half of the handshake: it reads and
+// validates the agent's preamble and Hello.
+func (c *Conn) ReadHello() (Hello, error) {
+	if err := c.ReadPreamble(); err != nil {
+		return Hello{}, err
+	}
+	t, payload, err := c.ReadFrame()
+	if err != nil {
+		return Hello{}, err
+	}
+	if t != FrameHello {
+		return Hello{}, fmt.Errorf("%w: expected hello, got %s", ErrProtocol, t)
+	}
+	return ParseHello(payload)
+}
+
+// WriteWelcome is the server's second half of the handshake: it sends
+// the preamble and a Welcome carrying the agent's resume point and
+// c's frame limit, the one limit both directions of the connection
+// keep to.
+func (c *Conn) WriteWelcome(lastSeq uint64) error {
+	if err := c.WritePreamble(); err != nil {
+		return err
+	}
+	return c.WriteFrame(FrameWelcome, AppendWelcome(nil, Welcome{LastSeq: lastSeq, MaxFrame: c.cfg.MaxFrame}))
+}
+
 // WritePreamble buffers the magic and wire version. It is flushed with
 // the next WriteFrame, so a handshake costs one packet, not two.
 func (c *Conn) WritePreamble() error {
@@ -394,23 +456,40 @@ type Welcome struct {
 	// merged for this agent — everything at or below it is already
 	// aggregated and must not be re-sent.
 	LastSeq uint64
+	// MaxFrame is the largest frame payload the server accepts on this
+	// connection and the largest it sends, so the agent splits its
+	// batches to fit it. 0 means DefaultMaxFrame, as in ConnConfig.
+	MaxFrame int
 }
 
-// AppendWelcome encodes w.
+// maxWelcomeFrame bounds an announced frame limit to what an int holds
+// on every platform.
+const maxWelcomeFrame = 1<<31 - 1
+
+// AppendWelcome encodes w: its resume point, then its frame limit.
 func AppendWelcome(dst []byte, w Welcome) []byte {
-	return binary.AppendUvarint(dst, w.LastSeq)
+	dst = binary.AppendUvarint(dst, w.LastSeq)
+	return binary.AppendUvarint(dst, uint64(max(w.MaxFrame, 0)))
 }
 
-// ParseWelcome decodes a Welcome payload.
+// ParseWelcome decodes a Welcome payload. A version-2 Welcome, which
+// ends after LastSeq, is a protocol violation.
 func ParseWelcome(p []byte) (Welcome, error) {
-	v, p, err := parseUvarint(p, "welcome lastSeq")
+	last, p, err := parseUvarint(p, "welcome lastSeq")
 	if err != nil {
 		return Welcome{}, err
+	}
+	limit, p, err := parseUvarint(p, "welcome maxFrame")
+	if err != nil {
+		return Welcome{}, err
+	}
+	if limit > maxWelcomeFrame {
+		return Welcome{}, fmt.Errorf("%w: welcome frame limit %d (at most %d)", ErrProtocol, limit, maxWelcomeFrame)
 	}
 	if err := expectEnd(p, "welcome"); err != nil {
 		return Welcome{}, err
 	}
-	return Welcome{LastSeq: v}, nil
+	return Welcome{LastSeq: last, MaxFrame: int(limit)}, nil
 }
 
 // NackCode classifies a refusal.

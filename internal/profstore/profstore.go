@@ -198,23 +198,35 @@ func (p *Profile) Clone() *Profile {
 }
 
 // Weighted returns the profile scaled by an integer weight: every
-// count, mass and run multiplied by times. Weighted(k) equals merging
-// k copies — the explicit form of the merge's weight accounting (e.g.
-// one profile standing in for k identical machines) — so Weighted(0)
-// is the empty profile.
+// count, mass and run multiplied by times, and a row whose product
+// wraps 2^64 to zero left out, as a merge leaves out a key whose sum
+// wraps to zero. Weighted(k) equals merging k copies — the explicit
+// form of the merge's weight accounting (e.g. one profile standing in
+// for k identical machines) — so Weighted(0) is the empty profile.
 func (p *Profile) Weighted(times uint64) *Profile {
 	if times == 0 {
 		return &Profile{}
 	}
-	out := p.Clone()
-	for i := range out.Workloads {
-		out.Workloads[i].Runs *= times
+	return &Profile{
+		Workloads: scaledRows(p.Workloads, times, workloadRuns),
+		Blocks:    scaledRows(p.Blocks, times, blockCount),
+		Ops:       scaledRows(p.Ops, times, opMass),
 	}
-	for i := range out.Blocks {
-		out.Blocks[i].Count *= times
+}
+
+// scaledRows returns a copy of rows with every mass multiplied by
+// times, leaving out each row whose product is zero; a section with no
+// row left is nil, as Merge leaves it.
+func scaledRows[T any](rows []T, times uint64, mass func(*T) *uint64) []T {
+	out := make([]T, 0, len(rows))
+	for i := range rows {
+		if m := *mass(&rows[i]) * times; m != 0 {
+			out = append(out, rows[i])
+			*mass(&out[len(out)-1]) = m
+		}
 	}
-	for i := range out.Ops {
-		out.Ops[i].Mass *= times
+	if len(out) == 0 {
+		return nil
 	}
 	return out
 }
@@ -367,7 +379,10 @@ func mergePartials(a, b partial) partial {
 
 // merge2Into merges two canonical profiles into dst with linear
 // two-pointer walks over string keys, one three-way key compare per
-// step, overwriting dst's sections in place. A section's backing array
+// step, overwriting dst's sections in place. A key whose summed mass
+// wraps 2^64 to zero is left out, so the result stays canonical and
+// equals the merge of the same inputs in any grouping (a dropped key
+// reads as mass 0 to the next merge). A section's backing array
 // is replaced only when its capacity is below len(a)+len(b), the most
 // rows the merge can produce, so a recycled dst allocates nothing once
 // it has grown; a section both inputs leave empty is truncated and
@@ -389,8 +404,9 @@ func merge2Into(dst, a, b *Profile) {
 			j++
 		default:
 			w := a.Workloads[i]
-			w.Runs += b.Workloads[j].Runs
-			ws = append(ws, w)
+			if w.Runs += b.Workloads[j].Runs; w.Runs != 0 {
+				ws = append(ws, w)
+			}
 			i++
 			j++
 		}
@@ -413,8 +429,9 @@ func merge2Into(dst, a, b *Profile) {
 			j++
 		default:
 			blk := a.Blocks[i]
-			blk.Count += b.Blocks[j].Count
-			bs = append(bs, blk)
+			if blk.Count += b.Blocks[j].Count; blk.Count != 0 {
+				bs = append(bs, blk)
+			}
 			i++
 			j++
 		}
@@ -437,8 +454,9 @@ func merge2Into(dst, a, b *Profile) {
 			j++
 		default:
 			o := a.Ops[i]
-			o.Mass += b.Ops[j].Mass
-			ops = append(ops, o)
+			if o.Mass += b.Ops[j].Mass; o.Mass != 0 {
+				ops = append(ops, o)
+			}
 			i++
 			j++
 		}

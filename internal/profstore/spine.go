@@ -1,5 +1,7 @@
 package profstore
 
+import "slices"
+
 // Spine is an ordered key set: the canonical keys of some profiles,
 // with no mass. A profile aligned onto a spine becomes a column, one
 // uint64 per spine key (workloads, then blocks, then ops, each in
@@ -65,16 +67,23 @@ func alignRows[T any](keys, rows []T, col []uint64, compare func(a, b *T) int, m
 // they ever held. Neither s nor cols is modified: readers still
 // holding them stay valid. Every column must be s.Len() long.
 //
-// Each column goes through its profile: materialized on s, merged with
-// the others and add into the union of their keys, and aligned onto
-// it. A series grows its spine only when a window brings a new key,
-// so this costs about one merge of its windows, now and then.
+// Each column goes through its profile: materialized on s, and aligned
+// onto the union of its keys and every other column's and add's. The
+// union is the merge of key-only copies, every mass 1, so no key drops
+// out where the masses of the profiles holding it sum to 2^64. A series
+// grows its spine only when a window brings a new key, so this costs
+// about one merge of its windows, now and then.
 func (s *Spine) Grow(cols [][]uint64, add ...*Profile) (*Spine, [][]uint64) {
 	held := make([]*Profile, len(cols))
+	keys := make([]*Profile, 0, len(cols)+len(add))
 	for i, col := range cols {
 		held[i] = s.Materialize(col)
+		keys = append(keys, keysOf(held[i]))
 	}
-	grown := &Spine{keys: *MergeCanonical(append(held, add...)...)}
+	for _, p := range add {
+		keys = append(keys, keysOf(p))
+	}
+	grown := &Spine{keys: *MergeCanonical(keys...)}
 	out := make([][]uint64, len(cols))
 	for i, p := range held {
 		out[i] = make([]uint64, grown.Len())
@@ -83,12 +92,30 @@ func (s *Spine) Grow(cols [][]uint64, add ...*Profile) (*Spine, [][]uint64) {
 	return grown, out
 }
 
+// keysOf returns a copy of the canonical profile p with every mass 1.
+func keysOf(p *Profile) *Profile {
+	return &Profile{
+		Workloads: keyRows(p.Workloads, workloadRuns),
+		Blocks:    keyRows(p.Blocks, blockCount),
+		Ops:       keyRows(p.Ops, opMass),
+	}
+}
+
+// keyRows is keysOf for one section.
+func keyRows[T any](rows []T, mass func(*T) *uint64) []T {
+	out := slices.Clone(rows)
+	for i := range out {
+		*mass(&out[i]) = 1
+	}
+	return out
+}
+
 // Materialize returns the canonical profile whose masses are col: one
 // row for each non-zero position, in spine order, so a sum of aligned
 // columns materializes to the profile Merge would return for the
-// profiles they came from, as long as no key's summed mass wraps 2^64.
-// Each section is allocated once at its exact size; a section with no
-// row stays nil, as Merge leaves it.
+// profiles they came from (a sum that wraps to zero reads as an absent
+// key in both). Each section is allocated once at its exact size; a
+// section with no row stays nil, as Merge leaves it.
 func (s *Spine) Materialize(col []uint64) *Profile {
 	out := &Profile{}
 	if s == nil {

@@ -22,8 +22,7 @@
 // filled on the read path only, kept current by appends and folds
 // (cleared and summed), shared with clones, never saved, and left off
 // any window whose column would outweigh its rows. Indexed answers are
-// the merged answers, byte for byte, while no key's total mass wraps
-// 2^64.
+// the merged answers, byte for byte.
 //
 // The store's keystone property is inherited from profstore and kept
 // by construction: merging is exact integer addition over canonical
@@ -198,14 +197,13 @@ func (s *Series) overlap(since, until uint64) (int, int) {
 // Window merges every retained window overlapping [since, until] into
 // one canonical profile, returning it with the spans that contributed.
 // The result is bit-identical to the flat profstore.Merge of every
-// profile appended to those spans, as long as no key's total mass over
-// them wraps 2^64; it equals the flat merge of exactly the epochs
-// [since, until] when the bounds align with retained window boundaries
-// (always true before any downsampling, and true after for any query
-// cut at fold boundaries — the spans tell the caller which epochs were
-// actually included). An empty overlap returns the empty profile and
-// no spans. since > until is a caller bug and returns the same empty
-// result.
+// profile appended to those spans; it equals the flat merge of exactly
+// the epochs [since, until] when the bounds align with retained window
+// boundaries (always true before any downsampling, and true after for
+// any query cut at fold boundaries — the spans tell the caller which
+// epochs were actually included). An empty overlap returns the empty
+// profile and no spans. since > until is a caller bug and returns the
+// same empty result.
 //
 // Window only reads the series. When two or more of the overlapping
 // windows are indexed (see [Series.Index]), their columns are summed

@@ -163,10 +163,7 @@ func ExperimentNames() []string { return harness.ExperimentNames() }
 // ExperimentTiming records one experiment's wall time within a
 // [Session.RunExperiments] call: building it, the runs it waited for
 // included, and rendering it.
-type ExperimentTiming struct {
-	Name string
-	Wall time.Duration
-}
+type ExperimentTiming = harness.ExperimentTiming
 
 // ExperimentReport summarises a [Session.RunExperiments] call: how
 // long the build phase and each experiment took, and how many
@@ -220,11 +217,8 @@ func (s *Session) RunExperiments(ctx context.Context, names ...string) (*Experim
 	if rep == nil {
 		return nil, err
 	}
-	out := &ExperimentReport{CollectWall: rep.CollectWall, RunsCollected: rep.Collected, RunsReused: rep.Reused}
-	for _, t := range rep.Renders {
-		out.Experiments = append(out.Experiments, ExperimentTiming{Name: t.Name, Wall: t.Wall})
-	}
-	return out, err
+	return &ExperimentReport{Experiments: rep.Renders, CollectWall: rep.CollectWall,
+		RunsCollected: rep.Collected, RunsReused: rep.Reused}, err
 }
 
 // RunAllExperiments regenerates every experiment in paper order
