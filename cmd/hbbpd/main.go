@@ -1,14 +1,14 @@
 // Command hbbpd is the fleet ingest daemon: it serves the hbbp wire
 // protocol, merging stored profiles sent by agents (hbbp.Dial /
-// examples/fleet) into per-tenant, per-epoch aggregates with exact
-// drop accounting. It is a thin shell over the public hbbp library.
+// examples/fleet) into one time axis per tenant with exact drop
+// accounting. It is a thin shell over the public hbbp library.
 //
 // Usage:
 //
 //	hbbpd [-listen ADDR] [-http ADDR] [-queue N] [-max-frame BYTES]
 //	      [-enqueue-wait D] [-read-timeout D] [-write-timeout D]
 //	      [-stats-every D] [-save-dir DIR] [-drain-timeout D]
-//	      [-drain-grace D] [-retain SPEC] [-epoch-lag N]
+//	      [-drain-grace D] [-retain SPEC]
 //
 // With -http, the daemon also serves an admin endpoint: /metrics in
 // the Prometheus text format (every counter the accounting lines are
@@ -35,9 +35,9 @@
 // overload nack and counts the shed against the tenant. Nothing is
 // dropped silently.
 //
-// Each tenant has one time axis: completed epochs (those -epoch-lag
-// behind a tenant's newest) roll out of their live aggregators into a
-// per-tenant profile series. -retain bounds the daemon's memory along
+// Each tenant has one time axis: its newest epoch stays live, and every
+// older epoch, late arrivals included, rolls into a per-tenant profile
+// series. -retain bounds the daemon's memory along
 // that axis by downsampling the series with the given ladder — e.g.
 // "1:8,4:4,16:0" keeps the last 8 epochs raw, the 16 before those at 4
 // epochs per window, and everything older at 16; without it every
@@ -93,8 +93,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	statsEvery := fs.Duration("stats-every", 0, "print an accounting snapshot this often (0 = only at exit)")
 	saveDir := fs.String("save-dir", "", "save each tenant's series to DIR/TENANT.series/ in this directory on shutdown")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight ingests to drain")
-	retain := fs.String("retain", "", "roll completed epochs into a downsampled series by this WIDTH:KEEP,... ladder (e.g. 1:8,4:4,16:0; \"default\" = "+hbbp.DefaultRetention().String()+"); empty keeps every epoch raw")
-	epochLag := fs.Uint64("epoch-lag", 1, "epochs behind a tenant's newest before an epoch is considered complete and rolled into its series")
+	retain := fs.String("retain", "", "downsample each tenant's series (every epoch older than its newest) by this WIDTH:KEEP,... ladder (e.g. 1:8,4:4,16:0; \"default\" = "+hbbp.DefaultRetention().String()+"); empty keeps every epoch raw")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -132,7 +131,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		ReadTimeout:  *readTimeout,
 		WriteTimeout: *writeTimeout,
 		Retention:    retention,
-		EpochLag:     *epochLag,
 		// A registry per run keeps a daemon's ledgers distinct from
 		// any other server in the process (the in-process tests run
 		// several); /metrics serves this registry plus the

@@ -16,8 +16,8 @@
 // epoch, then -agents simulated agents, split into one wave per epoch
 // (at most -concurrency in flight), each dial the in-process ingest
 // server through a fault-injecting transport and push profiles with
-// the retrying client. As each wave completes, the server rolls the
-// finished epoch out of its live aggregators into a downsampled
+// the retrying client. As each wave starts, the server rolls the
+// finished epoch out of its live aggregator into a downsampled
 // series, so memory stays bounded while the full history remains
 // queryable — and a trend scan over the retained windows flags the
 // fleet's drift toward vector code.
@@ -232,7 +232,7 @@ func main() {
 	// sends, and every injected fault must be visible as a counted
 	// duplicate, corrupt frame or failed handshake — accounted, never
 	// hidden. With retention on, the ledger also shows the time axis:
-	// few live epochs, history in retained windows.
+	// one live epoch, history in retained windows.
 	sctx, cancel := context.WithTimeout(ctx, 30*time.Second)
 	defer cancel()
 	if err := server.Shutdown(sctx); err != nil {

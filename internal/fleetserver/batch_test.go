@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"net"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -313,5 +316,93 @@ func TestBatchAckFitsMaxFrame(t *testing.T) {
 	}
 	if st := c.Stats(); st.ConnErrors != 0 || st.Dials != 1 || st.RejectedNacks != uint64(len(items)) {
 		t.Fatalf("client stats = %+v, want %d refusals on one connection", st, len(items))
+	}
+}
+
+// TestSameAgentOverlappingResendsMergeOnce pins exactly-once when one
+// agent's sequence numbers race each other: two raw connections of
+// the same agent send every seq of one stream at once, cut into
+// batches of different sizes, so their batches overlap. Each seq must
+// be answered merged on exactly one connection and duplicate on the
+// other, and the tenant's window must equal the offline merge of the
+// stream, each profile once.
+func TestSameAgentOverlappingResendsMergeOnce(t *testing.T) {
+	s := startServer(t, rollConfig())
+	const n = 120
+	rng := rand.New(rand.NewSource(61))
+	stream := make([]fleetwire.BatchEntry, n)
+	profiles := make([]*profstore.Profile, n)
+	for i := range stream {
+		epoch := uint64(i / 8)
+		profiles[i] = epochProfile(rng, epoch)
+		stream[i] = fleetwire.BatchEntry{Seq: uint64(i + 1), Epoch: epoch, Profile: saveBytes(t, profiles[i])}
+	}
+	conns := []*fleetwire.Conn{}
+	for range 2 {
+		_, wc := handshakeByHand(t, s, "twin")
+		conns = append(conns, wc)
+	}
+
+	merged := make([][]uint64, len(conns)) // seqs each connection merged
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for c, wc := range conns {
+		wg.Add(1)
+		go func(c int, wc *fleetwire.Conn, size int) {
+			defer wg.Done()
+			<-start
+			for lo := 0; lo < n; lo += size {
+				batch := stream[lo:min(lo+size, n)]
+				if err := wc.WriteFrame(fleetwire.FrameProfileBatch,
+					fleetwire.AppendProfileBatch(nil, batch)); err != nil {
+					t.Errorf("connection %d: send: %v", c, err)
+					return
+				}
+				typ, p, err := wc.ReadFrame()
+				if err != nil || typ != fleetwire.FrameAckBatch {
+					t.Errorf("connection %d: ack = %v, %v", c, typ, err)
+					return
+				}
+				verdicts, err := fleetwire.ParseAckBatch(p)
+				if err != nil || len(verdicts) != len(batch) {
+					t.Errorf("connection %d: %d verdicts for %d entries, %v", c, len(verdicts), len(batch), err)
+					return
+				}
+				for i, v := range verdicts {
+					switch {
+					case v.Seq != batch[i].Seq:
+						t.Errorf("connection %d: verdict %d answers seq %d, want %d", c, i, v.Seq, batch[i].Seq)
+					case v.Status == fleetwire.BatchMerged:
+						merged[c] = append(merged[c], v.Seq)
+					case v.Status != fleetwire.BatchDuplicate:
+						t.Errorf("connection %d: seq %d = %v, want merged or duplicate", c, v.Seq, v.Status)
+					}
+				}
+			}
+		}(c, wc, 3+4*c)
+	}
+	close(start)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	all := append(slices.Clone(merged[0]), merged[1]...)
+	slices.Sort(all)
+	for i, seq := range all {
+		if seq != uint64(i+1) {
+			t.Fatalf("merged seqs over both connections = %v, want each of 1..%d once", all, n)
+		}
+	}
+	if len(all) != n {
+		t.Fatalf("%d seqs merged, want %d", len(all), n)
+	}
+	ts := tenantStats(t, s, "acme")
+	if ts.Merged != n || ts.Duplicates != n {
+		t.Fatalf("ledger = %d merged, %d duplicates; want %d and %d", ts.Merged, ts.Duplicates, n, n)
+	}
+	got, _ := s.Window("acme", 0, math.MaxUint64)
+	if !bytes.Equal(saveBytes(t, got), saveBytes(t, profstore.Merge(profiles...))) {
+		t.Fatal("the tenant's window differs from the offline merge of the stream")
 	}
 }

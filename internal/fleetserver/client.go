@@ -22,9 +22,14 @@ type ClientConfig struct {
 	Tenant string
 	// Agent is this agent's stable identity — the key of the server's
 	// exactly-once ledger. Reusing an Agent name across restarts
-	// without continuing its sequence numbering is the one way to
-	// confuse the ledger; the client guards against it by adopting
-	// the server's resume point on every handshake.
+	// without continuing its sequence numbering would confuse the
+	// ledger; the client guards against it by adopting the server's
+	// resume point on every handshake. Nothing guards two clients live
+	// at once under one Agent: they share the ledger and can confirm
+	// each other's sequence numbers, so a client that re-dials after
+	// the other advanced the ledger counts its unsent entries as
+	// resumed and reports them delivered, unmerged. Give every
+	// concurrently live client its own Agent.
 	Agent string
 	// Dialer opens transport connections; defaults to a net.Dialer
 	// with a 10s timeout. Chaos tests inject faults here.

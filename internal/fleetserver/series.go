@@ -9,65 +9,66 @@ import (
 
 // Epoch rolling: the time axis of the ingest tier.
 //
-// Every tenant owns one tsstore.Series. Each merge advances the
-// tenant's epoch clock and rolls every completed epoch (older than the
-// clock by at least EpochLag) out of its live aggregator into that
-// series, which Config.Retention then downsamples; the zero retention
-// folds nothing, so every rolled epoch stays a raw [e, e] window. A
-// tenant's state therefore has one shape: the series, at most
-// EpochLag live aggregators once merges settle, and the agent ledger.
-// Rolling preserves the ingest tier's keystone invariant: a rolled
-// epoch's snapshot is bit-identical to the flat merge of its acked
-// profiles (the Aggregator contract), and tsstore folding is lossless
-// by construction, so any windowed query remains bit-identical to the
-// flat merge of the acked profiles in those epochs — before, during
-// and after folds.
-//
-// A late profile for an already-rolled epoch is not refused: it lands
-// in a fresh aggregator for that epoch and rolls again on the next
-// merge, merging into the series window that already covers the epoch
-// (tsstore.AppendEpoch's late-arrival path). Exactly-once still holds
-// — dedup is per (agent, seq), independent of epochs.
+// Every tenant owns one tsstore.Series and one live aggregator, for the
+// newest epoch it has merged. When a batch brings a newer epoch, the
+// live aggregator's epoch is complete: it rolls into the series and a
+// fresh aggregator takes the new epoch. An entry for an older epoch — a
+// late arrival, already rolled — merges into an aggregator of its own
+// for that batch, which rolls into the series window covering its
+// epoch (tsstore.AppendEpoch's late-arrival path) before the batch
+// releases the tenant lock. Config.Retention then downsamples the
+// series; the zero retention folds nothing, so every rolled epoch stays
+// a raw [e, e] window. A tenant's state therefore has one shape: the
+// series, one live aggregator and the agent ledger, all under the
+// tenant's one lock. Rolling preserves the ingest tier's keystone
+// invariant: a rolled epoch's snapshot is bit-identical to the flat
+// merge of its acked profiles (the Aggregator contract), and tsstore
+// folding is lossless by construction, so any windowed query remains
+// bit-identical to the flat merge of the acked profiles in those
+// epochs — before, during and after folds. Exactly-once holds
+// regardless: dedup is per (agent, seq), independent of epochs.
 
-// roll folds the tenant's completed epochs into its series and
-// downsamples. Called by the merging connection after each batch.
-func (s *Server) roll(t *tenant, epoch uint64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if epoch > t.maxEpoch {
-		t.maxEpoch = epoch
+// merge folds one decoded profile into the tenant's state at epoch: the
+// live aggregator takes the newest epoch (a newer one retires it into
+// older), and each older epoch gets one aggregator in older, which
+// collects the batch's rolls. Called with t.mu held.
+func (t *tenant) merge(epoch uint64, in *profstore.Interned, older map[uint64]*profstore.Aggregator) {
+	if t.live == nil || epoch > t.liveEpoch {
+		if t.live != nil {
+			older[t.liveEpoch] = t.live
+		}
+		t.live, t.liveEpoch = profstore.NewAggregator(), epoch
 	}
-	if t.maxEpoch < s.cfg.EpochLag {
+	agg := t.live
+	if epoch < t.liveEpoch {
+		if agg = older[epoch]; agg == nil {
+			agg = profstore.NewAggregator()
+			older[epoch] = agg
+		}
+	}
+	agg.IngestInterned(in)
+}
+
+// roll appends one batch's older-epoch aggregators to the tenant's
+// series and downsamples it, with every epoch before the live one
+// complete. Called with t.mu held, so no read sees a batch's acked
+// profiles missing from both the series and the live aggregator.
+func (s *Server) roll(t *tenant, older map[uint64]*profstore.Aggregator) {
+	if len(older) == 0 {
 		return
 	}
-	horizon := t.maxEpoch - s.cfg.EpochLag // newest complete epoch
-	rolled := false
-	for e, ent := range t.epochs {
-		// Skip epochs with merges in flight: a connection holding the
-		// entry's aggregator must not have it snapshotted away beneath
-		// it. The skipped epoch is not stuck — that connection's own
-		// roll call, after releaseEpoch, picks it up.
-		if e > horizon || ent.inflight > 0 {
-			continue
-		}
-		delete(t.epochs, e)
-		// Snapshot under t.mu: every new merge acquires the epoch via
-		// acquireEpoch, which also needs t.mu, so nothing can slip into
-		// this aggregator between the snapshot and the delete.
-		t.series.AppendEpoch(e, ent.agg.Snapshot())
-		rolled = true
+	for e, agg := range older {
+		t.series.AppendEpoch(e, agg.Snapshot())
 	}
-	if rolled {
-		t.series.Downsample(s.cfg.Retention, horizon)
-	}
+	t.series.Downsample(s.cfg.Retention, t.liveEpoch-1)
 }
 
 // view returns the tenant's time axis as the caller's own series: a
-// copy of its rolled windows, plus every live epoch inside
-// [since, until] appended as a raw window (snapshotting its
-// aggregator). Live epochs outside the range are left alone, so a
-// query pays only for the epochs it can see. An unknown tenant yields
-// an empty series. Every read goes through here.
+// copy of its rolled windows, plus the live epoch appended as a raw
+// window (snapshotting its aggregator) when it lies inside
+// [since, until], so a query pays for the live epoch only when it can
+// see it. An unknown tenant yields an empty series. Every read goes
+// through here.
 //
 // Under the tenant lock, view indexes the rolled windows in
 // [since, until] on the tenant's own series (tsstore.Series.Index:
@@ -75,14 +76,14 @@ func (s *Server) roll(t *tenant, epoch uint64) {
 // anything, one linear align each), so the clone shares their columns
 // and the query sums them instead of merging rows; the index lives on
 // the real series, where the next query finds it. The clone and the
-// list of in-range aggregators are taken under the same lock; the
-// snapshots (each a copy and a sort) run after it is released, so a
-// read never blocks the writers' rolls for longer than the index
-// takes. That counts nothing twice and drops no acked profile: under
-// the lock each acked profile sits either in the series (so in the
-// clone) or in a live aggregator (so in the list); an aggregator that
-// rolls after the lock is released rolls into the tenant's series, not
-// into the clone; and a rolled aggregator takes no further merges.
+// live aggregator are taken under the same lock; the snapshot (a copy
+// and a sort) runs after it is released, so a read never blocks the
+// writers for longer than the index takes. That counts nothing twice
+// and drops no acked profile: under the lock each acked profile sits
+// either in the series (so in the clone) or in the live aggregator;
+// when that aggregator rolls after the lock is released, it rolls into
+// the tenant's series, not into the clone; and a rolled aggregator
+// takes no merges from later batches.
 func (s *Server) view(tenantName string, since, until uint64) *tsstore.Series {
 	s.mu.Lock()
 	t := s.tenants[tenantName]
@@ -90,22 +91,17 @@ func (s *Server) view(tenantName string, since, until uint64) *tsstore.Series {
 	if t == nil {
 		return &tsstore.Series{}
 	}
-	type liveEpoch struct {
-		epoch uint64
-		agg   *profstore.Aggregator
-	}
-	var live []liveEpoch
+	var live *profstore.Aggregator
 	t.mu.Lock()
 	t.series.Index(since, until)
 	out := t.series.Clone()
-	for e, ent := range t.epochs {
-		if since <= e && e <= until {
-			live = append(live, liveEpoch{e, ent.agg})
-		}
+	epoch := t.liveEpoch
+	if since <= epoch && epoch <= until {
+		live = t.live
 	}
 	t.mu.Unlock()
-	for _, l := range live {
-		out.AppendEpoch(l.epoch, l.agg.Snapshot())
+	if live != nil {
+		out.AppendEpoch(epoch, live.Snapshot())
 	}
 	return out
 }

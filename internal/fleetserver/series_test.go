@@ -55,9 +55,9 @@ func TestEpochRollBoundsMemory(t *testing.T) {
 	sent := sendEpochs(t, s, "acme", epochs, 3, 1)
 
 	ts := tenantStats(t, s, "acme")
-	// Live epochs: the lagged epoch plus at most what in-flight skips
-	// left behind — with sends long settled, that is epochs > horizon,
-	// i.e. at most EpochLag+1 entries (defaults: lag 1 → epochs 38, 39).
+	// Live epochs: a tenant keeps one, its newest (epoch 39), and every
+	// older epoch has rolled into the series; the check allows one
+	// more.
 	if len(ts.Epochs) > 2 {
 		t.Fatalf("live epochs = %v; rolling is not draining the aggregator map", ts.Epochs)
 	}

@@ -1,11 +1,11 @@
 // Package fleetserver is the fault-tolerant fleet ingest tier: a
 // server that accepts stored profiles over the fleetwire protocol and
-// merges them into per-tenant/epoch aggregators, and a retrying client
-// agents use to deliver profiles across flaky networks. Each tenant
-// has one time axis: completed epochs roll out of their aggregators
-// into the tenant's tsstore.Series, and every read (Snapshot, Window,
-// SeriesSnapshot) sees that series plus the still-live epochs it asks
-// for (series.go).
+// merges them per tenant, and a retrying client agents use to deliver
+// profiles across flaky networks. Each tenant has one lock and one time
+// axis: the newest epoch merged is live in one aggregator, every older
+// epoch rolls into the tenant's tsstore.Series, and every read
+// (Snapshot, Window, SeriesSnapshot) sees that series plus the live
+// epoch when it asks for it (series.go).
 //
 // The design contract mirrors the collector's LOST records
 // (internal/collector/sink.go): the tier degrades by shedding load
@@ -103,22 +103,16 @@ type Config struct {
 	Telemetry *telemetry.Registry
 
 	// Retention is the downsampling ladder for each tenant's series:
-	// every completed epoch (see EpochLag) rolls out of its live
-	// aggregator into the tenant's tsstore.Series, and this ladder
-	// folds old windows coarser, so a long-lived daemon's memory is
-	// bounded by the ladder's window count instead of growing with
-	// every epoch ever seen. The zero value folds nothing: every rolled
-	// epoch stays a raw [e, e] window.
+	// every epoch older than the tenant's newest rolls into its
+	// tsstore.Series, and this ladder folds old windows coarser, so a
+	// long-lived daemon's memory is bounded by the ladder's window
+	// count instead of growing with every epoch ever seen. The zero
+	// value folds nothing: every rolled epoch stays a raw [e, e] window.
 	Retention tsstore.Retention
-	// EpochLag is how many epochs behind a tenant's newest epoch an
-	// epoch must be before it is considered complete and rolled into
-	// the series; defaults to 1 (the newest epoch is always live,
-	// everything older rolls). Once its merges settle, a tenant keeps
-	// at most EpochLag live epochs.
-	EpochLag uint64
 
-	// testIngestDelay slows every merge — the chaos suite's lever for
-	// forcing deterministic overload without a real slow disk.
+	// testIngestDelay slows every entry's decode, while its batch holds
+	// an admission slot — the chaos suite's lever for forcing
+	// deterministic overload without a real slow disk.
 	testIngestDelay time.Duration
 }
 
@@ -139,28 +133,31 @@ func (c Config) withDefaults() Config {
 	if c.WriteTimeout <= 0 {
 		c.WriteTimeout = 10 * time.Second
 	}
-	if c.EpochLag == 0 {
-		c.EpochLag = 1
-	}
 	if c.Telemetry == nil {
 		c.Telemetry = telemetry.NewRegistry()
 	}
 	return c
 }
 
-// tenant is one tenant's aggregation state and drop accounting.
+// tenant is one tenant's merged state and drop accounting.
 type tenant struct {
 	name string
 
-	mu     sync.Mutex
-	epochs map[uint64]*epochEntry
-	agents map[string]*agentState
-	// series holds completed epochs rolled out of their aggregators,
-	// downsampled by the configured retention. maxEpoch is the highest
-	// epoch this tenant has ever merged into — the clock the roll
-	// horizon is measured against.
-	series   tsstore.Series
-	maxEpoch uint64
+	// mu guards the tenant's whole merged state: the agent ledger, the
+	// live aggregator and the series. A batch's dedup checks, merges,
+	// ledger commits and rolls all happen under one hold of it, so they
+	// have one order per tenant, and every ack follows its batch's
+	// commit.
+	mu sync.Mutex
+	// agents is the exactly-once ledger: each agent's highest merged
+	// sequence number.
+	agents map[string]uint64
+	// live aggregates the newest epoch merged, liveEpoch; nil until the
+	// tenant's first merge. Every older epoch is in series, downsampled
+	// by the configured retention.
+	live      *profstore.Aggregator
+	liveEpoch uint64
+	series    tsstore.Series
 
 	// The ledger counters live in the server's telemetry registry
 	// (handles resolved once in tenantFor), so Stats() and /metrics
@@ -172,60 +169,6 @@ type tenant struct {
 	rejected   *telemetry.Counter // profiles nacked NackBadProfile
 	corrupt    *telemetry.Counter // frames lost to CRC/truncation/protocol errors
 	batches    *telemetry.Counter // batch frames answered with per-entry verdicts
-}
-
-// agentState is the per-agent exactly-once ledger: the highest
-// sequence number durably merged. Guarded by its own mutex so the
-// dedup check and the merge commit are one atomic step per agent
-// while distinct agents merge in parallel.
-type agentState struct {
-	mu      sync.Mutex
-	lastSeq uint64
-}
-
-// epochEntry is one live epoch's aggregator plus the number of merges
-// currently in flight against it. The count is what makes epoch
-// rolling safe alongside parallel ingest: a connection merges without
-// holding the tenant lock, so roll must not snapshot-and-delete an
-// epoch another connection is still merging into — it skips entries
-// with inflight > 0, and the releasing connection triggers its own
-// roll.
-type epochEntry struct {
-	agg      *profstore.Aggregator
-	inflight int
-}
-
-// acquireEpoch returns (creating if needed) the tenant's entry for one
-// epoch with an in-flight merge registered; pair with releaseEpoch.
-func (t *tenant) acquireEpoch(epoch uint64) *epochEntry {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	ent := t.epochs[epoch]
-	if ent == nil {
-		ent = &epochEntry{agg: profstore.NewAggregator()}
-		t.epochs[epoch] = ent
-	}
-	ent.inflight++
-	return ent
-}
-
-// releaseEpoch retires one in-flight merge.
-func (t *tenant) releaseEpoch(ent *epochEntry) {
-	t.mu.Lock()
-	ent.inflight--
-	t.mu.Unlock()
-}
-
-// agent returns (creating if needed) the agent's dedup ledger.
-func (t *tenant) agent(name string) *agentState {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	ag := t.agents[name]
-	if ag == nil {
-		ag = &agentState{}
-		t.agents[name] = ag
-	}
-	return ag
 }
 
 // Server ingests profiles over fleetwire connections. Construct with
@@ -329,8 +272,7 @@ func (s *Server) tenantFor(name string) *tenant {
 		}
 		t = &tenant{
 			name:       name,
-			epochs:     make(map[uint64]*epochEntry),
-			agents:     make(map[string]*agentState),
+			agents:     make(map[string]uint64),
 			merged:     outcome("merged"),
 			duplicates: outcome("duplicate"),
 			shed:       outcome("shed"),
@@ -387,7 +329,7 @@ func (s *Server) handle(conn net.Conn) {
 	defer s.trackConn(wc, false)
 	defer wc.Close()
 
-	tn, ag, ok := s.handshake(wc)
+	tn, agent, ok := s.handshake(wc)
 	if !ok {
 		s.handshakeFailed.Add(1)
 		return
@@ -419,7 +361,7 @@ func (s *Server) handle(conn net.Conn) {
 		// measures the server's parse/admit/merge/reply work, not how
 		// long the agent took to send the next frame.
 		t0 := time.Now()
-		verdicts, keep := s.handleBatch(tn, ag, payload)
+		verdicts, keep := s.handleBatch(tn, agent, payload)
 		if verdicts != nil {
 			ackBuf = fleetwire.AppendAckBatch(ackBuf[:0], verdicts)
 			if len(ackBuf) > s.cfg.MaxFrame {
@@ -462,7 +404,7 @@ func (s *Server) observeFrame(tn *tenant, t0 time.Time) {
 // nothing to answer. The entries alias the connection's read buffer;
 // that is safe because the merge consumes the bytes before the next
 // ReadFrame.
-func (s *Server) handleBatch(tn *tenant, ag *agentState, payload []byte) (verdicts []fleetwire.BatchVerdict, keep bool) {
+func (s *Server) handleBatch(tn *tenant, agent string, payload []byte) (verdicts []fleetwire.BatchVerdict, keep bool) {
 	entries, err := fleetwire.ParseProfileBatch(payload)
 	if err != nil {
 		tn.corrupt.Add(1)
@@ -471,7 +413,7 @@ func (s *Server) handleBatch(tn *tenant, ag *agentState, payload []byte) (verdic
 	tn.batches.Add(1)
 	s.batchEntries.Observe(int64(len(entries)))
 	if s.admit() {
-		verdicts = s.processBatch(tn, ag, entries)
+		verdicts = s.processBatch(tn, agent, entries)
 		<-s.slots
 		return verdicts, true
 	}
@@ -497,20 +439,19 @@ func (s *Server) handleBatch(tn *tenant, ag *agentState, payload []byte) (verdic
 
 // handshake validates the preamble and hello and answers with the
 // agent's resume point and the server's frame limit.
-func (s *Server) handshake(wc *fleetwire.Conn) (*tenant, *agentState, bool) {
+func (s *Server) handshake(wc *fleetwire.Conn) (*tenant, string, bool) {
 	hello, err := wc.ReadHello()
 	if err != nil {
-		return nil, nil, false
+		return nil, "", false
 	}
 	tn := s.tenantFor(hello.Tenant)
-	ag := tn.agent(hello.Agent)
-	ag.mu.Lock()
-	last := ag.lastSeq
-	ag.mu.Unlock()
+	tn.mu.Lock()
+	last := tn.agents[hello.Agent]
+	tn.mu.Unlock()
 	if err := wc.WriteWelcome(last); err != nil {
-		return nil, nil, false
+		return nil, "", false
 	}
-	return tn, ag, true
+	return tn, hello.Agent, true
 }
 
 // isDataError reports whether a read failure is data-shaped (frame
@@ -551,56 +492,57 @@ func (s *Server) admit() bool {
 	}
 }
 
-// processBatch applies one admitted batch: every entry in sequence
-// order under the agent lock, so the dedup check, the merge and the
-// ledger commit are one atomic step and a profile can never merge
-// twice no matter how it was re-sent. An entry at or below the agent's
-// watermark is a duplicate; otherwise it decodes straight into
-// interned form (profstore.LoadInterned) and feeds the aggregator as
-// integer rows — the wire path never materializes a string-keyed
-// profile. A bad entry is refused and skipped without advancing the
+// processBatch applies one admitted batch. Every entry first decodes
+// straight into interned form (profstore.LoadInterned) without the
+// tenant lock, so the wire path never materializes a string-keyed
+// profile and a decode never holds up the tenant's other connections.
+// Then, under the tenant lock, each entry in sequence order is checked
+// against the agent's watermark, merged and committed to the ledger,
+// and the batch's older epochs roll into the series before the lock is
+// released: a profile can never merge twice, however many connections
+// re-send it, and it is in the series or the live aggregator before
+// its ack is written. An entry at or below the watermark is a
+// duplicate. A bad entry is refused and skipped without advancing the
 // watermark for it — later entries still merge (their higher seqs then
 // advance the ledger past the refused one, which is sound: BadProfile
 // is permanent, re-sending the same bytes could never succeed).
-func (s *Server) processBatch(t *tenant, ag *agentState, entries []fleetwire.BatchEntry) []fleetwire.BatchVerdict {
-	verdicts := make([]fleetwire.BatchVerdict, 0, len(entries))
-	var merged, dups, rejected uint64
-	var maxMergedEpoch uint64
-	ag.mu.Lock()
+func (s *Server) processBatch(t *tenant, agent string, entries []fleetwire.BatchEntry) []fleetwire.BatchVerdict {
+	decoded := make([]*profstore.Interned, len(entries))
+	errs := make([]error, len(entries))
 	for i := range entries {
-		e := &entries[i]
 		if s.cfg.testIngestDelay > 0 {
 			time.Sleep(s.cfg.testIngestDelay)
 		}
-		if e.Seq <= ag.lastSeq {
-			dups++
-			verdicts = append(verdicts, fleetwire.BatchVerdict{Seq: e.Seq, Status: fleetwire.BatchDuplicate})
-			continue
-		}
-		in, err := profstore.LoadInterned(e.Profile)
-		if err != nil {
-			rejected++
-			verdicts = append(verdicts, fleetwire.BatchVerdict{Seq: e.Seq,
-				Status: fleetwire.BatchNacked, Code: fleetwire.NackBadProfile, Msg: err.Error()})
-			continue
-		}
-		ent := t.acquireEpoch(e.Epoch)
-		ent.agg.IngestInterned(in)
-		t.releaseEpoch(ent)
-		ag.lastSeq = e.Seq
-		merged++
-		if e.Epoch > maxMergedEpoch {
-			maxMergedEpoch = e.Epoch
-		}
-		verdicts = append(verdicts, fleetwire.BatchVerdict{Seq: e.Seq, Status: fleetwire.BatchMerged})
+		decoded[i], errs[i] = profstore.LoadInterned(entries[i].Profile)
 	}
-	ag.mu.Unlock()
+	verdicts := make([]fleetwire.BatchVerdict, len(entries))
+	var merged, dups, rejected uint64
+	older := make(map[uint64]*profstore.Aggregator)
+	t.mu.Lock()
+	last := t.agents[agent]
+	for i := range entries {
+		e, v := &entries[i], &verdicts[i]
+		v.Seq = e.Seq
+		switch {
+		case e.Seq <= last:
+			dups++
+			v.Status = fleetwire.BatchDuplicate
+		case errs[i] != nil:
+			rejected++
+			v.Status, v.Code, v.Msg = fleetwire.BatchNacked, fleetwire.NackBadProfile, errs[i].Error()
+		default:
+			t.merge(e.Epoch, decoded[i], older)
+			last = e.Seq
+			merged++
+			v.Status = fleetwire.BatchMerged
+		}
+	}
+	t.agents[agent] = last
+	s.roll(t, older)
+	t.mu.Unlock()
 	t.merged.Add(merged)
 	t.duplicates.Add(dups)
 	t.rejected.Add(rejected)
-	if merged > 0 {
-		s.roll(t, maxMergedEpoch)
-	}
 	return verdicts
 }
 
@@ -627,11 +569,11 @@ type TenantStats struct {
 	// Batches counts batch frames answered with per-entry verdicts
 	// (their entries are counted in the per-profile fields above).
 	Batches uint64
-	// Epochs lists the epochs holding live (unrolled) merged state,
-	// ascending.
+	// Epochs lists the epochs holding live (unrolled) merged state:
+	// the newest epoch merged, or none before the first merge.
 	Epochs []uint64
-	// Windows lists the retained series windows rolled out of live
-	// aggregators, ascending.
+	// Windows lists the retained series windows rolled out of the live
+	// aggregator, ascending.
 	Windows []tsstore.Span
 }
 
@@ -673,12 +615,11 @@ func (s *Server) Stats() Stats {
 			Batches:    t.batches.Value(),
 		}
 		t.mu.Lock()
-		for e := range t.epochs {
-			ts.Epochs = append(ts.Epochs, e)
+		if t.live != nil {
+			ts.Epochs = []uint64{t.liveEpoch}
 		}
 		ts.Windows = t.series.Spans()
 		t.mu.Unlock()
-		sort.Slice(ts.Epochs, func(i, j int) bool { return ts.Epochs[i] < ts.Epochs[j] })
 		st.Tenants = append(st.Tenants, ts)
 	}
 	sort.Slice(st.Tenants, func(i, j int) bool { return st.Tenants[i].Tenant < st.Tenants[j].Tenant })

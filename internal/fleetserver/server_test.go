@@ -7,12 +7,14 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"hbbp/internal/profstore"
 	"hbbp/internal/telemetry"
+	"hbbp/internal/tsstore"
 )
 
 // testProfile builds a small canonical profile whose content is a
@@ -367,9 +369,11 @@ func TestSendAfterClose(t *testing.T) {
 	}
 }
 
-// TestStatsSorted pins the deterministic ordering of the stats view.
+// TestStatsSorted pins the deterministic ordering of the stats view:
+// tenants by name, the newest epoch alone live, and the older epochs
+// (sent after it, so late arrivals) rolled into ascending windows.
 func TestStatsSorted(t *testing.T) {
-	s := startServer(t, Config{EpochLag: 16})
+	s := startServer(t, Config{})
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(6))
 	for _, tenant := range []string{"zeta", "alpha", "mid"} {
@@ -392,8 +396,12 @@ func TestStatsSorted(t *testing.T) {
 		if st.Tenants[i].Tenant != want {
 			t.Fatalf("tenant order = %v", st.Tenants)
 		}
-		if got := st.Tenants[i].Epochs; len(got) != 3 || got[0] != 2 || got[1] != 5 || got[2] != 9 {
-			t.Fatalf("epoch order = %v, want [2 5 9]", got)
+		if got := st.Tenants[i].Epochs; len(got) != 1 || got[0] != 9 {
+			t.Fatalf("live epochs = %v, want [9]", got)
+		}
+		want := []tsstore.Span{{Start: 2, End: 2}, {Start: 5, End: 5}}
+		if got := st.Tenants[i].Windows; !slices.Equal(got, want) {
+			t.Fatalf("windows = %v, want %v", got, want)
 		}
 	}
 }

@@ -246,3 +246,96 @@ func TestIndexedQueriesMatchAckedMerge(t *testing.T) {
 		t.Fatal("after the writer finished, the tenant's window differs from the flat merge of the acked profiles")
 	}
 }
+
+// TestLeadingAndLaggingAgentsWithReader runs the fleet-ingest shape
+// beside a reader: one agent sends on the tenant's newest epoch, a
+// second about 13 epochs behind it, so every batch of the second is a
+// late arrival into an epoch already rolled (and, with the roll
+// config's tiny bands, often folded). While both write, the reader
+// calls Window and SeriesSnapshot: each read must cover every profile
+// acked before it started, and no more than both agents had sent by
+// the time it returned. Every profile carries one run, so a read's
+// coverage is its merged run count. Afterwards the tenant's window
+// must equal the offline merge of the acked profiles.
+func TestLeadingAndLaggingAgentsWithReader(t *testing.T) {
+	s := startServer(t, rollConfig())
+	ctx := context.Background()
+	const batches, perBatch, lag = 80, 4, 13
+
+	var sent, acked atomic.Uint64
+	var mu sync.Mutex
+	var all []*profstore.Profile
+	var clients []*Client
+	for _, name := range []string{"lead", "lag"} {
+		c, err := Dial(ctx, s.Addr().String(), ClientConfig{Tenant: "acme", Agent: name})
+		if err != nil {
+			t.Fatalf("dial %s: %v", name, err)
+		}
+		defer c.Close()
+		clients = append(clients, c)
+	}
+	var writers sync.WaitGroup
+	for w, c := range clients {
+		writers.Add(1)
+		go func(w int, c *Client) {
+			defer writers.Done()
+			rng := rand.New(rand.NewSource(int64(70 + w)))
+			for b := 0; b < batches; b++ {
+				epoch := uint64(b / 4)
+				if w == 0 {
+					epoch += lag
+				}
+				batch := make([]*profstore.Profile, perBatch)
+				for i := range batch {
+					batch[i] = testProfile(rng, "gcc")
+				}
+				mu.Lock()
+				all = append(all, batch...)
+				mu.Unlock()
+				sent.Add(perBatch)
+				if err := c.SendBatch(ctx, epoch, batch); err != nil {
+					t.Errorf("agent %d batch %d: %v", w, b, err)
+					return
+				}
+				acked.Add(perBatch)
+			}
+		}(w, c)
+	}
+	done := make(chan struct{})
+	go func() {
+		writers.Wait()
+		close(done)
+	}()
+
+	reads := 0
+	check := func(what string, before, got uint64) {
+		after := sent.Load()
+		if got < before || got > after {
+			t.Errorf("%s %d covers %d profiles; %d were acked before it and %d sent by its end",
+				what, reads, got, before, after)
+		}
+		reads++
+	}
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		before := acked.Load()
+		p, _ := s.Window("acme", 0, math.MaxUint64)
+		check("Window", before, p.TotalRuns())
+		before = acked.Load()
+		check("SeriesSnapshot", before, s.SeriesSnapshot("acme").Merged().TotalRuns())
+	}
+	if t.Failed() {
+		return
+	}
+	if reads < 10 {
+		t.Logf("only %d reads overlapped the writers", reads)
+	}
+	got, _ := s.Window("acme", 0, math.MaxUint64)
+	if !bytes.Equal(saveBytes(t, got), saveBytes(t, profstore.Merge(all...))) {
+		t.Fatal("after the writers finished, the tenant's window differs from the flat merge of the acked profiles")
+	}
+}
